@@ -63,16 +63,39 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
             for key, raw in parser.items(sec):
                 if key not in cfg[sec]:
                     raise ValueError(f"unknown config key {sec}.{key}")
-                kind = type(_DEFAULTS[sec][key])
-                cfg[sec][key] = raw if kind is str else kind(float(raw))
+                cfg[sec][key] = _parse_value(sec, key, raw)
     if grid_pow is not None:
+        if grid_pow < 0:
+            raise ValueError("--grid-pow must be nonnegative")
         cfg["problem"]["n_steps"] = 2**grid_pow
     cfg["seed"] = int(seed)
-    if cfg["problem"]["drift"] not in _DRIFTS:
-        raise ValueError(f"unknown drift '{cfg['problem']['drift']}'")
+    pb = cfg["problem"]
+    if pb["drift"] not in _DRIFTS:
+        raise ValueError(f"unknown drift '{pb['drift']}'")
+    for sec, vals in _DEFAULTS.items():
+        for key, default in vals.items():
+            if type(default) is int and cfg[sec][key] < 1:
+                raise ValueError(f"{sec}.{key} must be at least 1")
+    if pb["n_modes"] > pb["m_phys"]:
+        raise ValueError("problem.n_modes must not exceed problem.m_phys")
+    if cfg["experiment"]["u0_mode"] > pb["n_modes"]:
+        raise ValueError("experiment.u0_mode must lie in 1..problem.n_modes")
     # constructing HolderParams validates the exponent chain at parse time
     _params(cfg)
     return cfg
+
+
+def _parse_value(sec: str, key: str, raw: str):
+    """Typed value of one config entry; integer keys reject fractions."""
+    kind = type(_DEFAULTS[sec][key])
+    if kind is str:
+        return raw
+    val = float(raw)
+    if kind is int:
+        if not val.is_integer():
+            raise ValueError(f"{sec}.{key} must be an integer, got {raw!r}")
+        return int(val)
+    return val
 
 
 def _params(cfg) -> paths.HolderParams:
@@ -93,9 +116,9 @@ def _problem(cfg) -> solver.ProblemSpec:
         kernel=kernel,
         params=_params(cfg),
         horizon=pb["horizon"],
-        n_steps=int(pb["n_steps"]),
-        n_modes=int(pb["n_modes"]),
-        m_phys=int(pb["m_phys"]),
+        n_steps=pb["n_steps"],
+        n_modes=pb["n_modes"],
+        m_phys=pb["m_phys"],
         L_F=1.0 if pb["drift"] != "zero" else 0.0,
     )
 
@@ -104,8 +127,8 @@ def _solver_cfg(cfg) -> solver.SolverConfig:
     sv = cfg["solver"]
     return solver.SolverConfig(
         fp_tol=sv["fp_tol"],
-        max_iters=int(sv["max_iters"]),
-        n_starts=int(sv["n_starts"]),
+        max_iters=sv["max_iters"],
+        n_starts=sv["n_starts"],
         distinct_tol=sv["distinct_tol"],
         seed=cfg["seed"],
     )
@@ -123,7 +146,7 @@ def _driver(cfg, spec) -> paths.SampledPath:
 
 def _u0(cfg, spec) -> np.ndarray:
     u0 = np.zeros(spec.operator.n_modes)
-    u0[int(cfg["experiment"]["u0_mode"]) - 1] = cfg["experiment"]["u0_scale"]
+    u0[cfg["experiment"]["u0_mode"] - 1] = cfg["experiment"]["u0_scale"]
     return u0
 
 
@@ -240,7 +263,7 @@ def cmd_usc(cfg, out: str) -> int:
             spec,
             _solver_cfg(cfg),
             radii=radii,
-            m_per_radius=int(cfg["experiment"]["m_per_radius"]),
+            m_per_radius=cfg["experiment"]["m_per_radius"],
             seed=cfg["seed"],
         )
     except solver.SolverError as exc:

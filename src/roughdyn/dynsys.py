@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .paths import SampledPath, wiener_shift
-from .solver import ProblemSpec, SolverConfig, solve_mild
+from .solver import ProblemSpec, SolverConfig, SolverError, solve_mild
 
 __all__ = [
     "solution_map",
@@ -30,13 +30,7 @@ __all__ = [
 
 def _subproblem(spec: ProblemSpec, k_steps: int) -> ProblemSpec:
     """The same problem on the first k_steps grid cells."""
-    sub = replace(
-        spec, horizon=k_steps * spec.dt, n_steps=k_steps
-    )
-    for extra in ("basis", "kernel"):
-        if hasattr(spec, extra):
-            setattr(sub, extra, getattr(spec, extra))
-    return sub
+    return replace(spec, horizon=k_steps * spec.dt, n_steps=k_steps)
 
 
 def solution_map(
@@ -117,7 +111,8 @@ def usc_probe(
     sampled (optionally the driver is perturbed by a smooth path of Hölder
     size proportional to r) and e(r) = max over samples of the
     semidistance from the perturbed set to the unperturbed one is
-    recorded.  Solver failures are counted, not fatal.
+    recorded.  Solver failures (SolverError) are counted, not fatal; any
+    other exception propagates.
     """
     u0 = np.asarray(u0, dtype=float)
     radii = list(radii)
@@ -141,7 +136,7 @@ def usc_probe(
                 om = SampledPath(omega.t0, omega.dt, omega.values + pert)
             try:
                 pset = solution_map(t, om, u0 + r * direction, spec, cfg)
-            except Exception:
+            except SolverError:
                 failures += 1
                 continue
             worst = max(worst, hausdorff_semidist(pset, base))

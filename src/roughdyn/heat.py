@@ -6,6 +6,9 @@ through the discrete sine transform, whose quadrature (weight pi/(M+1)) is
 exactly orthogonal on the first M modes - so projection o synthesis is the
 identity, not an approximation.
 
+Every field operation acts along the last axis, so one call handles a
+single field of shape (N,) or a whole grid path of shape (n+1, N).
+
 The diffusion G(u) is the integral operator v -> int g(x, y, u(y)) v(y) dy,
 discretized as an N x N matrix by the same quadrature.  Kernels with a
 profile bound |g(x,y,z1) - g(x,y,z2)| <= L(x)|z1 - z2| make G Lipschitz in
@@ -16,6 +19,7 @@ discretization exactly (the quadrature is a Parseval pairing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +42,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SineBasis:
-    """Sine synthesis on M interior nodes of (0, pi), first N modes."""
+    """Sine synthesis on M interior nodes of (0, pi), first N modes.
+
+    The node and synthesis arrays are built on first access and cached on
+    the instance.
+    """
 
     n_modes: int
     m_phys: int
@@ -47,7 +55,7 @@ class SineBasis:
         if self.n_modes > self.m_phys:
             raise ValueError("need n_modes <= m_phys for exact round-trip")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         return np.pi * np.arange(1, self.m_phys + 1) / (self.m_phys + 1)
 
@@ -55,21 +63,21 @@ class SineBasis:
     def weight(self) -> float:
         return np.pi / (self.m_phys + 1)
 
-    @property
+    @cached_property
     def synth_matrix(self) -> np.ndarray:
         i = np.arange(1, self.n_modes + 1)
         return np.sqrt(2.0 / np.pi) * np.sin(np.outer(self.nodes, i))
 
 
 def synthesize(basis: SineBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Values u(x_a) = sum_i c_i e_i(x_a)."""
-    return basis.synth_matrix @ np.asarray(coeffs, dtype=float)
+    """Values u(x_a) = sum_i c_i e_i(x_a), along the last axis."""
+    return np.asarray(coeffs, dtype=float) @ basis.synth_matrix.T
 
 
 def project(basis: SineBasis, values: np.ndarray) -> np.ndarray:
     """Coefficients c_i = w sum_a u(x_a) e_i(x_a); exact inverse of
-    synthesize for fields in the first N modes."""
-    return basis.weight * (basis.synth_matrix.T @ np.asarray(values, float))
+    synthesize for fields in the first N modes.  Acts along the last axis."""
+    return basis.weight * (np.asarray(values, dtype=float) @ basis.synth_matrix)
 
 
 def nemytskii_apply(f, u: np.ndarray, basis: SineBasis) -> np.ndarray:
@@ -83,7 +91,8 @@ class KernelSpec:
 
     g must vectorize over (x, y, z) arrays.  When the kernel factors as
     g(x,y,z) = phi(x) * psi(y, z), pass (phi, psi) as `separable` and the
-    operator matrix is assembled rank-one in O(M N) instead of O(M^2 N).
+    operator matrix is assembled rank-one in O(M N) instead of O(M^2 N);
+    psi must then broadcast nodes y (M,) against values z (..., M).
     """
 
     g: callable
@@ -104,17 +113,29 @@ class KernelSpec:
 
 
 def kernel_matrix(kspec: KernelSpec, u: np.ndarray, basis: SineBasis) -> np.ndarray:
-    """Entries (e_j, G(u) e_i) = w^2 sum_{a,b} e_j(x_a) g(x_a, y_b, u(y_b)) e_i(y_b)."""
+    """Entries (e_j, G(u) e_i) = w^2 sum_{a,b} e_j(x_a) g(x_a, y_b, u(y_b)) e_i(y_b).
+
+    u of shape (..., N) gives matrices of shape (..., N, N).
+    """
     S = basis.synth_matrix
     w = basis.weight
+    x = basis.nodes
     uy = synthesize(basis, u)
     if kspec.separable is not None:
         phi, psi = kspec.separable
-        left = w * (S.T @ phi(basis.nodes))
-        right = w * (S.T @ psi(basis.nodes, uy))
-        return np.outer(left, right)
-    gv = kspec.g(basis.nodes[:, None], basis.nodes[None, :], uy[None, :])
-    return w**2 * (S.T @ gv @ S)
+        left = w * (phi(x) @ S)
+        right = w * (psi(x, uy) @ S)
+        return left[:, None] * right[..., None, :]
+
+    def one(row):
+        gv = kspec.g(x[:, None], x[None, :], row[None, :])
+        return w**2 * (S.T @ gv @ S)
+
+    # one (M, M) kernel table at a time: a path never holds (n+1, M, M)
+    flat = uy.reshape(-1, uy.shape[-1])
+    return np.array([one(row) for row in flat]).reshape(
+        uy.shape[:-1] + (S.shape[1], S.shape[1])
+    )
 
 
 def lipschitz_norm(kspec: KernelSpec, basis: SineBasis) -> float:
@@ -162,7 +183,7 @@ def build_heat_problem(
     L_G = lipschitz_norm(kernel, basis)
     zero = np.zeros(n_modes)
     c_G = float(np.linalg.norm(kernel_matrix(kernel, zero, basis)))
-    spec = ProblemSpec(
+    return ProblemSpec(
         operator=op,
         drift=lambda u: nemytskii_apply(f, u, basis),
         diffusion=lambda u: kernel_matrix(kernel, u, basis),
@@ -174,6 +195,3 @@ def build_heat_problem(
         L_G=L_G,
         c_G=c_G,
     )
-    spec.basis = basis
-    spec.kernel = kernel
-    return spec

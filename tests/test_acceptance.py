@@ -181,7 +181,7 @@ def test_criterion_07_additive_noise_oracle():
     spec = solver.ProblemSpec(
         op,
         lambda u: np.zeros_like(u),
-        lambda u: np.array([[sigma]]),
+        lambda u: np.broadcast_to(sigma, u.shape[:-1] + (1, 1)),
         PP,
         1.0,
         n,

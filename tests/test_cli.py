@@ -120,3 +120,36 @@ def test_cocycle_subcommand(tmp_path, small_cfg):
     doc = json.loads((tmp_path / "cocycle.json").read_text())
     for chk in doc["report"]["checks"]:
         assert max(chk["d1_lhs_to_rhs"], chk["d2_rhs_to_lhs"]) < 5e-3
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[experiment]\nu0_mode = 99\n",  # outside 1..n_modes
+        "[experiment]\nu0_mode = 0\n",
+        "[problem]\nn_modes = 300\n",  # more modes than physical nodes
+        "[problem]\nn_steps = 64.9\n",  # integer keys must be integers
+        "[solver]\nn_starts = 2.5\n",
+        "[problem]\nm_phys = 0\n",
+    ],
+)
+def test_config_validated_at_parse_time(tmp_path, capsys, body):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(body)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()  # rejected before anything runs
+
+
+def test_integer_keys_accept_integral_floats(tmp_path):
+    cfg_path = tmp_path / "ok.ini"
+    cfg_path.write_text("[problem]\nn_steps = 64.0\nn_modes = 4\n")
+    cfg = cli._load_config(str(cfg_path), 0, None)
+    assert cfg["problem"]["n_steps"] == 64
+    assert isinstance(cfg["problem"]["n_steps"], int)
+
+
+def test_negative_grid_pow_is_config_error(tmp_path):
+    assert cli.main(["solve", "--grid-pow", "-1", "--out", str(tmp_path)]) == 2

@@ -12,7 +12,7 @@ def _pure_semigroup_problem(n_modes=3, n_steps=64):
     spec = solver.ProblemSpec(
         op,
         lambda u: np.zeros_like(u),
-        lambda u: np.zeros((n_modes, n_modes)),
+        lambda u: np.zeros(u.shape[:-1] + (n_modes, n_modes)),
         PP,
         1.0,
         n_steps,
@@ -123,4 +123,48 @@ def test_usc_radii_validation():
             spec,
             solver.SolverConfig(),
             radii=(0.01, 0.1),
+        )
+
+
+def _armed_problem(u0, bad_drift=None, bad_diffusion=None):
+    # pure semigroup from u0; from any other initial value the drift or
+    # diffusion misbehaves (every candidate path starts at its u0)
+    spec, om = _pure_semigroup_problem()
+    zero_f, zero_g = spec.drift, spec.diffusion
+
+    def perturbed(u):
+        return not np.array_equal(np.asarray(u)[0], u0)
+
+    def drift(u):
+        return bad_drift(u) if bad_drift and perturbed(u) else zero_f(u)
+
+    def diffusion(u):
+        return bad_diffusion(u) if bad_diffusion and perturbed(u) else zero_g(u)
+
+    spec.drift, spec.diffusion = drift, diffusion
+    return spec, om
+
+
+def test_usc_counts_solver_failures():
+    # absurd drift growth from perturbed starts: SolverError, counted
+    u0 = np.array([1.0, 0.0, 0.0])
+    spec, om = _armed_problem(u0, bad_drift=lambda u: 1e8 * u)
+    cfg = solver.SolverConfig(n_starts=1, seed=5)
+    rep = dynsys.usc_probe(
+        0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2, seed=5
+    )
+    assert rep["failures"] == 2
+
+
+def test_usc_propagates_programming_errors():
+    u0 = np.array([1.0, 0.0, 0.0])
+
+    def broken(u):
+        raise TypeError("diffusion bug")
+
+    spec, om = _armed_problem(u0, bad_diffusion=broken)
+    cfg = solver.SolverConfig(n_starts=1, seed=5)
+    with pytest.raises(TypeError, match="diffusion bug"):
+        dynsys.usc_probe(
+            0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2, seed=5
         )

@@ -140,3 +140,56 @@ def test_truncation_self_convergence():
     d_8 = np.linalg.norm(ends[8][:4] - ends[4])
     d_16 = np.linalg.norm(ends[16][:8] - ends[8])
     assert d_16 < d_8
+
+
+# ------------------------------------------------------- whole-path contract
+
+
+def _independent_sine(n_modes, m_phys):
+    # e_i(x_a) = sqrt(2/pi) sin(i x_a), x_a = a pi/(M+1), built here rather
+    # than through SineBasis
+    x = np.pi * np.arange(1, m_phys + 1) / (m_phys + 1)
+    i = np.arange(1, n_modes + 1)
+    return x, np.sqrt(2.0 / np.pi) * np.sin(np.outer(x, i)), np.pi / (m_phys + 1)
+
+
+def test_synth_matrix_cached():
+    basis = heat.SineBasis(n_modes=8, m_phys=64)
+    assert basis.synth_matrix is basis.synth_matrix
+    assert basis.nodes is basis.nodes
+
+
+def test_heat_drift_diffusion_on_path_match_per_node():
+    N, M, n = 6, 48, 9
+    spec = heat.build_heat_problem(n_steps=n, n_modes=N, m_phys=M)
+    x, S, w = _independent_sine(N, M)
+    a = 0.1  # default kernel g(x, y, z) = a sin(x) sin(y) tanh(z)
+    path = np.random.default_rng(21).standard_normal((n + 1, N))
+    fpath = spec.drift(path)
+    gpath = spec.diffusion(path)
+    assert fpath.shape == (n + 1, N)
+    assert gpath.shape == (n + 1, N, N)
+    for k in range(n + 1):
+        uy = S @ path[k]
+        f_ref = w * (S.T @ np.tanh(uy))
+        gv = a * np.sin(x)[:, None] * np.sin(x)[None, :] * np.tanh(uy)[None, :]
+        g_ref = w**2 * (S.T @ gv @ S)
+        assert np.max(np.abs(fpath[k] - f_ref)) < 1e-13
+        assert np.max(np.abs(gpath[k] - g_ref)) < 1e-13
+    # a single field is the path contract with no leading axes
+    assert np.max(np.abs(spec.drift(path[3]) - fpath[3])) < 1e-14
+    assert np.max(np.abs(spec.diffusion(path[3]) - gpath[3])) < 1e-14
+
+
+def test_generic_kernel_on_path_matches_per_node():
+    basis = heat.SineBasis(n_modes=5, m_phys=40)
+    kern = heat.default_kernel()
+    generic = heat.KernelSpec(g=kern.g, lipschitz_profile=kern.lipschitz_profile)
+    path = np.random.default_rng(22).standard_normal((2, 3, 5))
+    got = heat.kernel_matrix(generic, path, basis)
+    assert got.shape == (2, 3, 5, 5)
+    for idx in np.ndindex(2, 3):
+        ref = heat.kernel_matrix(generic, path[idx], basis)
+        assert np.max(np.abs(got[idx] - ref)) < 1e-13
+        sep = heat.kernel_matrix(kern, path[idx], basis)
+        assert np.max(np.abs(got[idx] - sep)) < 1e-12

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from roughdyn import paths
+from roughdyn import kernels, paths
+from roughdyn.kernels import _pykernels
 from roughdyn.spectral import SpectralOperator
 
 
@@ -200,3 +201,83 @@ def test_csv_roundtrip():
     back = paths.path_from_csv(buf)
     assert np.array_equal(back.values, om.values)
     assert back.dt == pytest.approx(om.dt)
+
+
+# ------------------------------------------- Hölder sups: direct differences
+
+
+def _dyadic_smooth_path(n=64, m=2, size=1e-3):
+    # smooth path of size ~1e-3 rounded to multiples of 2^-30: adding an
+    # offset up to 1e4 (< 2^14) is then exact in binary64, so the exact
+    # increments of u + c equal those of u bit for bit
+    tt = np.linspace(0.0, 1.0, n + 1)
+    raw = size * np.column_stack([np.sin(3.0 * (i + 1) * tt) for i in range(m)])
+    return np.round(raw * 2.0**30) / 2.0**30
+
+
+def _brute_pair_sup(vals, dt, beta, max_gap=np.inf):
+    n = vals.shape[0]
+    return max(
+        [
+            np.linalg.norm(vals[k] - vals[j]) / ((k - j) * dt) ** beta
+            for j in range(n)
+            for k in range(j + 1, n)
+            if (k - j) * dt < max_gap
+        ],
+        default=0.0,
+    )
+
+
+def _brute_weighted_parts(vals, dt, beta, rho):
+    n = vals.shape[0]
+    tt = dt * np.arange(n)
+    sup_v = max(np.exp(-rho * tt[k]) * np.linalg.norm(vals[k]) for k in range(n))
+    sup_i = max(
+        tt[j] ** beta
+        * np.exp(-rho * tt[k])
+        * np.linalg.norm(vals[k] - vals[j])
+        / (tt[k] - tt[j]) ** beta
+        for j in range(n)
+        for k in range(j + 1, n)
+    )
+    return sup_v, sup_i
+
+
+@pytest.mark.parametrize("backend", [_pykernels, kernels], ids=["numpy", "active"])
+@pytest.mark.parametrize("offset", [1e2, 1e4])
+def test_holder_pair_sup_constant_offset_invariant(backend, offset):
+    vals = _dyadic_smooth_path()
+    dt = 1.0 / 64
+    base = backend.holder_pair_sup(vals, dt, 0.65, np.inf)
+    shifted = backend.holder_pair_sup(vals + offset, dt, 0.65, np.inf)
+    assert base > 0.0
+    assert shifted == pytest.approx(base, rel=1e-12)
+    assert base == pytest.approx(_brute_pair_sup(vals, dt, 0.65), rel=1e-12)
+
+
+@pytest.mark.parametrize("backend", [_pykernels, kernels], ids=["numpy", "active"])
+@pytest.mark.parametrize("offset", [1e2, 1e4])
+def test_weighted_holder_sup_constant_offset(backend, offset):
+    # the sup term moves with the offset, the increment term must not:
+    # compare against the brute-force sup of u + c plus the increments of u
+    vals = _dyadic_smooth_path()
+    dt, beta, rho = 1.0 / 64, 0.55, 3.0
+    sup_v, _ = _brute_weighted_parts(vals + offset, dt, beta, rho)
+    _, sup_i = _brute_weighted_parts(vals, dt, beta, rho)
+    got = backend.weighted_holder_sup(vals + offset, dt, beta, rho)
+    assert got == pytest.approx(sup_v + sup_i, rel=1e-13)
+
+
+@pytest.mark.parametrize("backend", [_pykernels, kernels], ids=["numpy", "active"])
+def test_holder_sups_against_brute_force_pair_loop(backend):
+    rng = np.random.default_rng(12)
+    vals = np.cumsum(rng.standard_normal((25, 3)), axis=0) * 0.2 + 5.0
+    dt = 1.0 / 24
+    for max_gap in (np.inf, 0.3, 1.5 * dt):
+        got = backend.holder_pair_sup(vals, dt, 0.6, max_gap)
+        ref = _brute_pair_sup(vals, dt, 0.6, max_gap)
+        assert got == pytest.approx(ref, rel=1e-12)
+    for rho in (0.0, 4.0):
+        got = backend.weighted_holder_sup(vals, dt, 0.6, rho)
+        ref = sum(_brute_weighted_parts(vals, dt, 0.6, rho))
+        assert got == pytest.approx(ref, rel=1e-12)

@@ -16,7 +16,7 @@ def _zero_diffusion_factory(n, m=None):
     m = n if m is None else m
 
     def g(u):
-        return np.zeros((n, m))
+        return np.zeros(u.shape[:-1] + (n, m))
 
     return g
 
@@ -116,7 +116,12 @@ def test_apply_mild_additive_noise_riemann_stieltjes_oracle():
     lam, sigma, n = 1.0, 0.5, 256
     op = SpectralOperator(np.array([lam]), np.array([1.0]))
     spec = solver.ProblemSpec(
-        op, _zero_drift, lambda u: np.array([[sigma]]), PP, 1.0, n
+        op,
+        _zero_drift,
+        lambda u: np.broadcast_to(sigma, u.shape[:-1] + (1, 1)),
+        PP,
+        1.0,
+        n,
     )
     tt_f = np.linspace(0.0, 1.0, 4 * n + 1)
     fine = paths.SampledPath(0.0, tt_f[1], np.sin(3.0 * tt_f))
@@ -168,7 +173,7 @@ def test_solve_geometric_decay_and_contraction():
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: sigma * (1.0 + 0.5 * np.tanh(u[0])),
+        lambda u: sigma * (1.0 + 0.5 * np.tanh(u[..., 0]))[..., None, None],
         PP,
         1.0,
         64,
@@ -202,7 +207,7 @@ def test_spot_check_growth():
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: 0.1 * np.eye(4),
+        lambda u: np.broadcast_to(0.1 * np.eye(4), u.shape[:-1] + (4, 4)),
         PP,
         1.0,
         16,
@@ -223,7 +228,7 @@ def _solved_example(n=64, seed=8):
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: 0.15 * np.eye(3) * (1.0 + 0.3 * np.tanh(u[1])),
+        lambda u: 0.15 * np.eye(3) * (1.0 + 0.3 * np.tanh(u[..., 1]))[..., None, None],
         PP,
         1.0,
         n,
@@ -329,3 +334,47 @@ def test_solver_config_validation():
         solver.SolverConfig(fp_tol=0.0)
     with pytest.raises(ValueError):
         solver.SolverConfig(fp_tol=1e-3, distinct_tol=1e-4)
+
+
+@pytest.mark.parametrize("zdt", [1e-6, 1.0, 64.0, 800.0])
+def test_apply_mild_scan_matches_sequential_recursion(zdt):
+    # the doubling scan against the one-cell-at-a-time recursion
+    # D[m+1] = e^{-z} D[m] + cell_m, on a path-valued drift and diffusion
+    n, N, M = 100, 3, 2
+    dt = 1.0 / n
+    lam = zdt / dt * np.array([1.0, 1.25, 1.5])
+    op = SpectralOperator(lam, np.ones(N))
+    B = np.random.default_rng(30).standard_normal((N, M))
+    spec = solver.ProblemSpec(
+        op,
+        lambda u: np.sin(u) + 0.5,
+        lambda u: B * (1.0 + 0.2 * np.cos(u[..., :1]))[..., None],
+        PP,
+        1.0,
+        n,
+    )
+    rng = np.random.default_rng(31)
+    w = np.cumsum(rng.standard_normal((n + 1, M)), axis=0) * 0.1
+    om = paths.SampledPath(0.0, dt, w)
+    u0 = np.array([1.0, -0.5, 2.0])
+    cand = paths.SampledPath(0.0, dt, rng.standard_normal((n + 1, N)))
+    got = solver.apply_mild(cand, om, u0, spec).values
+
+    z = lam * dt
+    E = np.exp(-z)
+    phi0, phi1 = solver._phi_weights(z)
+    ref = np.empty((n + 1, N))
+    ref[0] = u0
+    acc = np.zeros(N)
+    for m in range(n):
+        a, b = cand.values[m], cand.values[m + 1]
+        dw = om.values[m + 1] - om.values[m]
+        ga = B * (1.0 + 0.2 * np.cos(a[0]))
+        gb = B * (1.0 + 0.2 * np.cos(b[0]))
+        cell = dt * (phi0 * (np.sin(a) + 0.5) + phi1 * (np.sin(b) + 0.5))
+        cell += phi0 * (ga @ dw) + phi1 * (gb @ dw)
+        acc = E * acc + cell
+        ref[m + 1] = np.exp(-lam * (m + 1) * dt) * u0 + acc
+    assert np.all(np.isfinite(got))
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.max(np.abs(got - ref) / scale) < 1e-13
