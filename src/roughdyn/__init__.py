@@ -8,11 +8,13 @@ statistics), fracint (fractional-derivative pathwise integral), solver
 dynsys (solution map, cocycle, semicontinuity), cli (experiment runner).
 """
 
-from .kernels import BACKEND as kernel_backend
 from .paths import HolderParams, SampledPath
 from .spectral import SpectralOperator, laplacian_1d
 
 __version__ = "0.1.0"
+
+# one numpy implementation; the name stays because benchmark records read it
+kernel_backend = "numpy"
 
 __all__ = [
     "HolderParams",

@@ -76,6 +76,14 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
         for key, default in vals.items():
             if type(default) is int and cfg[sec][key] < 1:
                 raise ValueError(f"{sec}.{key} must be at least 1")
+    # the exact sampler factors the n x n float64 grid covariance
+    cov_bytes = 8 * pb["n_steps"] ** 2
+    phys_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if cov_bytes > phys_bytes:
+        raise ValueError(
+            f"problem.n_steps = {pb['n_steps']} needs a {cov_bytes}-byte fBm "
+            f"covariance, more than the {phys_bytes} bytes of physical memory"
+        )
     if pb["n_modes"] > pb["m_phys"]:
         raise ValueError("problem.n_modes must not exceed problem.m_phys")
     if cfg["experiment"]["u0_mode"] > pb["n_modes"]:

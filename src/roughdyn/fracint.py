@@ -21,9 +21,9 @@ provided:
   piecewise-linear data, so all its error lives in the interpolation of
   the inputs.
 * pathwise_integral_window: single-window quadrature, midpoint evaluation
-  of both derivatives and midpoint outer rule, O(n^2).  Kept as an
-  independent cross-check of the composite scheme and as the hot kernel
-  exercised by the compiled backend.
+  of both derivatives and midpoint outer rule.  Kept as an independent
+  cross-check of the composite scheme; its midpoint derivatives are
+  convolutions of the path increments, O(n log n) by FFT.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln
 
-from .kernels import frac_deriv_left_mid, frac_deriv_right_mid
 from .paths import HolderParams, SampledPath
 
 __all__ = [
@@ -173,6 +172,68 @@ def frac_deriv_right(omega: SampledPath, alpha: float, r: float, t: float):
     return acc / gamma_fn(alpha)
 
 
+def _cell_kernel(n: int, dt: float, order: float) -> np.ndarray:
+    """Integral of |u - r_p|^(order-1) over the cell k cells away from the
+    midpoint r_p = (p + 1/2) dt, for k = 0..n-1: the half cell touching r_p
+    gives (dt/2)^order/order, cell k >= 1 gives
+    dt^order ((k+1/2)^order - (k-1/2)^order)/order."""
+    edges = (np.arange(n + 1) - 0.5).clip(0.0)  # 0, 1/2, 3/2, ...
+    return dt**order * np.diff(edges**order) / order
+
+
+def _causal_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y[p] = sum_{j <= p} x[j] w[p-j] for p < len(x), along axis 0 of x.
+    FFT zero-padded to twice the length, so nothing wraps around."""
+    n = x.shape[0]
+    size = 2 * n
+    spec = np.fft.rfft(x, size, axis=0) * np.fft.rfft(w, size)[:, None]
+    return np.fft.irfft(spec, size, axis=0)[:n]
+
+
+def frac_deriv_left_mid(g, dt, alpha, gamma_rec):
+    """Left fractional derivative of order alpha at every cell midpoint.
+
+    g has shape (n+1, m): nodes of a piecewise-linear function on
+    [0, n*dt].  Returns (n, m) with, at r_p = (p + 1/2) dt,
+
+        D[p] = gamma_rec * ( g(r_p)/r_p^alpha
+                 + alpha * int_0^{r_p} (g(r_p)-g(q)) (r_p-q)^{-1-alpha} dq ),
+
+    gamma_rec = 1/Gamma(1-alpha).  Swapping the order of integration gives
+    gamma_rec * ( g(0)/r_p^alpha + int_0^{r_p} g'(u) (r_p-u)^{-alpha} du ).
+    The slope g' is constant on each cell, so the integral is exactly a
+    causal convolution of the cell slopes with the cell integrals of the
+    kernel.  A constant offset of g enters only through g(0).
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0] - 1
+    slopes = np.diff(g, axis=0) / dt
+    r = (np.arange(n) + 0.5) * dt
+    conv = _causal_conv(slopes, _cell_kernel(n, dt, 1.0 - alpha))
+    return gamma_rec * (g[0] / r[:, None] ** alpha + conv)
+
+
+def frac_deriv_right_mid(w, dt, alpha, gamma_rec):
+    """Right fractional derivative of order 1-alpha of w - w(T) at every
+    cell midpoint.
+
+    w has shape (n+1, m).  Returns (n, m) with, at r_p = (p + 1/2) dt,
+    T = n*dt,
+
+        D[p] = gamma_rec * ( (w(r_p)-w(T))/(T-r_p)^{1-alpha}
+                 + (1-alpha) * int_{r_p}^T (w(r_p)-w(q)) (q-r_p)^{alpha-2} dq ),
+
+    gamma_rec = 1/Gamma(alpha).  Swapping the order of integration gives
+    -gamma_rec * int_{r_p}^T w'(u) (u-r_p)^{alpha-1} du: a convolution of
+    the cell slopes running backwards from T, computed as a causal one on
+    the reversed slopes.  It reads increments only, so it ignores offsets.
+    """
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0] - 1
+    slopes = np.diff(w, axis=0)[::-1] / dt
+    return -gamma_rec * _causal_conv(slopes, _cell_kernel(n, dt, alpha))[::-1]
+
+
 @lru_cache(maxsize=16)
 def _cell_weights(alpha: float):
     """Moments of the derivative product over one cell with linear data.
@@ -263,9 +324,10 @@ def pathwise_integral_window(
     """int_s^t g domega by single-window quadrature (cross-check route).
 
     Both derivatives are evaluated at cell midpoints (avoiding the
-    endpoint singularities), with singular inner kernels integrated by
-    product integration; the outer integral uses the midpoint rule.
-    O(n^2) in the window length - this is the compiled-kernel hot path.
+    endpoint singularities), with singular inner kernels integrated
+    exactly on the piecewise-linear interpolants as convolutions of the
+    path increments; the outer integral uses the midpoint rule.
+    O(n log n) in the window length.
     """
     if not isinstance(params, HolderParams):
         raise TypeError("params must be a HolderParams (enforces exponent chain)")

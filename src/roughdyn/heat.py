@@ -181,8 +181,6 @@ def build_heat_problem(
     basis = SineBasis(n_modes=n_modes, m_phys=m_phys)
     op = laplacian_1d(n_modes=n_modes)
     L_G = lipschitz_norm(kernel, basis)
-    zero = np.zeros(n_modes)
-    c_G = float(np.linalg.norm(kernel_matrix(kernel, zero, basis)))
     return ProblemSpec(
         operator=op,
         drift=lambda u: nemytskii_apply(f, u, basis),
@@ -193,5 +191,4 @@ def build_heat_problem(
         c_F=c_F,
         L_F=L_F,
         L_G=L_G,
-        c_G=c_G,
     )

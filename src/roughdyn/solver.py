@@ -70,7 +70,6 @@ class ProblemSpec:
     c_F: float = 0.0
     L_F: float = 0.0
     L_G: float = 0.0
-    c_G: float = 0.0
 
     @property
     def dt(self) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,3 +157,41 @@ def test_integer_keys_accept_integral_floats(tmp_path):
 
 def test_negative_grid_pow_is_config_error(tmp_path):
     assert cli.main(["solve", "--grid-pow", "-1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("grid_pow", ["70", "40"])
+def test_grid_beyond_physical_memory_is_config_error(tmp_path, capsys, grid_pow):
+    # 8 n^2 bytes of exact-sampler covariance exceed any machine's memory:
+    # rejected at parse time, before anything is allocated
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["sample-path", "--grid-pow", grid_pow, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+def test_grid_within_physical_memory_parses():
+    cfg = cli._load_config(None, 0, 12)
+    assert cfg["problem"]["n_steps"] == 4096
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about 0.8 s of start-up for every CLI run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", "import roughdyn.cli, sys; print('scipy.signal' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert res.stdout.strip() == "False"

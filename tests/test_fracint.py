@@ -88,6 +88,94 @@ def test_frac_deriv_right_fbm_envelope():
         assert got <= c * wnorm * (1.0 - r) ** (a + bp - 1.0) * (1 + 1e-12)
 
 
+# ------------------------------------------------------- midpoint sweeps
+
+ALPHAS = [0.3, 0.5, 0.7]
+
+
+def _random_paths(n=96, m=3):
+    # random-walk columns of Hölder size, rounded to multiples of 2^-30 so
+    # that adding an offset up to 1e4 (< 2^14) is exact in binary64
+    rng = np.random.default_rng(1)
+    dt = 1.0 / n
+    g = np.cumsum(rng.standard_normal((n + 1, m)), axis=0) * dt**0.75
+    return np.round(g * 2.0**30) / 2.0**30, dt
+
+
+def _refined(vals):
+    # insert linear midpoints: the piecewise-linear interpolant is unchanged
+    # and every cell midpoint of the coarse grid becomes a node
+    fine = np.empty((2 * vals.shape[0] - 1,) + vals.shape[1:])
+    fine[::2] = vals
+    fine[1::2] = 0.5 * (vals[:-1] + vals[1:])
+    return fine
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_frac_deriv_left_mid_matches_nodewise_oracle(alpha):
+    vals, dt = _random_paths()
+    n = vals.shape[0] - 1
+    got = fracint.frac_deriv_left_mid(vals, dt, alpha, 1.0 / gamma(1.0 - alpha))
+    fine = fracint.IntegrandPath(0.0, dt / 2, _refined(vals))  # diagonal lift
+    ref = np.array(
+        [np.diag(fracint.frac_deriv_left(fine, alpha, 0.0, (p + 0.5) * dt)) for p in range(n)]
+    )
+    assert got.shape == (n, vals.shape[1])
+    assert _rel_err(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_frac_deriv_right_mid_matches_nodewise_oracle(alpha):
+    vals, dt = _random_paths()
+    n = vals.shape[0] - 1
+    got = fracint.frac_deriv_right_mid(vals, dt, alpha, 1.0 / gamma(alpha))
+    fine = paths.SampledPath(0.0, dt / 2, _refined(vals))
+    ref = np.array(
+        [fracint.frac_deriv_right(fine, alpha, (p + 0.5) * dt, n * dt) for p in range(n)]
+    )
+    assert got.shape == (n, vals.shape[1])
+    assert _rel_err(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_frac_deriv_mid_linear_closed_forms(alpha):
+    # omega(t) = t: D_left[r] = r^{1-alpha}/Gamma(2-alpha) and
+    # D_right[r] = -(T-r)^alpha/Gamma(1+alpha), exact for linear data
+    n, T = 200, 1.0
+    dt = T / n
+    lin = (dt * np.arange(n + 1))[:, None]
+    r = (np.arange(n) + 0.5) * dt
+    left = fracint.frac_deriv_left_mid(lin, dt, alpha, 1.0 / gamma(1.0 - alpha))
+    right = fracint.frac_deriv_right_mid(lin, dt, alpha, 1.0 / gamma(alpha))
+    assert _rel_err(left[:, 0], r ** (1.0 - alpha) / gamma(2.0 - alpha)) <= 1e-12
+    assert _rel_err(right[:, 0], -((T - r) ** alpha) / gamma(1.0 + alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("offset", [1e2, 1e4])
+def test_frac_deriv_mid_constant_offset(alpha, offset):
+    # the right sweep reads increments only; the left one moves by exactly
+    # the g(0) term gamma_rec * c / r_p^alpha
+    vals, dt = _random_paths()
+    n = vals.shape[0] - 1
+    r = (np.arange(n) + 0.5) * dt
+    grec_r = 1.0 / gamma(alpha)
+    assert np.array_equal(
+        fracint.frac_deriv_right_mid(vals + offset, dt, alpha, grec_r),
+        fracint.frac_deriv_right_mid(vals, dt, alpha, grec_r),
+    )
+    grec_l = 1.0 / gamma(1.0 - alpha)
+    moved = fracint.frac_deriv_left_mid(
+        vals + offset, dt, alpha, grec_l
+    ) - fracint.frac_deriv_left_mid(vals, dt, alpha, grec_l)
+    expected = np.broadcast_to((grec_l * offset / r**alpha)[:, None], moved.shape)
+    assert _rel_err(moved, expected) <= 1e-12
+
+
 # ---------------------------------------------------------------- integral
 
 

@@ -116,7 +116,9 @@ def test_build_heat_problem_constants():
     assert spec.operator.n_modes == 8
     assert spec.operator.eigenvalues[2] == 9.0
     assert spec.L_G == pytest.approx(0.1 * np.sqrt(np.pi / 2.0), rel=1e-2)
-    assert spec.c_G == pytest.approx(0.0, abs=1e-12)  # tanh(0) = 0 kernel
+    # G(0) = 0 for the default tanh(0) = 0 kernel
+    basis = heat.SineBasis(n_modes=8, m_phys=64)
+    assert np.all(heat.kernel_matrix(heat.default_kernel(), np.zeros(8), basis) == 0.0)
     rep = spec.spot_check_growth(rng=0)
     assert rep["drift_growth_slack"] >= 0.0
     assert rep["diffusion_lipschitz_slack"] >= -1e-12
