@@ -242,41 +242,70 @@ def _brute_weighted_parts(vals, dt, beta, rho):
     return sup_v, sup_i
 
 
+class _PublicRoute:
+    """The array-level sups reached through the public SampledPath functions."""
+
+    @staticmethod
+    def holder_pair_sup(vals, dt, beta, max_gap):
+        u = paths.SampledPath(0.0, dt, vals)
+        if np.isinf(max_gap):
+            return paths.holder_seminorm(u, beta)
+        return paths.wiener_modulus(u, beta, max_gap)
+
+    @staticmethod
+    def weighted_holder_sup(vals, dt, beta, rho):
+        return paths.weighted_holder_norm(paths.SampledPath(0.0, dt, vals), beta, rho)
+
+
+class _ArrayRoute:
+    """The array-level sups called directly on the node values."""
+
+    holder_pair_sup = staticmethod(paths._holder_pair_sup)
+    weighted_holder_sup = staticmethod(paths._weighted_holder_sup)
+
+
+# "numpy": the array helpers themselves; "active": the public functions that
+# every caller goes through (window slicing, delta and rho checks included)
+_ROUTES = pytest.mark.parametrize(
+    "backend", [_ArrayRoute, _PublicRoute], ids=["numpy", "active"]
+)
+
+
+@_ROUTES
 @pytest.mark.parametrize("offset", [1e2, 1e4])
-def test_holder_pair_sup_constant_offset_invariant(offset):
+def test_holder_pair_sup_constant_offset_invariant(backend, offset):
     vals = _dyadic_smooth_path()
     dt = 1.0 / 64
-    base = paths.holder_seminorm(paths.SampledPath(0.0, dt, vals), 0.65)
-    shifted = paths.holder_seminorm(paths.SampledPath(0.0, dt, vals + offset), 0.65)
+    base = backend.holder_pair_sup(vals, dt, 0.65, np.inf)
+    shifted = backend.holder_pair_sup(vals + offset, dt, 0.65, np.inf)
     assert base > 0.0
     assert shifted == pytest.approx(base, rel=1e-12)
     assert base == pytest.approx(_brute_pair_sup(vals, dt, 0.65), rel=1e-12)
 
 
+@_ROUTES
 @pytest.mark.parametrize("offset", [1e2, 1e4])
-def test_weighted_holder_sup_constant_offset(offset):
+def test_weighted_holder_sup_constant_offset(backend, offset):
     # the sup term moves with the offset, the increment term must not:
     # compare against the brute-force sup of u + c plus the increments of u
     vals = _dyadic_smooth_path()
     dt, beta, rho = 1.0 / 64, 0.55, 3.0
     sup_v, _ = _brute_weighted_parts(vals + offset, dt, beta, rho)
     _, sup_i = _brute_weighted_parts(vals, dt, beta, rho)
-    got = paths.weighted_holder_norm(paths.SampledPath(0.0, dt, vals + offset), beta, rho)
+    got = backend.weighted_holder_sup(vals + offset, dt, beta, rho)
     assert got == pytest.approx(sup_v + sup_i, rel=1e-13)
 
 
-def test_holder_sups_against_brute_force_pair_loop():
+@_ROUTES
+def test_holder_sups_against_brute_force_pair_loop(backend):
     rng = np.random.default_rng(12)
     vals = np.cumsum(rng.standard_normal((25, 3)), axis=0) * 0.2 + 5.0
     dt = 1.0 / 24
-    u = paths.SampledPath(0.0, dt, vals)
-    got = paths.holder_seminorm(u, 0.6)
-    assert got == pytest.approx(_brute_pair_sup(vals, dt, 0.6), rel=1e-12)
-    for max_gap in (0.3, 1.5 * dt):
-        got = paths.wiener_modulus(u, 0.6, max_gap)
+    for max_gap in (np.inf, 0.3, 1.5 * dt):
+        got = backend.holder_pair_sup(vals, dt, 0.6, max_gap)
         ref = _brute_pair_sup(vals, dt, 0.6, max_gap)
         assert got == pytest.approx(ref, rel=1e-12)
     for rho in (0.0, 4.0):
-        got = paths.weighted_holder_norm(u, 0.6, rho)
+        got = backend.weighted_holder_sup(vals, dt, 0.6, rho)
         ref = sum(_brute_weighted_parts(vals, dt, 0.6, rho))
         assert got == pytest.approx(ref, rel=1e-12)
