@@ -216,8 +216,7 @@ def cmd_solve(cfg, out: str) -> int:
             cfg,
             {"converged": False, "residual_traces": exc.residual_traces},
         )
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 3
+        raise
     refs = []
     for i, u in enumerate(sols.elements):
         name = f"solution_{i}.csv"
@@ -247,14 +246,10 @@ def cmd_cocycle(cfg, out: str) -> int:
     scfg = _solver_cfg(cfg)
     u0 = _u0(cfg, spec)
     T = spec.horizon
-    try:
-        reports = [
-            dynsys.check_cocycle(T / 4, T / 4, om, u0, spec, scfg),
-            dynsys.check_cocycle(T / 2, T / 4, om, u0, spec, scfg),
-        ]
-    except solver.SolverError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 3
+    reports = [
+        dynsys.check_cocycle(T / 4, T / 4, om, u0, spec, scfg),
+        dynsys.check_cocycle(T / 2, T / 4, om, u0, spec, scfg),
+    ]
     io.write_report(os.path.join(out, "cocycle.json"), cfg, {"checks": reports})
     return 0
 
@@ -263,20 +258,16 @@ def cmd_usc(cfg, out: str) -> int:
     spec = _problem(cfg)
     om = _driver(cfg, spec)
     radii = [float(r) for r in str(cfg["experiment"]["radii"]).split(",")]
-    try:
-        report = dynsys.usc_probe(
-            spec.horizon / 2,
-            om,
-            _u0(cfg, spec),
-            spec,
-            _solver_cfg(cfg),
-            radii=radii,
-            m_per_radius=cfg["experiment"]["m_per_radius"],
-            seed=cfg["seed"],
-        )
-    except solver.SolverError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 3
+    report = dynsys.usc_probe(
+        spec.horizon / 2,
+        om,
+        _u0(cfg, spec),
+        spec,
+        _solver_cfg(cfg),
+        radii=radii,
+        m_per_radius=cfg["experiment"]["m_per_radius"],
+        seed=cfg["seed"],
+    )
     io.write_report(os.path.join(out, "usc.json"), cfg, report)
     return 0
 
@@ -450,7 +441,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    return _COMMANDS[args.command](cfg, args.out)
+    try:
+        return _COMMANDS[args.command](cfg, args.out)
+    except solver.SolverError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -103,16 +103,13 @@ def usc_probe(
     radii=(1e-1, 1e-2, 1e-3),
     m_per_radius: int = 10,
     seed: int = 0,
-    driver_perturbation: float = 0.0,
 ) -> dict:
     """Upper-semicontinuity probe of u0 -> Phi(t, omega, u0).
 
     For each radius r, m initial values at distance exactly r from u0 are
-    sampled (optionally the driver is perturbed by a smooth path of Hölder
-    size proportional to r) and e(r) = max over samples of the
-    semidistance from the perturbed set to the unperturbed one is
-    recorded.  Solver failures (SolverError) are counted, not fatal; any
-    other exception propagates.
+    sampled and e(r) = max over samples of the semidistance from the
+    perturbed set to the unperturbed one is recorded.  Solver failures
+    (SolverError) are counted, not fatal; any other exception propagates.
     """
     u0 = np.asarray(u0, dtype=float)
     radii = list(radii)
@@ -123,19 +120,13 @@ def usc_probe(
     base = solution_map(t, omega, u0, spec, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     e_vals, failures = [], 0
-    tt = omega.times - omega.t0
     for r in radii:
         worst = 0.0
         for _ in range(m_per_radius):
             direction = rng.standard_normal(u0.size)
             direction /= np.linalg.norm(direction)
-            om = omega
-            if driver_perturbation > 0.0:
-                bump = rng.standard_normal(omega.n_modes)
-                pert = driver_perturbation * r * np.outer(tt, bump)
-                om = SampledPath(omega.t0, omega.dt, omega.values + pert)
             try:
-                pset = solution_map(t, om, u0 + r * direction, spec, cfg)
+                pset = solution_map(t, omega, u0 + r * direction, spec, cfg)
             except SolverError:
                 failures += 1
                 continue

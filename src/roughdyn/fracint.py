@@ -1,41 +1,42 @@
 """Fractional derivatives and the pathwise integral against Hölder paths.
 
 The integral of an operator-valued integrand g against a vector path omega
-is defined through one-sided Riemann-Liouville derivatives,
+is Zähle's fractional-derivative integral,
 
     int_s^t g domega
-      = sign * sum_i int_s^t D^alpha_{s+}(g e_i)[r] * D^{1-alpha}_{t-}(e_i,
-        omega - omega(t))[r] dr,
+      = (-1)^alpha sum_i int_s^t D^alpha_{s+}(g e_i)[r]
+          * D^{1-alpha}_{t-}(e_i, omega - omega(t))[r] dr,
 
-valid when the Hölder exponents of g and omega sum above 1.  The complex
-unit factors of the textbook definition are absorbed into a real sign,
-calibrated once per alpha by requiring int_s^t c domega = c (omega(t) -
-omega(s)) on a linear test path.
+valid when the Hölder exponents of g and omega sum above 1; it then equals
+the Riemann-Stieltjes integral and does not depend on alpha (Zähle 1998,
+Integration with respect to fractal functions and stochastic calculus I).
+frac_deriv_right and frac_deriv_right_mid return the right derivative
+without its (-1)^(1-alpha) factor; with the leading (-1)^alpha the two
+factors multiply to -1.
 
-Grid data are read as piecewise-linear interpolants.  Two quadratures are
+Grid data are read as piecewise-linear interpolants.  Two routes are
 provided:
 
-* pathwise_integral: splits [s, t] at the grid nodes (the integral is
-  additive), evaluates the derivative product on each cell in closed form
-  (both interpolants are linear there), and sums.  Exact for
-  piecewise-linear data, so all its error lives in the interpolation of
-  the inputs.
-* pathwise_integral_window: single-window quadrature, midpoint evaluation
-  of both derivatives and midpoint outer rule.  Kept as an independent
-  cross-check of the composite scheme; its midpoint derivatives are
-  convolutions of the path increments, O(n log n) by FFT.
+* pathwise_integral: for piecewise-linear g and omega the integral is the
+  Riemann-Stieltjes one, which on a cell with g linear and omega of slope
+  sigma is (g_k + dg_k/2) * sigma * dt.  Their sum, the per-cell
+  trapezoid Stieltjes sum, is the exact value for the interpolated data,
+  so all its error lives in the interpolation of the inputs.
+* pathwise_integral_window: evaluates the fractional derivatives
+  themselves, at cell midpoints as convolutions of the path increments
+  (O(n log n) by FFT), with the midpoint outer rule.  It shares no
+  formula with the trapezoid sum and is kept as its independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln
 
-from .paths import HolderParams, SampledPath
+from .paths import HolderParams, SampledPath, _grid_index
 
 __all__ = [
     "IntegrandPath",
@@ -76,18 +77,8 @@ class IntegrandPath:
     def n_nodes(self):
         return self.values.shape[0]
 
-    @property
-    def hs_norms(self) -> np.ndarray:
-        return np.sqrt(np.einsum("kji,kji->k", self.values, self.values))
-
     def index_of(self, t: float) -> int:
-        k = (t - self.t0) / self.dt
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9 * max(1.0, abs(k)) + 1e-12 or not (
-            0 <= ki < self.n_nodes
-        ):
-            raise ValueError(f"time {t} is not a grid node of this integrand")
-        return ki
+        return _grid_index(self.t0, self.dt, self.n_nodes, t, "integrand")
 
     @staticmethod
     def constant(c: np.ndarray, like: SampledPath) -> "IntegrandPath":
@@ -234,53 +225,6 @@ def frac_deriv_right_mid(w, dt, alpha, gamma_rec):
     return -gamma_rec * _causal_conv(slopes, _cell_kernel(n, dt, alpha))[::-1]
 
 
-@lru_cache(maxsize=16)
-def _cell_weights(alpha: float):
-    """Moments of the derivative product over one cell with linear data.
-
-    With g(r) = g0 + m(r-s) and omega linear of slope sigma on a cell of
-    width h, the product of the two one-sided derivatives integrates to
-
-        -(sigma h / (Gamma(1+alpha) Gamma(1-alpha)))
-            * ( g0 * B(1-alpha, 1+alpha) + m h * B(2-alpha, 1+alpha)/(1-alpha) )
-
-    via the substitution r = s + x h.  Returns (c0, c1): the coefficients
-    of g0 and of the increment m h after dividing out the Gamma prefactor.
-    """
-    lg = gammaln
-    logpre = lg(1.0 - alpha) + lg(1.0 + alpha)
-    c0 = np.exp(lg(1.0 - alpha) + lg(1.0 + alpha) - lg(2.0) - logpre)
-    c1 = np.exp(
-        lg(2.0 - alpha) + lg(1.0 + alpha) - lg(3.0) - logpre
-    ) / (1.0 - alpha)
-    return float(c0), float(c1)
-
-
-def _raw_composite(gv: np.ndarray, wv: np.ndarray, alpha: float) -> np.ndarray:
-    """Sum of per-cell closed-form derivative products, before the sign
-    calibration.  gv: (n+1, J, I); wv: (n+1, I).  Returns (J,)."""
-    c0, c1 = _cell_weights(alpha)
-    dw = np.diff(wv, axis=0)  # (n, I)
-    gmid = c0 * gv[:-1] + c1 * (gv[1:] - gv[:-1])  # (n, J, I)
-    return -np.einsum("kji,ki->j", gmid, dw)
-
-
-@lru_cache(maxsize=16)
-def _calibrate_sign(alpha: float) -> float:
-    """Pin the real-valued convention: the constant-integrand identity
-    int_s^t c domega = c (omega(t)-omega(s)) must hold.  Evaluated on a
-    linear test path with c = 1."""
-    wv = np.linspace(0.0, 1.0, 9)[:, None]
-    gv = np.ones((9, 1, 1))
-    raw = _raw_composite(gv, wv, alpha)[0]
-    target = 1.0  # omega(1) - omega(0)
-    if abs(abs(raw) - abs(target)) > 1e-10 * abs(target):
-        raise RuntimeError(
-            f"sign calibration failed at alpha={alpha}: raw={raw}"
-        )
-    return 1.0 if raw * target > 0 else -1.0
-
-
 def _window(g: IntegrandPath, omega: SampledPath, s, t):
     if abs(g.dt - omega.dt) > 1e-12 * omega.dt:
         raise ValueError("integrand and driver must share the grid step")
@@ -300,18 +244,20 @@ def pathwise_integral(
     s=None,
     t=None,
 ) -> np.ndarray:
-    """int_s^t g domega by the composite per-cell scheme.
+    """int_s^t g domega as the trapezoid Stieltjes sum.
 
-    The window is split at the grid nodes (the integral is additive over
-    subintervals); on each cell both interpolants are linear, the two
-    fractional derivatives are known in closed form and their product
-    integrates to Beta-function moments.  Exact for piecewise-linear data.
+    Zähle's integral of the piecewise-linear interpolants is the
+    Riemann-Stieltjes integral, sum_k (g_k + dg_k/2) domega_k over the
+    cells of [s, t]; exact for piecewise-linear data.  params carries the
+    exponent-chain contract shared with pathwise_integral_window; the value
+    does not read alpha.
     """
     if not isinstance(params, HolderParams):
         raise TypeError("params must be a HolderParams (enforces exponent chain)")
-    alpha = params.alpha
     gv, wv = _window(g, omega, s, t)
-    return _calibrate_sign(alpha) * _raw_composite(gv, wv, alpha)
+    return np.einsum(
+        "kji,ki->j", gv[:-1] + 0.5 * (gv[1:] - gv[:-1]), np.diff(wv, axis=0)
+    )
 
 
 def pathwise_integral_window(
@@ -321,7 +267,7 @@ def pathwise_integral_window(
     s=None,
     t=None,
 ) -> np.ndarray:
-    """int_s^t g domega by single-window quadrature (cross-check route).
+    """int_s^t g domega by single-window quadrature (oracle route).
 
     Both derivatives are evaluated at cell midpoints (avoiding the
     endpoint singularities), with singular inner kernels integrated
@@ -339,7 +285,9 @@ def pathwise_integral_window(
         gv.reshape(n1, J * I), dt, alpha, 1.0 / gamma_fn(1.0 - alpha)
     ).reshape(n1 - 1, J, I)
     dr = frac_deriv_right_mid(wv, dt, alpha, 1.0 / gamma_fn(alpha))
-    return _calibrate_sign(alpha) * dt * np.einsum("pji,pi->j", dl, dr)
+    # Zähle's (-1)^alpha times the (-1)^(1-alpha) of the right Weyl
+    # derivative, which frac_deriv_right_mid leaves out, is -1
+    return -dt * np.einsum("pji,pi->j", dl, dr)
 
 
 def integral_norm_bound(

@@ -33,6 +33,18 @@ __all__ = [
 _GRID_RTOL = 1e-9
 
 
+def _grid_index(t0: float, dt: float, n_nodes: int, t: float, what: str):
+    """Index of time t on the grid t0 + k*dt, k = 0..n_nodes-1; raises
+    ValueError naming the gridded object `what` when t is not a node."""
+    k = (t - t0) / dt
+    ki = int(round(k))
+    if abs(k - ki) > _GRID_RTOL * max(1.0, abs(k)) + 1e-12 or not (
+        0 <= ki < n_nodes
+    ):
+        raise ValueError(f"time {t} is not a grid node of this {what}")
+    return ki
+
+
 @dataclass(frozen=True)
 class HolderParams:
     """Exponent quadruple (H, beta, beta', alpha).
@@ -104,13 +116,7 @@ class SampledPath:
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; rejects off-grid times."""
-        k = (t - self.t0) / self.dt
-        ki = int(round(k))
-        if abs(k - ki) > _GRID_RTOL * max(1.0, abs(k)) + 1e-12 or not (
-            0 <= ki < self.n_nodes
-        ):
-            raise ValueError(f"time {t} is not a grid node of this path")
-        return ki
+        return _grid_index(self.t0, self.dt, self.n_nodes, t, "path")
 
     def restrict(self, s: float, t: float) -> "SampledPath":
         i, j = self.index_of(s), self.index_of(t)

@@ -8,8 +8,8 @@ Both time integrals are computed per grid cell with exact exponential
 moments of e^{-lambda(t-r)} against the piecewise-linear interpolants of
 F(u(.)), G(u(.)) and omega, accumulated by a log2(n)-pass doubling scan of
 the semigroup recursion.
-At lambda = 0 the noise term reduces exactly to the composite pathwise
-integral of fracint.
+At lambda = 0 the noise term reduces exactly to the trapezoid Stieltjes
+sum of fracint.pathwise_integral.
 
 Fixed points of T are found by Picard iteration in the exponentially
 weighted Hölder norm; the weight rho is doubled until the measured
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betaln, hyp1f1
 
 from .paths import HolderParams, SampledPath, weighted_holder_norm
-from .spectral import SpectralOperator, frac_power_norm, semigroup_apply
+from .spectral import SpectralOperator, frac_power_norm
 
 __all__ = [
     "ProblemSpec",
@@ -95,14 +95,16 @@ class ProblemSpec:
         return {"drift_growth_slack": worst_f, "diffusion_lipschitz_slack": worst_g}
 
 
+# cap of the doubling search for a contractive weight rho
+_RHO_MAX = 2.0**16
+
+
 @dataclass
 class SolverConfig:
-    rho: float | None = None  # None = adaptive doubling
     fp_tol: float = 1e-8
     max_iters: int = 60
     n_starts: int = 8
     distinct_tol: float = 1e-4
-    rho_max: float = 2.0**16
     seed: int = 0
 
     def __post_init__(self):
@@ -118,7 +120,6 @@ class SolutionSet:
 
     elements: list
     residuals: list
-    provenance: list
     rho: float
     contraction_factor: float
     residual_traces: list = field(default_factory=list)
@@ -128,12 +129,10 @@ class SolutionSet:
     def __len__(self):
         return len(self.elements)
 
-    def at(self, t: float) -> list:
-        return [u.values[u.index_of(t)].copy() for u in self.elements]
 
-
-def kummer_decay(rho: float, a: float, b: float, d: float, horizon: float,
-                 n_grid: int = 4097) -> float:
+def kummer_decay(
+    rho: float, a: float, b: float, d: float, horizon: float
+) -> float:
     """sup over t in [0, horizon] of t^d int_0^1 e^{-rho t(1-v)} v^a (1-v)^b dv.
 
     The inner integral is Beta(a+1, b+1) M(b+1, a+b+2, -rho t) with M the
@@ -163,8 +162,8 @@ def kummer_decay(rho: float, a: float, b: float, d: float, horizon: float,
     # sup migrates toward t ~ 1/rho and a uniform grid would miss it
     t = np.concatenate(
         [
-            np.linspace(0.0, horizon, n_grid),
-            np.geomspace(1e-12 * horizon, horizon, n_grid // 4),
+            np.linspace(0.0, horizon, 4097),
+            np.geomspace(1e-12 * horizon, horizon, 1024),
         ]
     )
     beta_ab = np.exp(betaln(a + 1.0, b + 1.0))
@@ -193,6 +192,11 @@ def _phi_weights(z: np.ndarray):
     phi1[~small] = (zb - em) / zb**2
     phi0[~small] = em / zb - phi1[~small]
     return phi0, phi1
+
+
+def _free_evolution(u0, lam, dt, n):
+    """S(t)u0 at the grid nodes t = k*dt, k = 0..n: shape (n+1, N)."""
+    return np.exp(-np.outer(dt * np.arange(n + 1), lam)) * u0
 
 
 def apply_mild(
@@ -237,7 +241,7 @@ def apply_mild(
         acc[s + 1 :] += decay * acc[1 : n + 1 - s]
         decay = decay * decay
         s *= 2
-    out = np.exp(-np.outer(dt * np.arange(n + 1), lam)) * u0 + acc
+    out = _free_evolution(u0, lam, dt, n) + acc
     return SampledPath(t0=u.t0, dt=dt, values=out)
 
 
@@ -246,18 +250,18 @@ def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
     return weighted_holder_norm(diff, beta, rho)
 
 
-def _probe_paths(u0, omega, spec, rng, n_pairs=2):
-    """Candidate pairs for measuring the contraction factor of T."""
+def _probe_paths(u0, omega, spec, rng):
+    """Candidate pairs for measuring the contraction factor of T: the free
+    evolution against the constant path and against a random bump."""
     lam = spec.operator.eigenvalues
     n = spec.n_steps
     tt = spec.dt * np.arange(n + 1)
-    base = np.exp(-np.outer(tt, lam)) * u0
-    const = np.tile(u0, (n + 1, 1))
-    pairs = [(base, const)]
-    for _ in range(n_pairs - 1):
-        bump = rng.standard_normal(lam.size)
-        pert = base + 0.3 * np.sqrt(tt)[:, None] * bump
-        pairs.append((base, pert))
+    base = _free_evolution(u0, lam, spec.dt, n)
+    bump = rng.standard_normal(lam.size)
+    pairs = [
+        (base, np.tile(u0, (n + 1, 1))),
+        (base, base + 0.3 * np.sqrt(tt)[:, None] * bump),
+    ]
     return [
         (SampledPath(0.0, spec.dt, a), SampledPath(0.0, spec.dt, b))
         for a, b in pairs
@@ -276,7 +280,7 @@ def _choose_rho(u0, omega, spec, cfg) -> tuple:
     ]
     beta = spec.params.beta
     rho = 1.0
-    while rho <= cfg.rho_max:
+    while rho <= _RHO_MAX:
         q = 0.0
         informative = False
         for (a, b), (ta, tb) in zip(pairs, images):
@@ -291,7 +295,7 @@ def _choose_rho(u0, omega, spec, cfg) -> tuple:
             return rho, q
         rho *= 2.0
     raise SolverError(
-        f"no contractive weight found up to rho = {cfg.rho_max}"
+        f"no contractive weight found up to rho = {_RHO_MAX}"
     )
 
 
@@ -299,7 +303,7 @@ def _initial_candidates(u0, omega, spec, cfg):
     lam = spec.operator.eigenvalues
     n = spec.n_steps
     tt = spec.dt * np.arange(n + 1)
-    base = np.exp(-np.outer(tt, lam)) * u0
+    base = _free_evolution(u0, lam, spec.dt, n)
     starts = [np.tile(u0, (n + 1, 1)), base]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     while len(starts) < cfg.n_starts:
@@ -322,13 +326,10 @@ def solve_mild(
     """
     u0 = np.asarray(u0, dtype=float)
     beta = spec.params.beta
-    if cfg.rho is not None:
-        rho, qfac = cfg.rho, float("nan")
-    else:
-        rho, qfac = _choose_rho(u0, omega, spec, cfg)
+    rho, qfac = _choose_rho(u0, omega, spec, cfg)
     radius = 1.0 + 2.0 * np.linalg.norm(u0)
-    elements, residuals, provenance, traces, ball_ok = [], [], [], [], []
-    for idx, cand in enumerate(_initial_candidates(u0, omega, spec, cfg)):
+    elements, residuals, traces, ball_ok = [], [], [], []
+    for cand in _initial_candidates(u0, omega, spec, cfg):
         trace = []
         u = cand
         converged = False
@@ -353,7 +354,6 @@ def solve_mild(
         if is_new:
             elements.append(u)
             residuals.append(trace[-1])
-            provenance.append(idx)
             ball_ok.append(bool(unorm <= radius * (1.0 + 1e-6)))
     if not elements:
         raise SolverError(
@@ -362,7 +362,6 @@ def solve_mild(
     return SolutionSet(
         elements=elements,
         residuals=residuals,
-        provenance=provenance,
         rho=rho,
         contraction_factor=qfac,
         residual_traces=traces,

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughdyn import cli, paths
 
@@ -94,6 +96,29 @@ def test_solve_writes_solutions(tmp_path, small_cfg):
     assert sol.n_steps == 32
 
 
+@pytest.mark.parametrize(
+    "command, report",
+    [("solve", "solve.json"), ("cocycle", "cocycle.json"), ("usc", "usc.json")],
+)
+def test_solver_failure_exit_code(tmp_path, capsys, command, report):
+    # one Picard step from one start cannot reach fp_tol: SolverError -> exit 3
+    cfg_path = tmp_path / "fail.ini"
+    cfg_path.write_text("[solver]\nmax_iters = 1\nn_starts = 1\n")
+    out = tmp_path / "out"
+    rc = cli.main(
+        [command, "--config", str(cfg_path), "--grid-pow", "5", "--out", str(out)]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if command == "solve":
+        doc = json.loads((out / report).read_text())
+        assert doc["report"]["converged"] is False
+    else:
+        assert not (out / report).exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[params]\nhurst = 0.3\n")
@@ -153,6 +178,26 @@ def test_integer_keys_accept_integral_floats(tmp_path):
     cfg = cli._load_config(str(cfg_path), 0, None)
     assert cfg["problem"]["n_steps"] == 64
     assert isinstance(cfg["problem"]["n_steps"], int)
+
+
+_INT_KEYS = [
+    (sec, key)
+    for sec, vals in cli._DEFAULTS.items()
+    for key, default in vals.items()
+    if type(default) is int
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.sampled_from(_INT_KEYS), st.floats())
+def test_property_integer_keys_accept_exactly_integral_floats(sec_key, x):
+    sec, key = sec_key
+    if x.is_integer():
+        got = cli._parse_value(sec, key, repr(x))
+        assert type(got) is int and got == x
+    else:
+        with pytest.raises(ValueError):
+            cli._parse_value(sec, key, repr(x))
 
 
 def test_negative_grid_pow_is_config_error(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
 from roughdyn import fracint, paths
@@ -301,3 +303,95 @@ def test_parameter_chain_rejected():
         fracint.pathwise_integral(g, om, PP, 0.3, 0.3)
     with pytest.raises(ValueError):
         paths.HolderParams(alpha=0.56)  # outside (1-beta', beta)
+
+
+# ---------------------------------------------------------------- properties
+
+# deterministic examples, no example database on disk, no timing flakes
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def _grid_data(draw):
+    """Random-walk integrand (n+1, J, I) and driver (n+1, I) on [0, 1],
+    on the dyadic grid 2^-30 plus a constant offset up to 1e4, so every
+    difference of node values is exact in binary64."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 512))
+    J = draw(st.integers(1, 4))
+    I = draw(st.integers(1, 4))
+    offset = draw(st.sampled_from([0.0, 1e2, 1e4]))
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / n
+    g = np.cumsum(rng.standard_normal((n + 1, J, I)), axis=0) * dt**0.75
+    w = np.cumsum(rng.standard_normal((n + 1, I)), axis=0) * dt**0.75
+    g = np.round(g * 2.0**30) / 2.0**30 + offset
+    w = np.round(w * 2.0**30) / 2.0**30 + offset
+    return g, w, dt
+
+
+def _abs_terms(g, w):
+    # sum over cells and input modes of |(g_k + dg_k/2) domega_k|, per output
+    return np.einsum(
+        "kji,ki->j", np.abs(0.5 * (g[:-1] + g[1:])), np.abs(np.diff(w, axis=0))
+    )
+
+
+@PROPERTY
+@given(_grid_data(), st.data())
+def test_property_additivity_at_split_node(gw, data):
+    g, w, dt = gw
+    n = w.shape[0] - 1
+    k = data.draw(st.integers(1, n - 1))
+    gp, om = fracint.IntegrandPath(0.0, dt, g), paths.SampledPath(0.0, dt, w)
+    full = fracint.pathwise_integral(gp, om, PP)
+    left = fracint.pathwise_integral(gp, om, PP, 0.0, k * dt)
+    right = fracint.pathwise_integral(gp, om, PP, k * dt, 1.0)
+    assert np.all(np.abs(left + right - full) <= 1e-12 * _abs_terms(g, w))
+
+
+@PROPERTY
+@given(_grid_data(), st.data())
+def test_property_wiener_shift(gw, data):
+    # int_{k dt}^1 g domega = int_0^{1 - k dt} g(k dt + .) d(theta_{k dt} omega)
+    g, w, dt = gw
+    n = w.shape[0] - 1
+    k = data.draw(st.integers(0, n - 1))
+    om = paths.SampledPath(0.0, dt, w)
+    lhs = fracint.pathwise_integral(
+        fracint.IntegrandPath(0.0, dt, g), om, PP, k * dt, 1.0
+    )
+    rhs = fracint.pathwise_integral(
+        fracint.IntegrandPath(0.0, dt, g[k:]), paths.wiener_shift(om, k), PP
+    )
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * _abs_terms(g[k:], w[k:]))
+
+
+@PROPERTY
+@given(_grid_data())
+def test_property_constant_integrand(gw):
+    g, w, dt = gw
+    c = g[-1]  # an arbitrary (J, I) matrix
+    om = paths.SampledPath(0.0, dt, w)
+    val = fracint.pathwise_integral(fracint.IntegrandPath.constant(c, om), om, PP)
+    ref = c @ (w[-1] - w[0])
+    bound = np.abs(c) @ np.abs(np.diff(w, axis=0)).sum(axis=0)
+    assert np.all(np.abs(val - ref) <= 1e-12 * bound)
+
+
+@PROPERTY
+@given(
+    _grid_data(),
+    st.floats(0.36, 0.54),  # 1 - beta' < alpha < beta for the default chain
+    st.floats(0.21, 0.74),  # the same for (H, beta, beta') = (0.9, 0.75, 0.8)
+)
+def test_property_alpha_independence(gw, a1, a2):
+    # for piecewise-linear data the integral is the Riemann-Stieltjes one,
+    # whatever admissible alpha the exponent chain carries
+    g, w, dt = gw
+    gp, om = fracint.IntegrandPath(0.0, dt, g), paths.SampledPath(0.0, dt, w)
+    v1 = fracint.pathwise_integral(gp, om, paths.HolderParams(alpha=a1))
+    v2 = fracint.pathwise_integral(
+        gp, om, paths.HolderParams(hurst=0.9, beta=0.75, beta_prime=0.8, alpha=a2)
+    )
+    assert np.all(np.abs(v1 - v2) <= 1e-14 * _abs_terms(g, w))
