@@ -69,6 +69,8 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
             raise ValueError("--grid-pow must be nonnegative")
         cfg["problem"]["n_steps"] = 2**grid_pow
     cfg["seed"] = int(seed)
+    # the fBm sampling method fixes the seed -> path map
+    cfg["sampler"] = "circulant"
     pb = cfg["problem"]
     if pb["drift"] not in _DRIFTS:
         raise ValueError(f"unknown drift '{pb['drift']}'")
@@ -76,13 +78,12 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
         for key, default in vals.items():
             if type(default) is int and cfg[sec][key] < 1:
                 raise ValueError(f"{sec}.{key} must be at least 1")
-    # the exact sampler factors the n x n float64 grid covariance
-    cov_bytes = 8 * pb["n_steps"] ** 2
+    need = _memory_bytes(pb, cfg["solver"]["n_starts"])
     phys_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if cov_bytes > phys_bytes:
+    if need > phys_bytes:
         raise ValueError(
-            f"problem.n_steps = {pb['n_steps']} needs a {cov_bytes}-byte fBm "
-            f"covariance, more than the {phys_bytes} bytes of physical memory"
+            f"problem.n_steps = {pb['n_steps']} needs about {need} bytes, more "
+            f"than the {phys_bytes} bytes of physical memory"
         )
     if pb["n_modes"] > pb["m_phys"]:
         raise ValueError("problem.n_modes must not exceed problem.m_phys")
@@ -91,6 +92,20 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
     # constructing HolderParams validates the exponent chain at parse time
     _params(cfg)
     return cfg
+
+
+def _memory_bytes(pb: dict, n_starts: int) -> int:
+    """float64 bytes a run holds at once, O(n) for fixed modes and starts:
+    three paths per start (start, image, kept solution), the (n+1) N x N
+    diffusion matrices, the (n+1) x m_phys synthesized field and, per mode,
+    the 4n normals and the 2n-point complex embedding of the fBm sampler."""
+    n1, N = pb["n_steps"] + 1, pb["n_modes"]
+    return 8 * (
+        3 * n_starts * n1 * N
+        + n1 * N * N
+        + n1 * pb["m_phys"]
+        + N * 8 * pb["n_steps"]
+    )
 
 
 def _parse_value(sec: str, key: str, raw: str):
@@ -278,12 +293,14 @@ def _verify_battery(cfg) -> dict:
     pp = _params(cfg)
     checks = {}
 
-    # exact sampling: factor of the grid covariance reproduces it
+    # exact sampling: the sampler's linear map from normals to the grid
+    # values, A, satisfies A A^T = grid covariance
     n, dt, H = 64, 1.0 / 64, pp.hurst
-    L = paths.fbm_cholesky_factor(H, n, dt)
+    sqrt_eigs = paths._sqrt_eigs(H, n, dt)
+    A = paths._fbm_from_normals(sqrt_eigs, np.eye(4 * n))[:, 1:].T
     tt = dt * np.arange(1, n + 1)
     cov = paths.fbm_covariance(tt[:, None], tt[None, :], H)
-    err = float(np.max(np.abs(L @ L.T - cov)))
+    err = float(np.max(np.abs(A @ A.T - cov)))
     checks["fbm_covariance"] = {"max_error": err, "pass": err < 1e-10}
 
     # constant-integrand identity on fBm drivers

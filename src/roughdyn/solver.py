@@ -250,7 +250,7 @@ def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
     return weighted_holder_norm(diff, beta, rho)
 
 
-def _probe_paths(u0, omega, spec, rng):
+def _probe_paths(u0, spec, rng):
     """Candidate pairs for measuring the contraction factor of T: the free
     evolution against the constant path and against a random bump."""
     lam = spec.operator.eigenvalues
@@ -273,7 +273,7 @@ def _choose_rho(u0, omega, spec, cfg) -> tuple:
     probe pairs drops below 1/2 (the images of T are rho-independent, so
     they are computed once).  Fails loudly at the cap."""
     rng = np.random.default_rng(cfg.seed)
-    pairs = _probe_paths(u0, omega, spec, rng)
+    pairs = _probe_paths(u0, spec, rng)
     images = [
         (apply_mild(a, omega, u0, spec), apply_mild(b, omega, u0, spec))
         for a, b in pairs
@@ -299,7 +299,7 @@ def _choose_rho(u0, omega, spec, cfg) -> tuple:
     )
 
 
-def _initial_candidates(u0, omega, spec, cfg):
+def _initial_candidates(u0, spec, cfg):
     lam = spec.operator.eigenvalues
     n = spec.n_steps
     tt = spec.dt * np.arange(n + 1)
@@ -329,7 +329,7 @@ def solve_mild(
     rho, qfac = _choose_rho(u0, omega, spec, cfg)
     radius = 1.0 + 2.0 * np.linalg.norm(u0)
     elements, residuals, traces, ball_ok = [], [], [], []
-    for cand in _initial_candidates(u0, omega, spec, cfg):
+    for cand in _initial_candidates(u0, spec, cfg):
         trace = []
         u = cand
         converged = False

@@ -27,10 +27,12 @@ def test_criterion_01_fbm_covariance_exact():
     worst = 0.0
     n, dt = 256, 1.0 / 256
     for H in (0.6, 0.75, 0.9):
-        L = paths.fbm_cholesky_factor(H, n, dt)
+        # the sampler's own linear map from its 4n normals to B(t_1..t_n)
+        sqrt_eigs = paths._sqrt_eigs(H, n, dt)
+        A = paths._fbm_from_normals(sqrt_eigs, np.eye(4 * n))[:, 1:].T
         tt = dt * np.arange(1, n + 1)
         cov = paths.fbm_covariance(tt[:, None], tt[None, :], H)
-        worst = max(worst, float(np.max(np.abs(L @ L.T - cov))))
+        worst = max(worst, float(np.max(np.abs(A @ A.T - cov))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     assert _report(
@@ -281,10 +283,13 @@ def test_criterion_09_usc_probe():
 
 
 def test_criterion_10_holder_statistics():
-    n, dt = 256, 1.0 / 256
+    # P(modulus(2^-6) < modulus(2^-2)) is about 0.94 at H = 0.8, beta = 0.6,
+    # so 200 paths with a threshold of 175 fail with probability ~6e-4 on a
+    # correct sampler; an H = 0.7 driver (p ~ 0.77) passes with ~1e-4
+    n, dt, m = 256, 1.0 / 256, 200
     finite = 0
     ordered = 0
-    for k in range(100):
+    for k in range(m):
         om = paths.sample_fbm_1d(0.8, n, dt, [900, k])
         if np.isfinite(paths.holder_seminorm(om, 0.6)):
             finite += 1
@@ -292,12 +297,12 @@ def test_criterion_10_holder_statistics():
             om, 0.6, 2.0**-2
         ):
             ordered += 1
-    ok = finite == 100 and ordered >= 95
+    ok = finite == m and ordered >= 175
     assert _report(
         10,
         ok,
-        f"seminorm finite in {finite}/100, modulus(2^-6) < modulus(2^-2) "
-        f"in {ordered}/100 (need >= 95)",
+        f"seminorm finite in {finite}/{m}, modulus(2^-6) < modulus(2^-2) "
+        f"in {ordered}/{m} (need >= 175)",
     )
 
 

@@ -206,8 +206,8 @@ def test_negative_grid_pow_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("grid_pow", ["70", "40"])
 def test_grid_beyond_physical_memory_is_config_error(tmp_path, capsys, grid_pow):
-    # 8 n^2 bytes of exact-sampler covariance exceed any machine's memory:
-    # rejected at parse time, before anything is allocated
+    # the O(n) working set of a run at 2^40 or 2^70 steps exceeds any
+    # machine's memory: rejected at parse time, before anything is allocated
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -226,6 +226,30 @@ def test_grid_beyond_physical_memory_is_config_error(tmp_path, capsys, grid_pow)
 def test_grid_within_physical_memory_parses():
     cfg = cli._load_config(None, 0, 12)
     assert cfg["problem"]["n_steps"] == 4096
+
+
+def test_large_grid_parses_with_linear_memory_budget():
+    # an n x n covariance at 2^16 steps would take 32 GiB; the run itself
+    # holds a few hundred MB
+    cfg = cli._load_config(None, 0, 16)
+    assert cfg["problem"]["n_steps"] == 65536
+    need = cli._memory_bytes(cfg["problem"], cfg["solver"]["n_starts"])
+    assert need < 1 << 30
+
+
+def test_memory_budget_is_linear_in_grid_size():
+    pb = dict(cli._DEFAULTS["problem"])
+    sizes = []
+    for n in (1 << 10, 1 << 11):
+        pb["n_steps"] = n
+        sizes.append(cli._memory_bytes(pb, 8))
+    assert 1.99 < sizes[1] / sizes[0] < 2.01
+
+
+def test_resolved_config_names_the_sampler():
+    cfg = cli._load_config(None, 0, None)
+    assert cfg["sampler"] == "circulant"
+    assert "sampler" not in cli._DEFAULTS
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -24,12 +25,45 @@ def test_covariance_formula_values():
 
 
 @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
-def test_cholesky_reproduces_covariance(hurst):
+def test_sampler_map_reproduces_covariance(hurst):
     n, dt = 128, 1.0 / 128
-    L = paths.fbm_cholesky_factor(hurst, n, dt)
+    sqrt_eigs = paths._sqrt_eigs(hurst, n, dt)
+    A = paths._fbm_from_normals(sqrt_eigs, np.eye(4 * n))[:, 1:].T
     tt = dt * np.arange(1, n + 1)
     cov = paths.fbm_covariance(tt[:, None], tt[None, :], hurst)
-    assert np.max(np.abs(L @ L.T - cov)) < 1e-10
+    assert np.max(np.abs(A @ A.T - cov)) < 1e-10
+    # A is the map sample_fbm_1d applies to its seeded normals
+    z = np.random.default_rng(np.random.SeedSequence(5)).standard_normal(4 * n)
+    path = paths.sample_fbm_1d(hurst, n, dt, 5).scalar()
+    assert path[0] == 0.0
+    assert np.allclose(path[1:], A @ z, rtol=0, atol=1e-12)
+
+
+def _fgn_autocovariance(hurst, n, dt):
+    # written out here, independent of the library
+    k = np.arange(n + 1, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * dt**h2 * ((k + 1) ** h2 - 2 * k**h2 + np.abs(k - 1) ** h2)
+
+
+@pytest.mark.parametrize("n", [256, 4096, 65536])
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+def test_circulant_embedding_nonnegative_and_exact(hurst, n):
+    dt = 1.0 / n
+    eigs = paths._circulant_eigenvalues(hurst, n, dt)
+    assert eigs.shape == (2 * n,)
+    assert np.all(eigs >= 0.0)
+    gamma = _fgn_autocovariance(hurst, n, dt)
+    row = np.fft.ifft(eigs).real
+    # first row of the circulant: gamma(0..n), then gamma(n-1..1)
+    assert np.max(np.abs(row[: n + 1] - gamma)) < 1e-12 * gamma[0]
+    assert np.max(np.abs(row[n + 1 :] - gamma[n - 1 : 0 : -1])) < 1e-12 * gamma[0]
+
+
+def test_sampler_rejects_bad_grid():
+    for args in ((0.0, 8, 0.125), (1.0, 8, 0.125), (0.75, 0, 0.125), (0.75, 8, 0.0)):
+        with pytest.raises(ValueError):
+            paths.sample_fbm_1d(*args, 0)
 
 
 def test_fbm_variance_and_cross_covariance_monte_carlo():
@@ -309,3 +343,22 @@ def test_holder_sups_against_brute_force_pair_loop(backend):
         got = backend.weighted_holder_sup(vals, dt, 0.6, rho)
         ref = sum(_brute_weighted_parts(vals, dt, 0.6, rho))
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_path_to_csv_matches_csv_writer_reference():
+    vals = np.array(
+        [
+            [0.0, -0.0, 1.0],
+            [np.nan, np.inf, -np.inf],
+            [5e-324, 1e300, -1e-300],
+            [1.0 / 3.0, -2.5, 123456789.123456789],
+        ]
+    )
+    u = paths.SampledPath(0.1, 1.0 / 3.0, vals)
+    ref = io.StringIO()
+    ref.write("# hdr\n")
+    writer = csv.writer(ref)
+    writer.writerow(["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)])
+    for k, t in enumerate(u.times):
+        writer.writerow([format(t, ".17g")] + [format(v, ".17g") for v in vals[k]])
+    assert paths.csv_roundtrip_string(u, ["hdr"]) == ref.getvalue()
