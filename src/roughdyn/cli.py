@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import dynsys, fracint, heat, io, paths, solver, spectral
 
 _DEFAULTS = {
-    "params": {"hurst": 0.75, "beta": 0.55, "beta_prime": 0.65, "alpha": 0.5},
+    "params": dataclasses.asdict(paths.HolderParams()),
     "problem": {
         "horizon": 1.0,
         "n_steps": 256,
@@ -33,10 +34,9 @@ _DEFAULTS = {
         "kernel_amplitude": 0.1,
     },
     "solver": {
-        "fp_tol": 1e-8,
-        "max_iters": 60,
-        "n_starts": 8,
-        "distinct_tol": 1e-4,
+        f.name: f.default
+        for f in dataclasses.fields(solver.SolverConfig)
+        if f.name != "seed"
     },
     "experiment": {
         "u0_mode": 1,
@@ -48,6 +48,8 @@ _DEFAULTS = {
 }
 
 _DRIFTS = {"tanh": np.tanh, "zero": lambda z: np.zeros_like(z), "identity": lambda z: z}
+
+_INTEGRANDS = ("constant", "time-linear")
 
 
 def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
@@ -74,6 +76,8 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
     pb = cfg["problem"]
     if pb["drift"] not in _DRIFTS:
         raise ValueError(f"unknown drift '{pb['drift']}'")
+    if not pb["horizon"] > 0:
+        raise ValueError("problem.horizon must be positive")
     for sec, vals in _DEFAULTS.items():
         for key, default in vals.items():
             if type(default) is int and cfg[sec][key] < 1:
@@ -87,10 +91,16 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
         )
     if pb["n_modes"] > pb["m_phys"]:
         raise ValueError("problem.n_modes must not exceed problem.m_phys")
-    if cfg["experiment"]["u0_mode"] > pb["n_modes"]:
+    ex = cfg["experiment"]
+    if ex["u0_mode"] > pb["n_modes"]:
         raise ValueError("experiment.u0_mode must lie in 1..problem.n_modes")
-    # constructing HolderParams validates the exponent chain at parse time
+    if ex["integrand"] not in _INTEGRANDS:
+        raise ValueError(f"unknown integrand '{ex['integrand']}'")
+    _radii(cfg)
+    # the library constructors validate the exponent chain and the
+    # tolerances at parse time
     _params(cfg)
+    _solver_cfg(cfg)
     return cfg
 
 
@@ -109,11 +119,13 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
 
 
 def _parse_value(sec: str, key: str, raw: str):
-    """Typed value of one config entry; integer keys reject fractions."""
+    """Typed value of one config entry: finite numbers, integral int keys."""
     kind = type(_DEFAULTS[sec][key])
     if kind is str:
         return raw
     val = float(raw)
+    if not np.isfinite(val):
+        raise ValueError(f"{sec}.{key} must be finite, got {raw!r}")
     if kind is int:
         if not val.is_integer():
             raise ValueError(f"{sec}.{key} must be an integer, got {raw!r}")
@@ -122,13 +134,16 @@ def _parse_value(sec: str, key: str, raw: str):
 
 
 def _params(cfg) -> paths.HolderParams:
-    p = cfg["params"]
-    return paths.HolderParams(
-        hurst=p["hurst"],
-        beta=p["beta"],
-        beta_prime=p["beta_prime"],
-        alpha=p["alpha"],
-    )
+    return paths.HolderParams(**cfg["params"])
+
+
+def _radii(cfg) -> list:
+    """experiment.radii as floats; the string stays in the resolved config."""
+    raw = cfg["experiment"]["radii"]
+    try:
+        return dynsys._checked_radii(float(r) for r in raw.split(","))
+    except ValueError as exc:
+        raise ValueError(f"experiment.radii = {raw!r}: {exc}") from None
 
 
 def _problem(cfg) -> solver.ProblemSpec:
@@ -138,8 +153,6 @@ def _problem(cfg) -> solver.ProblemSpec:
         f=_DRIFTS[pb["drift"]],
         kernel=kernel,
         params=_params(cfg),
-        horizon=pb["horizon"],
-        n_steps=pb["n_steps"],
         n_modes=pb["n_modes"],
         m_phys=pb["m_phys"],
         L_F=1.0 if pb["drift"] != "zero" else 0.0,
@@ -147,22 +160,16 @@ def _problem(cfg) -> solver.ProblemSpec:
 
 
 def _solver_cfg(cfg) -> solver.SolverConfig:
-    sv = cfg["solver"]
-    return solver.SolverConfig(
-        fp_tol=sv["fp_tol"],
-        max_iters=sv["max_iters"],
-        n_starts=sv["n_starts"],
-        distinct_tol=sv["distinct_tol"],
-        seed=cfg["seed"],
-    )
+    return solver.SolverConfig(**cfg["solver"], seed=cfg["seed"])
 
 
 def _driver(cfg, spec) -> paths.SampledPath:
+    pb = cfg["problem"]
     return paths.sample_qfbm(
         spec.operator,
         cfg["params"]["hurst"],
-        spec.n_steps,
-        spec.dt,
+        pb["n_steps"],
+        pb["horizon"] / pb["n_steps"],
         cfg["seed"],
     )
 
@@ -200,12 +207,10 @@ def cmd_integrate(cfg, out: str) -> int:
     if kind == "constant":
         g = fracint.IntegrandPath.constant(np.eye(N), om)
         expected = om.values[-1] - om.values[0]
-    elif kind == "time-linear":
+    else:  # time-linear
         tt = om.times[:, None, None]
         g = fracint.IntegrandPath(om.t0, om.dt, tt * np.eye(N))
         expected = None
-    else:
-        raise ValueError(f"unknown integrand '{kind}'")
     val = fracint.pathwise_integral(g, om, pp)
     report = {
         "integrand": kind,
@@ -260,7 +265,7 @@ def cmd_cocycle(cfg, out: str) -> int:
     om = _driver(cfg, spec)
     scfg = _solver_cfg(cfg)
     u0 = _u0(cfg, spec)
-    T = spec.horizon
+    T = cfg["problem"]["horizon"]
     reports = [
         dynsys.check_cocycle(T / 4, T / 4, om, u0, spec, scfg),
         dynsys.check_cocycle(T / 2, T / 4, om, u0, spec, scfg),
@@ -272,14 +277,13 @@ def cmd_cocycle(cfg, out: str) -> int:
 def cmd_usc(cfg, out: str) -> int:
     spec = _problem(cfg)
     om = _driver(cfg, spec)
-    radii = [float(r) for r in str(cfg["experiment"]["radii"]).split(",")]
     report = dynsys.usc_probe(
-        spec.horizon / 2,
+        cfg["problem"]["horizon"] / 2,
         om,
         _u0(cfg, spec),
         spec,
         _solver_cfg(cfg),
-        radii=radii,
+        radii=_radii(cfg),
         m_per_radius=cfg["experiment"]["m_per_radius"],
         seed=cfg["seed"],
     )
@@ -388,9 +392,7 @@ def _verify_battery(cfg) -> dict:
     }
 
     # small end-to-end solve: residual below tolerance, geometric decay
-    spec_small = heat.build_heat_problem(
-        params=pp, horizon=0.5, n_steps=64, n_modes=4, m_phys=32
-    )
+    spec_small = heat.build_heat_problem(params=pp, n_modes=4, m_phys=32)
     om = paths.sample_qfbm(spec_small.operator, H, 64, 0.5 / 64, seed)
     scfg = solver.SolverConfig(
         fp_tol=cfg["solver"]["fp_tol"], n_starts=2, max_iters=60, seed=seed

@@ -13,8 +13,6 @@ independently, so they are reported separately, never merged).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .paths import SampledPath, wiener_shift
@@ -28,11 +26,6 @@ __all__ = [
 ]
 
 
-def _subproblem(spec: ProblemSpec, k_steps: int) -> ProblemSpec:
-    """The same problem on the first k_steps grid cells."""
-    return replace(spec, horizon=k_steps * spec.dt, n_steps=k_steps)
-
-
 def solution_map(
     t: float,
     omega: SampledPath,
@@ -41,13 +34,14 @@ def solution_map(
     cfg: SolverConfig,
 ) -> list:
     """Phi(t, omega, u0): time-t values of every fixed point found when
-    solving on [0, t].  t = 0 returns [u0] without solving."""
+    solving on [0, t], the first t/dt cells of omega.  t = 0 returns [u0]
+    without solving."""
     u0 = np.asarray(u0, dtype=float)
     k = omega.index_of(omega.t0 + t)
     if k == 0:
         return [u0.copy()]
-    om = SampledPath(t0=0.0, dt=omega.dt, values=omega.values[: k + 1].copy())
-    sols = solve_mild(u0, om, _subproblem(spec, k), cfg)
+    om = SampledPath(t0=omega.t0, dt=omega.dt, values=omega.values[: k + 1])
+    sols = solve_mild(u0, om, spec, cfg)
     return [u.values[-1].copy() for u in sols.elements]
 
 
@@ -76,9 +70,7 @@ def check_cocycle(
     Phi(t, theta_s omega, Phi(s, omega, u0))."""
     lhs = solution_map(t + s, omega, u0, spec, cfg)
     mid = solution_map(s, omega, u0, spec, cfg)
-    k_s = omega.index_of(omega.t0 + s)
-    om_s = wiener_shift(omega, k_s)
-    om_s = SampledPath(t0=0.0, dt=om_s.dt, values=om_s.values)
+    om_s = wiener_shift(omega, omega.index_of(omega.t0 + s))
     rhs = []
     for x in mid:
         rhs.extend(solution_map(t, om_s, x, spec, cfg))
@@ -92,6 +84,14 @@ def check_cocycle(
         "n_lhs": len(lhs),
         "n_rhs": len(rhs),
     }
+
+
+def _checked_radii(radii) -> list:
+    """Probe radii as a list: finite, positive and strictly decreasing."""
+    radii = list(radii)
+    if not all(0.0 < r < np.inf for r in radii) or radii != sorted(set(radii))[::-1]:
+        raise ValueError("radii must be finite, positive and strictly decreasing")
+    return radii
 
 
 def usc_probe(
@@ -112,11 +112,7 @@ def usc_probe(
     (SolverError) are counted, not fatal; any other exception propagates.
     """
     u0 = np.asarray(u0, dtype=float)
-    radii = list(radii)
-    if any(x <= 0 for x in radii) or any(
-        b >= a for a, b in zip(radii, radii[1:])
-    ):
-        raise ValueError("radii must be positive and strictly decreasing")
+    radii = _checked_radii(radii)
     base = solution_map(t, omega, u0, spec, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     e_vals, failures = [], 0

@@ -163,14 +163,13 @@ def build_heat_problem(
     f=np.tanh,
     kernel: KernelSpec | None = None,
     params: HolderParams | None = None,
-    horizon: float = 1.0,
-    n_steps: int = 256,
     n_modes: int = 16,
     m_phys: int = 256,
     c_F: float = 0.0,
     L_F: float = 1.0,
 ) -> ProblemSpec:
-    """Assemble the heat problem as a ProblemSpec for the mild solver.
+    """Assemble the heat equation as a ProblemSpec for the mild solver; the
+    time grid is the driver path's.
 
     Defaults: drift f = tanh (c_F = 0, L_F = 1), the demo kernel above,
     trace weights q_i = 1/i^2.  The declared L_G is the quadrature value
@@ -186,8 +185,6 @@ def build_heat_problem(
         drift=lambda u: nemytskii_apply(f, u, basis),
         diffusion=lambda u: kernel_matrix(kernel, u, basis),
         params=params,
-        horizon=horizon,
-        n_steps=n_steps,
         c_F=c_F,
         L_F=L_F,
         L_G=L_G,

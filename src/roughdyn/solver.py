@@ -18,12 +18,12 @@ contraction factor on probe pairs drops below 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 from scipy.special import betaln, hyp1f1
 
-from .paths import HolderParams, SampledPath, weighted_holder_norm
+from .paths import HolderParams, SampledPath, weighted_holder_norm, wiener_shift
 from .spectral import SpectralOperator, frac_power_norm
 
 __all__ = [
@@ -51,29 +51,30 @@ class SolverError(RuntimeError):
 
 @dataclass
 class ProblemSpec:
-    """Evolution problem: operator, drift F, diffusion G, exponents, window.
+    """The equation du = (Au + F(u))dt + G(u)domega: operator A, drift F,
+    diffusion G and the Hölder exponents.
+
+    A spec carries no time grid.  The grid is the driver's: apply_mild and
+    solve_mild read n and dt from the omega they are given, so the same
+    spec solves on any window of a path, and a window is a slice of omega.
 
     F and G act node by node along the leading axes of a whole path:
     F: (..., N) -> (..., N) and G: (..., N) -> (..., N, n_noise_modes).
     A single field (N,) is the case with no leading axes; the mild
     operator passes the whole grid path (n+1, N) in one call each.
-    The declared growth/Lipschitz constants are used for reporting and
-    spot-checks, never trusted silently.
+    The declared constants |F(u)| <= c_F + L_F|u| and
+    |G(u) - G(v)| <= L_G|u - v| are keyword-only; the solver never reads
+    them, and spot_check_growth tests them on random fields.
     """
 
     operator: SpectralOperator
     drift: callable
     diffusion: callable
     params: HolderParams
-    horizon: float
-    n_steps: int
+    _: KW_ONLY
     c_F: float = 0.0
     L_F: float = 0.0
     L_G: float = 0.0
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.n_steps
 
     def spot_check_growth(self, rng=None, n_samples: int = 20) -> dict:
         """Verify the declared constants on random fields; returns worst
@@ -250,22 +251,22 @@ def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
     return weighted_holder_norm(diff, beta, rho)
 
 
-def _probe_paths(u0, spec, rng):
+def _plain_starts(u0, omega, spec):
+    """Node times of the driver's grid, the constant path u0 and the free
+    evolution S(t)u0 on it."""
+    n, dt = omega.n_steps, omega.dt
+    base = _free_evolution(u0, spec.operator.eigenvalues, dt, n)
+    return dt * np.arange(n + 1), np.tile(u0, (n + 1, 1)), base
+
+
+def _probe_paths(u0, omega, spec, rng):
     """Candidate pairs for measuring the contraction factor of T: the free
     evolution against the constant path and against a random bump."""
-    lam = spec.operator.eigenvalues
-    n = spec.n_steps
-    tt = spec.dt * np.arange(n + 1)
-    base = _free_evolution(u0, lam, spec.dt, n)
-    bump = rng.standard_normal(lam.size)
-    pairs = [
-        (base, np.tile(u0, (n + 1, 1))),
-        (base, base + 0.3 * np.sqrt(tt)[:, None] * bump),
-    ]
-    return [
-        (SampledPath(0.0, spec.dt, a), SampledPath(0.0, spec.dt, b))
-        for a, b in pairs
-    ]
+    tt, const, base = _plain_starts(u0, omega, spec)
+    bump = rng.standard_normal(spec.operator.n_modes)
+    pairs = [(base, const), (base, base + 0.3 * np.sqrt(tt)[:, None] * bump)]
+    dt = omega.dt
+    return [(SampledPath(0.0, dt, a), SampledPath(0.0, dt, b)) for a, b in pairs]
 
 
 def _choose_rho(u0, omega, spec, cfg) -> tuple:
@@ -273,7 +274,7 @@ def _choose_rho(u0, omega, spec, cfg) -> tuple:
     probe pairs drops below 1/2 (the images of T are rho-independent, so
     they are computed once).  Fails loudly at the cap."""
     rng = np.random.default_rng(cfg.seed)
-    pairs = _probe_paths(u0, spec, rng)
+    pairs = _probe_paths(u0, omega, spec, rng)
     images = [
         (apply_mild(a, omega, u0, spec), apply_mild(b, omega, u0, spec))
         for a, b in pairs
@@ -299,19 +300,16 @@ def _choose_rho(u0, omega, spec, cfg) -> tuple:
     )
 
 
-def _initial_candidates(u0, spec, cfg):
-    lam = spec.operator.eigenvalues
-    n = spec.n_steps
-    tt = spec.dt * np.arange(n + 1)
-    base = _free_evolution(u0, lam, spec.dt, n)
-    starts = [np.tile(u0, (n + 1, 1)), base]
+def _initial_candidates(u0, omega, spec, cfg):
+    tt, const, base = _plain_starts(u0, omega, spec)
+    starts = [const, base]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     while len(starts) < cfg.n_starts:
-        bump = rng.standard_normal(lam.size)
+        bump = rng.standard_normal(spec.operator.n_modes)
         scale = rng.uniform(0.05, 0.5)
         # perturbation vanishing at t = 0, Hölder-rough in t
         starts.append(base + scale * (tt**spec.params.beta)[:, None] * bump)
-    return [SampledPath(0.0, spec.dt, s) for s in starts[: cfg.n_starts]]
+    return [SampledPath(0.0, omega.dt, s) for s in starts[: cfg.n_starts]]
 
 
 def solve_mild(
@@ -329,7 +327,7 @@ def solve_mild(
     rho, qfac = _choose_rho(u0, omega, spec, cfg)
     radius = 1.0 + 2.0 * np.linalg.norm(u0)
     elements, residuals, traces, ball_ok = [], [], [], []
-    for cand in _initial_candidates(u0, spec, cfg):
+    for cand in _initial_candidates(u0, omega, spec, cfg):
         trace = []
         u = cand
         converged = False
@@ -419,14 +417,9 @@ def translate_check(
     """Residual of the time-translated path as a solution on [0, T-s]:
     v = u(s + .) must satisfy the mild equation with driver
     omega(s + .) - omega(s) and initial value u(s)."""
-    from .paths import wiener_shift
-
     k = u.index_of(u.t0 + s) if s > 0 else 0
     if k >= u.n_steps:
         raise ValueError("translation must leave a nonempty window")
     v = SampledPath(t0=0.0, dt=u.dt, values=u.values[k:].copy())
-    om = wiener_shift(omega, k)
-    om = SampledPath(t0=0.0, dt=om.dt, values=om.values)
-    sub = replace(spec, horizon=spec.horizon - s, n_steps=spec.n_steps - k)
-    tv = apply_mild(v, om, u.values[k], sub)
+    tv = apply_mild(v, wiener_shift(omega, k), u.values[k], spec)
     return _residual_norm(tv, v, spec.params.beta, rho)

@@ -138,15 +138,13 @@ def test_criterion_05_kummer_decay():
     )
 
 
-def _default_heat(n_steps=256):
-    return heat.build_heat_problem(
-        params=PP, horizon=1.0, n_steps=n_steps, n_modes=16, m_phys=256
-    )
+def _default_heat():
+    return heat.build_heat_problem(params=PP, n_modes=16, m_phys=256)
 
 
-def _heat_driver(spec, seed=42):
+def _heat_driver(spec, n_steps=256, seed=42):
     return paths.sample_qfbm(
-        spec.operator, PP.hurst, spec.n_steps, spec.dt, seed
+        spec.operator, PP.hurst, n_steps, 1.0 / n_steps, seed
     )
 
 
@@ -185,8 +183,6 @@ def test_criterion_07_additive_noise_oracle():
         lambda u: np.zeros_like(u),
         lambda u: np.broadcast_to(sigma, u.shape[:-1] + (1, 1)),
         PP,
-        1.0,
-        n,
     )
     u0 = np.array([1.0])
     cfg = solver.SolverConfig(n_starts=2, seed=0)
@@ -231,8 +227,8 @@ def test_criterion_08_strict_cocycle():
     floor = 20.0 * fp_tol
     dists = {}
     for n in (256, 512):
-        spec = _default_heat(n_steps=n)
-        om = _heat_driver(spec, seed=42)
+        spec = _default_heat()
+        om = _heat_driver(spec, n_steps=n, seed=42)
         cfg = solver.SolverConfig(n_starts=3, seed=42, fp_tol=fp_tol)
         worst = 0.0
         for t, s in ((0.25, 0.25), (0.5, 0.25)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughdyn import cli, paths
+from roughdyn import cli, paths, solver
 
 
 SMALL = """
@@ -43,18 +43,20 @@ def test_sample_path_smoke_and_roundtrip(tmp_path, small_cfg):
     assert "config_hash" in doc
 
 
-def test_sample_path_determinism(tmp_path, small_cfg):
-    for d in ("a", "b"):
-        (tmp_path / d).mkdir()
-        cli.main(
-            ["sample-path", "--config", small_cfg, "--seed", "9", "--out", str(tmp_path / d)]
+@pytest.mark.parametrize("command", ["sample-path", "solve", "cocycle", "usc"])
+def test_report_determinism(tmp_path, small_cfg, command):
+    # identical (config, seed): byte-identical JSON report and CSV files
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        rc = cli.main(
+            [command, "--config", small_cfg, "--seed", "9", "--out", str(out)]
         )
-    assert (tmp_path / "a/path.csv").read_bytes() == (
-        tmp_path / "b/path.csv"
-    ).read_bytes()
-    assert (tmp_path / "a/sample_path.json").read_bytes() == (
-        tmp_path / "b/sample_path.json"
-    ).read_bytes()
+        assert rc == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert any(n.endswith(".json") for n in names)
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 def test_grid_pow_override(tmp_path, small_cfg):
@@ -160,6 +162,13 @@ def test_cocycle_subcommand(tmp_path, small_cfg):
         "[problem]\nn_steps = 64.9\n",  # integer keys must be integers
         "[solver]\nn_starts = 2.5\n",
         "[problem]\nm_phys = 0\n",
+        "[problem]\nhorizon = -1\n",
+        "[problem]\nhorizon = nan\n",  # numbers must be finite
+        "[solver]\nfp_tol = 0\n",
+        "[solver]\ndistinct_tol = 1e-9\n",  # below the default fp_tol
+        "[experiment]\nradii = 0.1,abc\n",
+        "[experiment]\nradii = 0.01,0.1\n",  # must strictly decrease
+        "[experiment]\nintegrand = foo\n",
     ],
 )
 def test_config_validated_at_parse_time(tmp_path, capsys, body):
@@ -244,6 +253,15 @@ def test_memory_budget_is_linear_in_grid_size():
         pb["n_steps"] = n
         sizes.append(cli._memory_bytes(pb, 8))
     assert 1.99 < sizes[1] / sizes[0] < 2.01
+
+
+def test_defaults_are_the_library_defaults():
+    cfg = cli._load_config(None, 5, None)
+    assert cli._params(cfg) == paths.HolderParams()
+    assert cli._solver_cfg(cfg) == solver.SolverConfig(seed=5)
+    # radii are checked at parse time but kept as written, so the
+    # resolved config (and its hash) is unchanged
+    assert cfg["experiment"]["radii"] == "0.1,0.01,0.001"
 
 
 def test_resolved_config_names_the_sampler():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughdyn import dynsys, heat, paths, solver
 from roughdyn.spectral import laplacian_1d
@@ -14,8 +16,6 @@ def _pure_semigroup_problem(n_modes=3, n_steps=64):
         lambda u: np.zeros_like(u),
         lambda u: np.zeros(u.shape[:-1] + (n_modes, n_modes)),
         PP,
-        1.0,
-        n_steps,
     )
     om = paths.sample_qfbm(op, 0.75, n_steps, 1.0 / n_steps, 1)
     return spec, om
@@ -72,9 +72,7 @@ def test_cocycle_pure_semigroup_machine_precision():
 
 
 def test_cocycle_heat_example_small():
-    spec = heat.build_heat_problem(
-        params=PP, horizon=0.5, n_steps=64, n_modes=4, m_phys=32
-    )
+    spec = heat.build_heat_problem(params=PP, n_modes=4, m_phys=32)
     om = paths.sample_qfbm(spec.operator, PP.hurst, 64, 0.5 / 64, 3)
     u0 = np.zeros(4)
     u0[0] = 1.0
@@ -83,11 +81,31 @@ def test_cocycle_heat_example_small():
     assert max(rep["d1_lhs_to_rhs"], rep["d2_rhs_to_lhs"]) < 5e-3
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    split=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    u0=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+def test_property_cocycle_identity(n, seed, split, u0):
+    # Phi(t+s, omega) = Phi(t, theta_s omega) o Phi(s, omega) at random
+    # grids, drivers, windows k_s + k_t <= n and initial values, to the
+    # solver-accuracy floor of criterion 8
+    k_s = 1 + int(split[0] * (n - 2))
+    k_t = 1 + int(split[1] * (n - k_s - 1))
+    spec = heat.build_heat_problem(params=PP, n_modes=4, m_phys=32)
+    om = paths.sample_qfbm(spec.operator, PP.hurst, n, 1.0 / n, seed)
+    cfg = solver.SolverConfig(n_starts=2, seed=seed)
+    rep = dynsys.check_cocycle(k_t / n, k_s / n, om, np.array(u0), spec, cfg)
+    floor = 20.0 * cfg.fp_tol
+    assert rep["d1_lhs_to_rhs"] <= floor
+    assert rep["d2_rhs_to_lhs"] <= floor
+
+
 def test_restriction_consistency():
     # value at t from a solve over [0, T] matches a solve over [0, t]
-    spec = heat.build_heat_problem(
-        params=PP, horizon=0.5, n_steps=64, n_modes=4, m_phys=32
-    )
+    spec = heat.build_heat_problem(params=PP, n_modes=4, m_phys=32)
     om = paths.sample_qfbm(spec.operator, PP.hurst, 64, 0.5 / 64, 4)
     u0 = np.zeros(4)
     u0[0] = 1.0

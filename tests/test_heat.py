@@ -112,7 +112,7 @@ def test_profile_spot_check():
 
 
 def test_build_heat_problem_constants():
-    spec = heat.build_heat_problem(n_steps=32, n_modes=8, m_phys=64)
+    spec = heat.build_heat_problem(n_modes=8, m_phys=64)
     assert spec.operator.n_modes == 8
     assert spec.operator.eigenvalues[2] == 9.0
     assert spec.L_G == pytest.approx(0.1 * np.sqrt(np.pi / 2.0), rel=1e-2)
@@ -129,9 +129,7 @@ def test_truncation_self_convergence():
     params = paths.HolderParams()
     ends = {}
     for N in (4, 8, 16):
-        spec = heat.build_heat_problem(
-            params=params, horizon=0.5, n_steps=64, n_modes=N, m_phys=128
-        )
+        spec = heat.build_heat_problem(params=params, n_modes=N, m_phys=128)
         om = paths.sample_qfbm(spec.operator, 0.75, 64, 0.5 / 64, 5)
         u0 = np.zeros(N)
         u0[0] = 1.0
@@ -163,7 +161,7 @@ def test_synth_matrix_cached():
 
 def test_heat_drift_diffusion_on_path_match_per_node():
     N, M, n = 6, 48, 9
-    spec = heat.build_heat_problem(n_steps=n, n_modes=N, m_phys=M)
+    spec = heat.build_heat_problem(n_modes=N, m_phys=M)
     x, S, w = _independent_sine(N, M)
     a = 0.1  # default kernel g(x, y, z) = a sin(x) sin(y) tanh(z)
     path = np.random.default_rng(21).standard_normal((n + 1, N))

@@ -85,9 +85,7 @@ def test_kummer_parameter_validation():
 
 def test_apply_mild_pure_semigroup():
     op = laplacian_1d(4)
-    spec = solver.ProblemSpec(
-        op, _zero_drift, _zero_diffusion_factory(4), PP, 1.0, 64
-    )
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(4), PP)
     om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 1)
     u0 = np.array([1.0, -2.0, 0.5, 0.0])
     cand = paths.SampledPath(0.0, 1 / 64, np.random.default_rng(0).normal(size=(65, 4)))
@@ -101,9 +99,7 @@ def test_apply_mild_pure_semigroup():
 def test_apply_mild_linear_ode_fixed_point():
     # lambda = 1, F(u) = u: u(t) = u0 constant solves u' = -u + u
     op = SpectralOperator(np.array([1.0]), np.array([1.0]))
-    spec = solver.ProblemSpec(
-        op, lambda u: u, _zero_diffusion_factory(1), PP, 1.0, 128
-    )
+    spec = solver.ProblemSpec(op, lambda u: u, _zero_diffusion_factory(1), PP)
     om = paths.sample_qfbm(op, 0.75, 128, 1 / 128, 2)
     cand = paths.SampledPath(0.0, 1 / 128, 2.0 * np.ones((129, 1)))
     out = solver.apply_mild(cand, om, np.array([2.0]), spec)
@@ -120,8 +116,6 @@ def test_apply_mild_additive_noise_riemann_stieltjes_oracle():
         _zero_drift,
         lambda u: np.broadcast_to(sigma, u.shape[:-1] + (1, 1)),
         PP,
-        1.0,
-        n,
     )
     tt_f = np.linspace(0.0, 1.0, 4 * n + 1)
     fine = paths.SampledPath(0.0, tt_f[1], np.sin(3.0 * tt_f))
@@ -139,9 +133,7 @@ def test_apply_mild_additive_noise_riemann_stieltjes_oracle():
 
 def test_apply_mild_rejects_grid_mismatch():
     op = laplacian_1d(2)
-    spec = solver.ProblemSpec(
-        op, _zero_drift, _zero_diffusion_factory(2), PP, 1.0, 32
-    )
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(2), PP)
     om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
     cand = paths.SampledPath(0.0, 1 / 32, np.zeros((33, 2)))
     with pytest.raises(ValueError):
@@ -153,9 +145,7 @@ def test_apply_mild_rejects_grid_mismatch():
 
 def test_solve_pure_semigroup_unique():
     op = laplacian_1d(3)
-    spec = solver.ProblemSpec(
-        op, _zero_drift, _zero_diffusion_factory(3), PP, 1.0, 64
-    )
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(3), PP)
     om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 4)
     u0 = np.array([1.0, 0.5, 0.0])
     sols = solver.solve_mild(u0, om, spec, solver.SolverConfig(n_starts=3, seed=4))
@@ -175,8 +165,6 @@ def test_solve_geometric_decay_and_contraction():
         lambda u: np.tanh(u),
         lambda u: sigma * (1.0 + 0.5 * np.tanh(u[..., 0]))[..., None, None],
         PP,
-        1.0,
-        64,
         L_F=1.0,
         L_G=0.3,
     )
@@ -194,12 +182,22 @@ def test_solve_geometric_decay_and_contraction():
 def test_solver_failure_reports_traces():
     op = laplacian_1d(2)
     # absurd drift growth defeats contraction at every weight
-    spec = solver.ProblemSpec(
-        op, lambda u: 1e8 * u, _zero_diffusion_factory(2), PP, 1.0, 16
-    )
+    spec = solver.ProblemSpec(op, lambda u: 1e8 * u, _zero_diffusion_factory(2), PP)
     om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
     with pytest.raises(solver.SolverError):
         solver.solve_mild(np.array([1.0, 0.0]), om, spec, solver.SolverConfig())
+
+
+def test_declared_constants_are_keyword_only():
+    # a stale call with the old grid arguments must not bind them to
+    # c_F and L_F
+    op = laplacian_1d(2)
+    with pytest.raises(TypeError):
+        solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(2), PP, 1.0, 64)
+    spec = solver.ProblemSpec(
+        op, _zero_drift, _zero_diffusion_factory(2), PP, L_F=2.0
+    )
+    assert (spec.c_F, spec.L_F, spec.L_G) == (0.0, 2.0, 0.0)
 
 
 def test_spot_check_growth():
@@ -209,8 +207,6 @@ def test_spot_check_growth():
         lambda u: np.tanh(u),
         lambda u: np.broadcast_to(0.1 * np.eye(4), u.shape[:-1] + (4, 4)),
         PP,
-        1.0,
-        16,
         c_F=0.0,
         L_F=1.0,
         L_G=0.1,
@@ -230,8 +226,6 @@ def _solved_example(n=64, seed=8):
         lambda u: np.tanh(u),
         lambda u: 0.15 * np.eye(3) * (1.0 + 0.3 * np.tanh(u[..., 1]))[..., None, None],
         PP,
-        1.0,
-        n,
         L_F=1.0,
     )
     om = paths.sample_qfbm(op, 0.75, n, 1.0 / n, seed)
@@ -277,10 +271,7 @@ def test_concatenated_solution_residual():
     u = sols.elements[0]
     k = 32
     om2 = paths.wiener_shift(om, k)
-    from dataclasses import replace
-
-    spec2 = replace(spec, horizon=0.5, n_steps=32)
-    sols2 = solver.solve_mild(u.values[k], om2, spec2, cfg)
+    sols2 = solver.solve_mild(u.values[k], om2, spec, cfg)
     glued = solver.concatenate(
         paths.SampledPath(0.0, u.dt, u.values[: k + 1].copy()),
         sols2.elements[0],
@@ -316,9 +307,7 @@ def test_smoothing_norm():
 
 def test_smoothing_norm_semigroup_closed_form():
     op = laplacian_1d(3)
-    spec = solver.ProblemSpec(
-        op, _zero_drift, _zero_diffusion_factory(3), PP, 1.0, 32
-    )
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(3), PP)
     tt = np.arange(33) / 32
     u0 = np.array([1.0, 0.0, 0.0])
     u = paths.SampledPath(0.0, 1 / 32, np.exp(-np.outer(tt, op.eigenvalues)) * u0)
@@ -350,8 +339,6 @@ def test_apply_mild_scan_matches_sequential_recursion(zdt):
         lambda u: np.sin(u) + 0.5,
         lambda u: B * (1.0 + 0.2 * np.cos(u[..., :1]))[..., None],
         PP,
-        1.0,
-        n,
     )
     rng = np.random.default_rng(31)
     w = np.cumsum(rng.standard_normal((n + 1, M)), axis=0) * 0.1
