@@ -394,9 +394,7 @@ def _verify_battery(cfg) -> dict:
     # small end-to-end solve: residual below tolerance, geometric decay
     spec_small = heat.build_heat_problem(params=pp, n_modes=4, m_phys=32)
     om = paths.sample_qfbm(spec_small.operator, H, 64, 0.5 / 64, seed)
-    scfg = solver.SolverConfig(
-        fp_tol=cfg["solver"]["fp_tol"], n_starts=2, max_iters=60, seed=seed
-    )
+    scfg = dataclasses.replace(_solver_cfg(cfg), n_starts=2, max_iters=60)
     u0 = np.zeros(4)
     u0[0] = 1.0
     try:

@@ -5,7 +5,9 @@ embedding of fractional Gaussian noise (Davies-Harte: one 2n-point FFT per
 mode, O(n log n) time and O(n) memory), shifted by the Wiener shift, and
 measured through the Hölder seminorm, the weighted (rho-damped) Hölder norm
 and the small-gap modulus used to detect membership in the little-Hölder
-class.
+class.  All three sups over node pairs are exact: a block branch-and-bound
+search evaluates only the block pairs whose bound can beat the best term,
+with direct differences, and returns the all-pairs max bit for bit.
 """
 
 from __future__ import annotations
@@ -235,26 +237,101 @@ def _window_indices(u: SampledPath, s, t):
     return i, j
 
 
+# Block branch and bound behind every pair sup: nodes are cut into at most
+# _MAX_BLOCKS contiguous blocks of at least _MIN_BLOCK nodes, and a batch of
+# exact block pairs holds at most _CHUNK pair differences.
+_MIN_BLOCK = 16
+_MAX_BLOCKS = 512
+_CHUNK = 2**15
+_EPS = np.finfo(float).eps
+
+
+def _row_norms(d):
+    """Euclidean norms of the rows of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _pair_sup(u, a, b, c, max_gap):
+    """Exact max over node pairs j < k with k - j <= max_gap of
+    (a[j]*b[k]) * ||u[k]-u[j]|| / c[k-j], Euclidean norm across modes; 0.0
+    when no pair qualifies, NaN when a node value is not finite.
+
+    a, b >= 0 are node weights and c[g] > 0 (g >= 1) is nondecreasing in
+    the gap g.  Each block gets a bounding box (centre and half-diagonal),
+    which bounds every pair term of a block pair by the centre distance plus
+    both radii, the largest a and b of the two blocks and the smallest gap
+    between them.  Block pairs are evaluated exactly, in order of decreasing
+    bound, until no bound left exceeds the best exact term.  The bound is
+    inflated by a relative slack for its own rounding and by an absolute
+    term for the rounding of the box centres, so a pruned pair never holds
+    a larger term; every term is the expression a per-gap pass over direct
+    differences u[k]-u[j] computes, so the max is that pass's bit for bit.
+    """
+    n, m = u.shape
+    if not np.isfinite(u).all():
+        return np.nan
+    max_gap = min(max_gap, n - 1)
+    if max_gap < 1:
+        return 0.0
+    nb = min(_MAX_BLOCKS, max(1, n // _MIN_BLOCK))
+    edges = (np.arange(nb + 1) * n) // nb
+    starts, last = edges[:-1], edges[1:] - 1
+    lo = np.minimum.reduceat(u, starts)
+    hi = np.maximum.reduceat(u, starts)
+    centre = 0.5 * (lo + hi)
+    radius = _row_norms(0.5 * (hi - lo))
+    a_top = np.maximum.reduceat(a, starts)
+    b_top = np.maximum.reduceat(b, starts)
+
+    # block pairs I <= J; their bounds are built in place, one mode of the
+    # centre distance at a time, so no temporary holds pairs times modes
+    bi, bj = np.triu_indices(nb)
+    bound = np.zeros(bi.size)
+    for col in centre.T:
+        bound += (col[bj] - col[bi]) ** 2
+    np.sqrt(bound, out=bound)
+    # the relative slack covers the rounding of the bound and of the exact
+    # terms; centre_err covers that of the box centres, which is relative
+    # to |u| and so not to the increments when u carries a large offset
+    centre_err = 4 * _EPS * float(np.abs(u).max()) * np.sqrt(m)
+    bound += radius[bi] + radius[bj] + centre_err
+    bound *= a_top[bi] * b_top[bj] * (1.0 + 1e-12 + 4 * m * _EPS)
+    gap_min = np.maximum(starts[bj] - last[bi], 1)
+    bound /= c[gap_min]
+    bound[gap_min > max_gap] = 0.0
+    del gap_min
+    order = np.argsort(-bound, kind="stable")
+
+    width = int((last - starts).max()) + 1
+    offs = np.arange(width)
+    batch = max(1, _CHUNK // (width * width * m))
+    best = 0.0
+    pos = 0
+    while pos < order.size and bound[order[pos]] > best:
+        take = order[pos : pos + batch]
+        take = take[bound[take] > best]
+        pos += batch
+        # node indices of each block pair; short blocks repeat their last node
+        j = np.minimum(starts[bi[take], None] + offs, last[bi[take], None])
+        k = np.minimum(starts[bj[take], None] + offs, last[bj[take], None])
+        j, k = j[:, :, None], k[:, None, :]
+        gap = k - j
+        ok = (gap >= 1) & (gap <= max_gap)
+        dn = _row_norms((u[k] - u[j]).reshape(-1, m)).reshape(gap.shape)
+        q = (a[j] * b[k]) * dn / c[np.where(ok, gap, 1)]
+        best = max(best, float(q[ok].max()))
+    return best
+
+
 def _holder_pair_sup(u, dt, beta, max_gap):
     """max over node pairs j<k with (k-j)*dt < max_gap of
-    ||u[k]-u[j]|| / ((k-j)*dt)^beta, Euclidean norm across modes.
-
-    One vectorized pass per gap over the direct differences u[k]-u[k-gap],
-    so a large common offset cancels exactly instead of through |a|^2+|b|^2-2ab.
-    """
+    ||u[k]-u[j]|| / ((k-j)*dt)^beta, Euclidean norm across modes."""
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
     span_pow = (dt * np.arange(n)) ** beta
-    best = 0.0
-    for gap in range(1, n):
-        if gap * dt >= max_gap:
-            break
-        d = u[gap:] - u[:-gap]
-        top = float(np.sqrt(np.einsum("ij,ij->i", d, d).max()))
-        q = top / span_pow[gap]
-        if q > best:
-            best = q
-    return best
+    n_gaps = np.count_nonzero(dt * np.arange(1, n) < max_gap)
+    ones = np.ones(n)
+    return _pair_sup(u, ones, ones, span_pow, n_gaps)
 
 
 def _weighted_holder_sup(u, dt, beta, rho):
@@ -263,40 +340,32 @@ def _weighted_holder_sup(u, dt, beta, rho):
     sup_k e^{-rho*k*dt} ||u[k]||
       + sup_{j<k} (j*dt)^beta e^{-rho*k*dt} ||u[k]-u[j]|| / ((k-j)*dt)^beta.
 
-    The j = 0 terms carry weight 0^beta = 0 and drop out.  Increments are
-    direct differences, one vectorized pass per gap.
+    The j = 0 terms carry weight 0^beta = 0 and drop out.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
     span_pow = (dt * np.arange(n)) ** beta
     decay = np.exp(-rho * dt * np.arange(n))
-    sup_val = float(np.max(decay * np.sqrt(np.einsum("ij,ij->i", u, u))))
-    sup_inc = 0.0
-    for gap in range(1, n):
-        d = u[gap:] - u[:-gap]
-        dn = np.sqrt(np.einsum("ij,ij->i", d, d))
-        # pair (j, k=j+gap): weight (j dt)^beta e^{-rho k dt} / (gap dt)^beta
-        q = float(np.max(span_pow[: n - gap] * decay[gap:] * dn)) / span_pow[gap]
-        if q > sup_inc:
-            sup_inc = q
-    return sup_val + sup_inc
+    sup_val = float(np.max(decay * _row_norms(u)))
+    return sup_val + _pair_sup(u, span_pow, decay, span_pow, n - 1)
 
 
 def holder_seminorm(u: SampledPath, beta: float, s=None, t=None) -> float:
     """Grid estimator of |||u|||_beta over [s, t]: max over node pairs of
     ||u(t_k)-u(t_j)|| / (t_k-t_j)^beta.  A lower bound of the continuum
-    seminorm, nondecreasing under grid refinement."""
+    seminorm, nondecreasing under grid refinement; NaN when a node value in
+    [s, t] is not finite."""
     i, j = _window_indices(u, s, t)
     return _holder_pair_sup(u.values[i : j + 1], u.dt, beta, max_gap=np.inf)
 
 
 def wiener_modulus(u: SampledPath, beta: float, delta: float) -> float:
-    """Small-gap Hölder quotient sup over pairs with t - s < delta."""
+    """Small-gap Hölder quotient sup over pairs with t - s < delta; NaN
+    when a node value is not finite."""
     if not (0.0 < delta <= u.n_steps * u.dt + 1e-12):
         raise ValueError("delta must lie in (0, window length]")
     if delta <= u.dt:
         warnings.warn("delta below grid resolution; modulus degenerates to 0")
-        return 0.0
     return _holder_pair_sup(u.values, u.dt, beta, max_gap=delta)
 
 
@@ -304,7 +373,8 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     """Weighted norm: sup_s e^{-rho(s-t0)}||u(s)||
     + sup_{s<t} (s-t0)^beta e^{-rho(t-t0)} ||u(t)-u(s)||/(t-s)^beta.
 
-    rho = 0 recovers the plain (beta, beta)-norm.
+    rho = 0 recovers the plain (beta, beta)-norm.  NaN when a node value is
+    not finite.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")

@@ -153,6 +153,18 @@ def test_cocycle_subcommand(tmp_path, small_cfg):
         assert max(chk["d1_lhs_to_rhs"], chk["d2_rhs_to_lhs"]) < 5e-3
 
 
+def test_verify_all_uses_the_resolved_solver_config(tmp_path):
+    # a valid distinct_tol above the default reaches the battery's solve
+    cfg = tmp_path / "loose.ini"
+    cfg.write_text("[solver]\nfp_tol = 1e-3\ndistinct_tol = 1e-2\n")
+    rc = cli.main(
+        ["verify-all", "--config", str(cfg), "--grid-pow", "4", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_path / "verify_all.json").read_text())
+    assert doc["report"]["all_pass"] and doc["report"]["checks"]["mild_solve"]["pass"]
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -3,8 +3,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roughdyn import paths
+from roughdyn import heat, paths, solver
 from roughdyn.spectral import SpectralOperator
 
 
@@ -343,6 +345,171 @@ def test_holder_sups_against_brute_force_pair_loop(backend):
         got = backend.weighted_holder_sup(vals, dt, 0.6, rho)
         ref = sum(_brute_weighted_parts(vals, dt, 0.6, rho))
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+# ------------------------------- Hölder sups: exact against the per-gap pass
+
+
+def _per_gap_pair_sup(vals, dt, beta, max_gap=np.inf):
+    # one vectorized pass per gap over the direct differences, the same
+    # floating-point expression per pair as the library's pair search
+    n = vals.shape[0]
+    span_pow = (dt * np.arange(n)) ** beta
+    best = 0.0
+    for gap in range(1, n):
+        if gap * dt >= max_gap:
+            break
+        d = vals[gap:] - vals[:-gap]
+        q = float(np.sqrt(np.einsum("ij,ij->i", d, d).max())) / span_pow[gap]
+        best = max(best, q)
+    return best
+
+
+def _per_gap_weighted_sup(vals, dt, beta, rho):
+    n = vals.shape[0]
+    span_pow = (dt * np.arange(n)) ** beta
+    decay = np.exp(-rho * dt * np.arange(n))
+    sup_val = float(np.max(decay * np.sqrt(np.einsum("ij,ij->i", vals, vals))))
+    sup_inc = 0.0
+    for gap in range(1, n):
+        d = vals[gap:] - vals[:-gap]
+        dn = np.sqrt(np.einsum("ij,ij->i", d, d))
+        q = float(np.max(span_pow[: n - gap] * decay[gap:] * dn)) / span_pow[gap]
+        sup_inc = max(sup_inc, q)
+    return sup_val + sup_inc
+
+
+def _assert_sups_exact(vals, dt, beta, max_gaps=(np.inf,), rhos=(0.0, 1.0, 64.0)):
+    for max_gap in max_gaps:
+        got = paths._holder_pair_sup(vals, dt, beta, max_gap)
+        assert got == _per_gap_pair_sup(vals, dt, beta, max_gap), max_gap
+    for rho in rhos:
+        got = paths._weighted_holder_sup(vals, dt, beta, rho)
+        assert got == _per_gap_weighted_sup(vals, dt, beta, rho), rho
+
+
+def test_pair_search_exact_on_heat_residual():
+    # a Picard residual T(u) - u of the 16-mode heat problem at n = 1025,
+    # the input the solver's stopping test sees
+    n = 1024
+    spec = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16, m_phys=64)
+    om = paths.sample_qfbm(spec.operator, 0.75, n, 1.0 / n, 11)
+    u0 = np.zeros(16)
+    u0[0] = 1.0
+    start = paths.SampledPath(0.0, om.dt, np.tile(u0, (n + 1, 1)))
+    u = solver.apply_mild(start, om, u0, spec)
+    res = solver.apply_mild(u, om, u0, spec).values - u.values
+    assert res.shape == (n + 1, 16) and np.abs(res).max() > 0.0
+    _assert_sups_exact(res, om.dt, 0.55, max_gaps=(np.inf, 100.5 / n))
+
+
+def test_pair_search_exact_on_long_driver():
+    # n = 4097 nodes: 256 blocks, so most block pairs are pruned; the modulus
+    # windows end mid-block
+    n = 4096
+    op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
+    om = paths.sample_qfbm(op, 0.75, n, 1.0 / n, 3)
+    assert paths.holder_seminorm(om, 0.65) == _per_gap_pair_sup(om.values, om.dt, 0.65)
+    for delta in (40.5 / n, 200.0 / n):
+        got = paths.wiener_modulus(om, 0.65, delta)
+        assert got == _per_gap_pair_sup(om.values, om.dt, 0.65, delta)
+
+
+def test_pair_search_exact_on_linear_ramp():
+    # the max sits at the widest pair, far from the diagonal blocks
+    n = 1001
+    vals = 3.0 + np.outer(np.arange(n), [1e-3, -2e-3, 5e-4])
+    _assert_sups_exact(vals, 1.0 / (n - 1), 0.6, max_gaps=(np.inf, 0.5, 0.0301))
+    lin = paths.SampledPath(0.0, 1.0 / (n - 1), np.arange(n) / (n - 1))
+    assert paths.holder_seminorm(lin, 0.5) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 31, 33, 500])
+def test_pair_search_exact_on_small_and_ragged_grids(n):
+    # n not a multiple of the block size, down to a single pair
+    rng = np.random.default_rng(n)
+    vals = np.cumsum(rng.standard_normal((n, 3)), axis=0) - 7.0
+    dt = 1.0 / max(n - 1, 1)
+    _assert_sups_exact(vals, dt, 0.55, max_gaps=(np.inf, 1.5 * dt, 16.5 * dt, 0.4))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_pair_search_exact_under_large_offset(offset):
+    # the dyadic path: increments of u + c are those of u bit for bit, so
+    # the pair sups must not move when the box centres round at 1e4
+    n = 1024
+    vals = _dyadic_smooth_path(n=n, m=2)
+    dt = 1.0 / n
+    base = paths._holder_pair_sup(vals, dt, 0.65, np.inf)
+    assert paths._holder_pair_sup(vals + offset, dt, 0.65, np.inf) == base
+    _assert_sups_exact(vals + offset, dt, 0.65, max_gaps=(np.inf, 64.5 * dt))
+
+
+def _tight_box_path(offset, n=2048, beta=0.6, step=0.1):
+    # A path on which the box bound of the block pair holding the max is
+    # tight, and a near tie is found first.  Blocks hold 16 nodes here.
+    # - Block 2 is flat at the offset; block 3 steps up by `step` at its
+    #   first node and comes back down in small steps.  The max is that
+    #   gap-1 step, and its block-pair bound equals it up to the rounding
+    #   of block 3's box centre.
+    # - Block 0 is a 12-gap ramp whose quotient is the largest float below
+    #   the max on the grid of increments at this offset, and its bound is
+    #   the largest of all.
+    # - A triangle wave from block 5 on gives 240 block pairs with bounds
+    #   between the two and small values, so the max is evaluated in a later
+    #   batch than the near tie, after pruning has started.
+    dt = 1.0 / (n - 1)
+    c = (dt * np.arange(n)) ** beta
+    u = np.full(n, offset)
+    u[48:56] = offset + step
+    u[56:64] = offset + step * np.arange(7, -1, -1) / 8
+    top = (u[48] - u[47]) / c[1]
+    u[80:] = offset + 1.2 * step * np.abs((np.arange(n - 80) + 16) % 32 - 15.5) / 15.5
+    ulp = np.spacing(offset)
+    rise = np.floor(top * c[12] / ulp) * ulp
+    while (offset + rise) - offset != rise or rise / c[12] >= top:
+        rise -= ulp
+    u[:13] = offset + rise * np.arange(12, -1, -1) / 12
+    return u[:, None], dt, beta, top
+
+
+def test_pair_search_exact_on_tight_box_bounds():
+    # dropping a radius, the gap of adjacent blocks or the absolute term
+    # for the rounding of the box centres prunes the max here
+    for k in range(6):
+        vals, dt, beta, top = _tight_box_path(1e4 + k / 7)
+        for v in (vals, vals[::-1]):
+            assert _per_gap_pair_sup(v, dt, beta) == top
+            assert paths._holder_pair_sup(v, dt, beta, np.inf) == top
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.integers(2, 300),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+    st.floats(0.0, 1.2),
+)
+def test_property_pair_search_matches_per_gap_pass(n, m, seed, offset, gap_frac):
+    rng = np.random.default_rng(seed)
+    vals = np.cumsum(rng.standard_normal((n, m)), axis=0) * 1e-2 + offset
+    dt = 1.0 / (n - 1)
+    _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf, gap_frac), rhos=(0.0, 64.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_node_gives_nan(bad):
+    vals = np.linspace(0.0, 1.0, 65)
+    vals[40] = bad
+    u = paths.SampledPath(0.0, 1.0 / 64, vals)
+    assert np.isnan(paths.holder_seminorm(u, 0.6))
+    assert np.isnan(paths.wiener_modulus(u, 0.6, 0.25))
+    assert np.isnan(paths.weighted_holder_norm(u, 0.6, 1.0))
+    with pytest.warns(UserWarning):
+        assert np.isnan(paths.wiener_modulus(u, 0.6, 0.5 / 64))
+    # outside the window the seminorm does not look
+    assert np.isfinite(paths.holder_seminorm(u, 0.6, 0.0, 0.5))
 
 
 def test_path_to_csv_matches_csv_writer_reference():
