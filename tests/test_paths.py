@@ -436,7 +436,8 @@ def test_pair_search_exact_on_small_and_ragged_grids(n):
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 def test_pair_search_exact_under_large_offset(offset):
     # the dyadic path: increments of u + c are those of u bit for bit, so
-    # the pair sups must not move when the box centres round at 1e4
+    # the seminorm must not move with the offset, while the bound's centre
+    # term grows with it
     n = 1024
     vals = _dyadic_smooth_path(n=n, m=2)
     dt = 1.0 / n
@@ -452,12 +453,12 @@ def _tight_box_path(offset, n=2048, beta=0.6, step=0.1):
     #   first node and comes back down in small steps.  The max is that
     #   gap-1 step, and its block-pair bound equals it up to the rounding
     #   of block 3's box centre.
-    # - Block 0 is a 12-gap ramp whose quotient is the largest float below
-    #   the max on the grid of increments at this offset, and its bound is
-    #   the largest of all.
-    # - A triangle wave from block 5 on gives 240 block pairs with bounds
-    #   between the two and small values, so the max is evaluated in a later
-    #   batch than the near tie, after pruning has started.
+    # - Block 0 is a 12-gap ramp whose rise is the largest increment at
+    #   this offset with a quotient below the max, and its bound is the
+    #   largest of all.
+    # - A triangle wave from block 5 on gives about 240 block pairs with
+    #   bounds between the two and small values, so the max is evaluated in
+    #   a later batch than the near tie, after pruning has started.
     dt = 1.0 / (n - 1)
     c = (dt * np.arange(n)) ** beta
     u = np.full(n, offset)
