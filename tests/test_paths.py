@@ -484,6 +484,43 @@ def test_pair_search_exact_on_tight_box_bounds():
             assert paths._holder_pair_sup(v, dt, beta, np.inf) == top
 
 
+def _tight_weighted_path(n=2048, m=16, beta=0.6, rho=16.0):
+    # The weighted analogue of _tight_box_path, without an offset.  Blocks
+    # hold 16 nodes, and a batch holds 8 block pairs at 16 modes.
+    # - A unit step at node 144, the first of block 9, after the flat block
+    #   8: its term is the max, and the bound of block pair (8, 9) equals
+    #   it, because the largest (j dt)^beta of block 8 and the largest
+    #   e^{-rho k dt} of block 9 sit at the two nodes of the step.
+    # - A step at node 80 whose term is 0.95 of the max; block 5 then rises
+    #   by a fifth, so its bound is the largest of all.
+    # - Four tents over blocks 16-23 give eight block pairs with bounds of
+    #   1.07 times the max and small values, so the max is evaluated in a
+    #   later batch than the near tie.
+    dt = 1.0 / (n - 1)
+    a = (dt * np.arange(n)) ** beta
+    b = np.exp(-rho * dt * np.arange(n))
+    u = np.zeros((n, m))
+    u[144:160, 0] = 1.0
+    u[160:224, 0] = np.linspace(1.0, 0.0, 64)
+    top = a[143] * b[144] / a[1]
+    rise = 0.95 * top * a[1] / (a[79] * b[80])
+    u[80:96, 0] = rise * np.linspace(1.0, 1.2, 16)
+    u[96:128, 0] = rise * np.linspace(1.2, 0.0, 32)
+    for s0 in range(256, 384, 32):
+        tent = 1.07 * top * a[1] / (a[s0 + 31] * b[s0])
+        u[s0 : s0 + 16, 0] = tent * np.linspace(0.0, 1.0, 16)
+        u[s0 + 16 : s0 + 32, 0] = tent * np.linspace(1.0, 0.0, 16)
+    return u, dt, beta, rho
+
+
+def test_weighted_pair_search_exact_on_tight_bounds():
+    # bounding a block's weights by their smallest values instead of their
+    # largest prunes the max here
+    vals, dt, beta, rho = _tight_weighted_path()
+    got = paths._weighted_holder_sup(vals, dt, beta, rho)
+    assert got == _per_gap_weighted_sup(vals, dt, beta, rho)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     st.integers(2, 300),
