@@ -51,6 +51,10 @@ _DRIFTS = {"tanh": np.tanh, "zero": lambda z: np.zeros_like(z), "identity": lamb
 
 _INTEGRANDS = ("constant", "time-linear")
 
+# commands that solve up to multiples of horizon/d need d | n_steps: cocycle
+# checks at T/4, T/2 and 3T/4, usc at T/2
+_GRID_DIVISORS = {"cocycle": 4, "usc": 2}
+
 
 def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
     cfg = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
@@ -70,6 +74,8 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
         if grid_pow < 0:
             raise ValueError("--grid-pow must be nonnegative")
         cfg["problem"]["n_steps"] = 2**grid_pow
+    if seed < 0:
+        raise ValueError("--seed must be nonnegative")
     cfg["seed"] = int(seed)
     # the fBm sampling method fixes the seed -> path map
     cfg["sampler"] = "circulant"
@@ -101,6 +107,11 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
     # tolerances at parse time
     _params(cfg)
     _solver_cfg(cfg)
+    try:  # the fGn step variance the sampler scales by
+        (pb["horizon"] / pb["n_steps"]) ** (2.0 * cfg["params"]["hurst"])
+    except OverflowError:
+        msg = f"problem.horizon = {pb['horizon']!r} overflows (horizon/n_steps)^(2H)"
+        raise ValueError(msg) from None
     return cfg
 
 
@@ -454,6 +465,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config, args.seed, args.grid_pow)
+        d = _GRID_DIVISORS.get(args.command, 1)
+        if cfg["problem"]["n_steps"] % d:
+            raise ValueError(f"{args.command} needs problem.n_steps divisible by {d}")
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -37,11 +37,9 @@ def solution_map(
     solving on [0, t], the first t/dt cells of omega.  t = 0 returns [u0]
     without solving."""
     u0 = np.asarray(u0, dtype=float)
-    k = omega.index_of(omega.t0 + t)
-    if k == 0:
+    if omega.index_of(omega.t0 + t) == 0:
         return [u0.copy()]
-    om = SampledPath(t0=omega.t0, dt=omega.dt, values=omega.values[: k + 1])
-    sols = solve_mild(u0, om, spec, cfg)
+    sols = solve_mild(u0, omega.window(t=omega.t0 + t), spec, cfg)
     return [u.values[-1].copy() for u in sols.elements]
 
 

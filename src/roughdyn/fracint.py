@@ -30,13 +30,11 @@ provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln
 
-from .paths import HolderParams, SampledPath, _grid_index
+from .paths import GridPath, HolderParams, SampledPath
 
 __all__ = [
     "IntegrandPath",
@@ -48,37 +46,24 @@ __all__ = [
 ]
 
 
-@dataclass
-class IntegrandPath:
+class IntegrandPath(GridPath):
     """Operator-valued path on a uniform grid.
 
     values has shape (n_nodes, J, I): node k holds the matrix with entries
     (e_j, g(t_k) e_i).  Scalar integrands pass shape (n_nodes,) and are
-    lifted to 1x1 matrices.
+    lifted to 1x1 matrices; diagonal ones pass (n_nodes, I), one diagonal
+    per node.
     """
 
-    t0: float
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None, None]
-        elif v.ndim == 2:  # diagonal integrand: one row per node
-            v = np.stack([np.diag(row) for row in v])
-        if v.ndim != 3 or v.shape[0] < 2:
-            raise ValueError("values must be (n_nodes, J, I) with >= 2 nodes")
-        self.values = v
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-
-    @property
-    def n_nodes(self):
-        return self.values.shape[0]
-
-    def index_of(self, t: float) -> int:
-        return _grid_index(self.t0, self.dt, self.n_nodes, t, "integrand")
+    @staticmethod
+    def _lift(values):
+        if values.ndim == 1:
+            values = values[:, None, None]
+        elif values.ndim == 2:
+            values = np.stack([np.diag(row) for row in values])
+        if values.ndim != 3:
+            raise ValueError("values must have shape (n_nodes[, J], I) or (n_nodes,)")
+        return values
 
     @staticmethod
     def constant(c: np.ndarray, like: SampledPath) -> "IntegrandPath":
@@ -181,7 +166,7 @@ def _causal_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, size, axis=0)[:n]
 
 
-def frac_deriv_left_mid(g, dt, alpha, gamma_rec):
+def frac_deriv_left_mid(g, dt, alpha):
     """Left fractional derivative of order alpha at every cell midpoint.
 
     g has shape (n+1, m): nodes of a piecewise-linear function on
@@ -201,10 +186,11 @@ def frac_deriv_left_mid(g, dt, alpha, gamma_rec):
     slopes = np.diff(g, axis=0) / dt
     r = (np.arange(n) + 0.5) * dt
     conv = _causal_conv(slopes, _cell_kernel(n, dt, 1.0 - alpha))
+    gamma_rec = 1.0 / gamma_fn(1.0 - alpha)
     return gamma_rec * (g[0] / r[:, None] ** alpha + conv)
 
 
-def frac_deriv_right_mid(w, dt, alpha, gamma_rec):
+def frac_deriv_right_mid(w, dt, alpha):
     """Right fractional derivative of order 1-alpha of w - w(T) at every
     cell midpoint.
 
@@ -222,19 +208,16 @@ def frac_deriv_right_mid(w, dt, alpha, gamma_rec):
     w = np.asarray(w, dtype=float)
     n = w.shape[0] - 1
     slopes = np.diff(w, axis=0)[::-1] / dt
+    gamma_rec = 1.0 / gamma_fn(alpha)
     return -gamma_rec * _causal_conv(slopes, _cell_kernel(n, dt, alpha))[::-1]
 
 
 def _window(g: IntegrandPath, omega: SampledPath, s, t):
-    if abs(g.dt - omega.dt) > 1e-12 * omega.dt:
+    """Node values of omega and of g on [s, t] (default: all of omega)."""
+    if not g.same_step(omega):
         raise ValueError("integrand and driver must share the grid step")
-    s = omega.t0 if s is None else s
-    t = omega.t_end if t is None else t
-    i0, i1 = omega.index_of(s), omega.index_of(t)
-    j0, j1 = g.index_of(s), g.index_of(t)
-    if i1 <= i0:
-        raise ValueError("need s < t")
-    return g.values[j0 : j1 + 1], omega.values[i0 : i1 + 1]
+    om = omega.window(s, t)
+    return g.window(om.t0, om.t_end).values, om.values
 
 
 def pathwise_integral(
@@ -281,10 +264,8 @@ def pathwise_integral_window(
     gv, wv = _window(g, omega, s, t)
     n1, J, I = gv.shape
     dt = omega.dt
-    dl = frac_deriv_left_mid(
-        gv.reshape(n1, J * I), dt, alpha, 1.0 / gamma_fn(1.0 - alpha)
-    ).reshape(n1 - 1, J, I)
-    dr = frac_deriv_right_mid(wv, dt, alpha, 1.0 / gamma_fn(alpha))
+    dl = frac_deriv_left_mid(gv.reshape(n1, J * I), dt, alpha).reshape(n1 - 1, J, I)
+    dr = frac_deriv_right_mid(wv, dt, alpha)
     # Zähle's (-1)^alpha times the (-1)^(1-alpha) of the right Weyl
     # derivative, which frac_deriv_right_mid leaves out, is -1
     return -dt * np.einsum("pji,pi->j", dl, dr)
@@ -303,15 +284,10 @@ def integral_norm_bound(
     t = omega.t_end if t is None else t
     val = pathwise_integral(g, omega, params, s, t)
     a, bp = params.alpha, params.beta_prime
-    gwin = SampledPath(
-        t0=s,
-        dt=g.dt,
-        values=g.values[g.index_of(s) : g.index_of(t) + 1].reshape(
-            -1, g.values.shape[1] * g.values.shape[2]
-        ),
-    )
-    gnorm = weighted_holder_norm(gwin, params.beta, rho=0.0)
-    wnorm = holder_seminorm(omega.restrict(s, t), bp)
+    gwin = g.window(s, t)
+    gflat = SampledPath(gwin.t0, gwin.dt, gwin.values.reshape(gwin.n_nodes, -1))
+    gnorm = weighted_holder_norm(gflat, params.beta, rho=0.0)
+    wnorm = holder_seminorm(omega, bp, s, t)
     b = params.beta
 
     def beta_fn(x, y):

@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "HolderParams",
+    "GridPath",
     "SampledPath",
     "fbm_covariance",
     "sample_fbm_1d",
@@ -32,21 +33,6 @@ __all__ = [
     "path_to_csv",
     "path_from_csv",
 ]
-
-_GRID_RTOL = 1e-9
-
-
-def _grid_index(t0: float, dt: float, n_nodes: int, t: float, what: str):
-    """Index of time t on the grid t0 + k*dt, k = 0..n_nodes-1; raises
-    ValueError naming the gridded object `what` when t is not a node."""
-    k = (t - t0) / dt
-    ki = int(round(k))
-    if abs(k - ki) > _GRID_RTOL * max(1.0, abs(k)) + 1e-12 or not (
-        0 <= ki < n_nodes
-    ):
-        raise ValueError(f"time {t} is not a grid node of this {what}")
-    return ki
-
 
 @dataclass(frozen=True)
 class HolderParams:
@@ -73,13 +59,19 @@ class HolderParams:
             )
 
 
-@dataclass
-class SampledPath:
-    """A function on a uniform time grid, stored mode-wise.
+# the grid rule: a time within _GRID_RTOL (relative to its index) of a node
+# is that node; two grids whose steps agree to _STEP_RTOL share their step
+_GRID_RTOL = 1e-9
+_STEP_RTOL = 1e-12
 
-    values has shape (n_nodes, n_modes); node k sits at t0 + k*dt.  Grid
-    paths are read as their piecewise-linear interpolants everywhere the
-    integration machinery needs off-node values.
+
+@dataclass
+class GridPath:
+    """Values on the uniform time grid t0 + k*dt, k = 0..n_nodes-1, node k
+    along the first axis of values.
+
+    The one owner of the grid rule: node lookup, windows and the grid-step
+    test.  Subclasses define _lift, which checks and shapes the values.
     """
 
     t0: float
@@ -87,11 +79,7 @@ class SampledPath:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.ndim != 2:
-            raise ValueError("values must be (n_nodes,) or (n_nodes, n_modes)")
+        self.values = self._lift(np.asarray(self.values, dtype=float))
         if self.values.shape[0] < 2:
             raise ValueError("need at least 2 grid nodes")
         if not self.dt > 0:
@@ -106,10 +94,6 @@ class SampledPath:
         return self.values.shape[0] - 1
 
     @property
-    def n_modes(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def t_end(self) -> float:
         return self.t0 + self.n_steps * self.dt
 
@@ -118,14 +102,49 @@ class SampledPath:
         return self.t0 + self.dt * np.arange(self.n_nodes)
 
     def index_of(self, t: float) -> int:
-        """Grid index of time t; rejects off-grid times."""
-        return _grid_index(self.t0, self.dt, self.n_nodes, t, "path")
+        """Grid index of time t; raises ValueError when t is not a node."""
+        k = (t - self.t0) / self.dt
+        ki = int(round(k))
+        off_grid = abs(k - ki) > _GRID_RTOL * max(1.0, abs(k)) + 1e-12
+        if off_grid or not 0 <= ki < self.n_nodes:
+            raise ValueError(f"time {t} is not a grid node of this path")
+        return ki
 
-    def restrict(self, s: float, t: float) -> "SampledPath":
-        i, j = self.index_of(s), self.index_of(t)
-        if j - i < 1:
-            raise ValueError("restriction window must contain at least one step")
-        return SampledPath(t0=s, dt=self.dt, values=self.values[i : j + 1].copy())
+    def window(self, s=None, t=None):
+        """The path on the nodes from s to t (default: the first and the
+        last node) as a view of the same type, starting at t0 + i*dt for
+        the node index i of s.  The window must contain at least one step."""
+        i = 0 if s is None else self.index_of(s)
+        j = self.n_steps if t is None else self.index_of(t)
+        if j <= i:
+            raise ValueError("window must contain at least one grid step")
+        return type(self)(self.t0 + i * self.dt, self.dt, self.values[i : j + 1])
+
+    def same_step(self, other: "GridPath") -> bool:
+        """Whether other lies on a grid with the same step."""
+        return abs(self.dt - other.dt) <= _STEP_RTOL * max(self.dt, other.dt)
+
+
+class SampledPath(GridPath):
+    """A vector path on a uniform time grid, stored mode-wise.
+
+    values has shape (n_nodes, n_modes); a scalar path may pass (n_nodes,).
+    Grid paths are read as their piecewise-linear interpolants everywhere
+    the integration machinery needs off-node values.
+    """
+
+    @staticmethod
+    def _lift(values):
+        values = np.atleast_1d(values)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.ndim != 2:
+            raise ValueError("values must be (n_nodes,) or (n_nodes, n_modes)")
+        return values
+
+    @property
+    def n_modes(self) -> int:
+        return self.values.shape[1]
 
     def scalar(self) -> np.ndarray:
         if self.n_modes != 1:
@@ -227,14 +246,6 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
         )
     vals = omega.values[k:] - omega.values[k]
     return SampledPath(t0=omega.t0, dt=omega.dt, values=vals)
-
-
-def _window_indices(u: SampledPath, s, t):
-    i = 0 if s is None else u.index_of(s)
-    j = u.n_nodes - 1 if t is None else u.index_of(t)
-    if j - i < 1:
-        raise ValueError("window contains fewer than 2 grid nodes")
-    return i, j
 
 
 # Block branch and bound behind every pair sup: nodes are cut into at most
@@ -355,8 +366,7 @@ def holder_seminorm(u: SampledPath, beta: float, s=None, t=None) -> float:
     ||u(t_k)-u(t_j)|| / (t_k-t_j)^beta.  A lower bound of the continuum
     seminorm, nondecreasing under grid refinement; NaN when a node value in
     [s, t] is not finite."""
-    i, j = _window_indices(u, s, t)
-    return _holder_pair_sup(u.values[i : j + 1], u.dt, beta, max_gap=np.inf)
+    return _holder_pair_sup(u.window(s, t).values, u.dt, beta, max_gap=np.inf)
 
 
 def wiener_modulus(u: SampledPath, beta: float, delta: float) -> float:

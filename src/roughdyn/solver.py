@@ -214,7 +214,7 @@ def apply_mild(
     log2(n) vectorized passes, O(n log n) per mode; every factor is a power
     of e^{-lambda dt} <= 1, so large lambda underflows to 0, never to inf.
     """
-    if u.n_nodes != omega.n_nodes or abs(u.dt - omega.dt) > 1e-12 * omega.dt:
+    if u.n_nodes != omega.n_nodes or not u.same_step(omega):
         raise ValueError("candidate and driver must share the grid")
     lam = spec.operator.eigenvalues
     N = lam.size
@@ -260,38 +260,35 @@ def _plain_starts(u0, omega, spec):
 
 
 def _probe_paths(u0, omega, spec, rng):
-    """Candidate pairs for measuring the contraction factor of T: the free
-    evolution against the constant path and against a random bump."""
+    """Probe paths for measuring the contraction factor of T: the free
+    evolution, the constant path and the free evolution plus a random
+    bump."""
     tt, const, base = _plain_starts(u0, omega, spec)
     bump = rng.standard_normal(spec.operator.n_modes)
-    pairs = [(base, const), (base, base + 0.3 * np.sqrt(tt)[:, None] * bump)]
-    dt = omega.dt
-    return [(SampledPath(0.0, dt, a), SampledPath(0.0, dt, b)) for a, b in pairs]
+    probes = [base, const, base + 0.3 * np.sqrt(tt)[:, None] * bump]
+    return [SampledPath(0.0, omega.dt, p) for p in probes]
 
 
 def _choose_rho(u0, omega, spec, cfg) -> tuple:
     """Double rho from 1 until the measured contraction factor of T over
     probe pairs drops below 1/2 (the images of T are rho-independent, so
-    they are computed once).  Fails loudly at the cap."""
+    each probe's is computed once).  Fails loudly at the cap."""
     rng = np.random.default_rng(cfg.seed)
-    pairs = _probe_paths(u0, omega, spec, rng)
-    images = [
-        (apply_mild(a, omega, u0, spec), apply_mild(b, omega, u0, spec))
-        for a, b in pairs
-    ]
+    probes = _probe_paths(u0, omega, spec, rng)
+    images = [apply_mild(p, omega, u0, spec) for p in probes]
     beta = spec.params.beta
     rho = 1.0
     while rho <= _RHO_MAX:
         q = 0.0
         informative = False
-        for (a, b), (ta, tb) in zip(pairs, images):
-            den = _residual_norm(a, b, beta, rho)
+        for i, j in ((0, 1), (0, 2)):  # free evolution against the others
+            den = _residual_norm(probes[i], probes[j], beta, rho)
             if not den > 1e-12:
                 # the exponential weight underflowed the probe difference;
                 # this rho measures nothing and must not count as contractive
                 continue
             informative = True
-            q = max(q, _residual_norm(ta, tb, beta, rho) / den)
+            q = max(q, _residual_norm(images[i], images[j], beta, rho) / den)
         if informative and np.isfinite(q) and q < 0.5:
             return rho, q
         rho *= 2.0
@@ -344,7 +341,6 @@ def solve_mild(
         traces.append(trace)
         if not converged:
             continue
-        unorm = weighted_holder_norm(u, beta, rho)
         is_new = all(
             _residual_norm(u, v, beta, 0.0) > cfg.distinct_tol
             for v in elements
@@ -352,6 +348,7 @@ def solve_mild(
         if is_new:
             elements.append(u)
             residuals.append(trace[-1])
+            unorm = weighted_holder_norm(u, beta, rho)
             ball_ok.append(bool(unorm <= radius * (1.0 + 1e-6)))
     if not elements:
         raise SolverError(
@@ -398,7 +395,7 @@ def smoothing_norm(
 
 def concatenate(u1: SampledPath, u2: SampledPath) -> SampledPath:
     """Paste two solution windows; u2 must start where u1 ends (to 1e-12)."""
-    if abs(u1.dt - u2.dt) > 1e-12 * u1.dt:
+    if not u1.same_step(u2):
         raise ValueError("grids must share dt")
     gap = np.max(np.abs(u2.values[0] - u1.values[-1]))
     if gap > 1e-12:
@@ -417,9 +414,7 @@ def translate_check(
     """Residual of the time-translated path as a solution on [0, T-s]:
     v = u(s + .) must satisfy the mild equation with driver
     omega(s + .) - omega(s) and initial value u(s)."""
-    k = u.index_of(u.t0 + s) if s > 0 else 0
-    if k >= u.n_steps:
-        raise ValueError("translation must leave a nonempty window")
-    v = SampledPath(t0=0.0, dt=u.dt, values=u.values[k:].copy())
-    tv = apply_mild(v, wiener_shift(omega, k), u.values[k], spec)
+    v = u.window(u.t0 + s)
+    om = wiener_shift(omega, u.n_steps - v.n_steps)
+    tv = apply_mild(v, om, v.values[0], spec)
     return _residual_norm(tv, v, spec.params.beta, rho)

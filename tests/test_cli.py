@@ -294,3 +294,49 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         check=True,
     )
     assert res.stdout.strip() == "False"
+
+
+def _assert_rejected_before_running(capsys, out):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--seed", "-1", "--out", str(out)]) == 2
+    _assert_rejected_before_running(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "command, grid_pow, body",
+    [
+        ("cocycle", "0", ""),  # checks at T/4, T/2 and 3T/4
+        ("cocycle", "1", ""),
+        ("cocycle", None, "[problem]\nn_steps = 6\n"),
+        ("usc", "0", ""),  # checks at T/2
+        ("solve", None, "[problem]\nhorizon = 1e300\n"),  # fGn variance overflows
+    ],
+    ids=["cocycle-pow0", "cocycle-pow1", "cocycle-n6", "usc-pow0", "horizon-1e300"],
+)
+def test_grid_and_horizon_rules_are_config_errors(
+    tmp_path, capsys, command, grid_pow, body
+):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(body)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if grid_pow is not None:
+        argv += ["--grid-pow", grid_pow]
+    assert cli.main(argv) == 2
+    _assert_rejected_before_running(capsys, out)
+
+
+def test_usc_runs_on_an_even_grid_off_quarters(tmp_path):
+    cfg_path = tmp_path / "six.ini"
+    cfg_path.write_text(SMALL.replace("n_steps = 32", "n_steps = 6"))
+    rc = cli.main(["usc", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "usc.json").read_text())["report"]["failures"] == 0

@@ -121,7 +121,7 @@ def _rel_err(got, ref):
 def test_frac_deriv_left_mid_matches_nodewise_oracle(alpha):
     vals, dt = _random_paths()
     n = vals.shape[0] - 1
-    got = fracint.frac_deriv_left_mid(vals, dt, alpha, 1.0 / gamma(1.0 - alpha))
+    got = fracint.frac_deriv_left_mid(vals, dt, alpha)
     fine = fracint.IntegrandPath(0.0, dt / 2, _refined(vals))  # diagonal lift
     ref = np.array(
         [np.diag(fracint.frac_deriv_left(fine, alpha, 0.0, (p + 0.5) * dt)) for p in range(n)]
@@ -134,7 +134,7 @@ def test_frac_deriv_left_mid_matches_nodewise_oracle(alpha):
 def test_frac_deriv_right_mid_matches_nodewise_oracle(alpha):
     vals, dt = _random_paths()
     n = vals.shape[0] - 1
-    got = fracint.frac_deriv_right_mid(vals, dt, alpha, 1.0 / gamma(alpha))
+    got = fracint.frac_deriv_right_mid(vals, dt, alpha)
     fine = paths.SampledPath(0.0, dt / 2, _refined(vals))
     ref = np.array(
         [fracint.frac_deriv_right(fine, alpha, (p + 0.5) * dt, n * dt) for p in range(n)]
@@ -151,8 +151,8 @@ def test_frac_deriv_mid_linear_closed_forms(alpha):
     dt = T / n
     lin = (dt * np.arange(n + 1))[:, None]
     r = (np.arange(n) + 0.5) * dt
-    left = fracint.frac_deriv_left_mid(lin, dt, alpha, 1.0 / gamma(1.0 - alpha))
-    right = fracint.frac_deriv_right_mid(lin, dt, alpha, 1.0 / gamma(alpha))
+    left = fracint.frac_deriv_left_mid(lin, dt, alpha)
+    right = fracint.frac_deriv_right_mid(lin, dt, alpha)
     assert _rel_err(left[:, 0], r ** (1.0 - alpha) / gamma(2.0 - alpha)) <= 1e-12
     assert _rel_err(right[:, 0], -((T - r) ** alpha) / gamma(1.0 + alpha)) <= 1e-12
 
@@ -165,15 +165,14 @@ def test_frac_deriv_mid_constant_offset(alpha, offset):
     vals, dt = _random_paths()
     n = vals.shape[0] - 1
     r = (np.arange(n) + 0.5) * dt
-    grec_r = 1.0 / gamma(alpha)
     assert np.array_equal(
-        fracint.frac_deriv_right_mid(vals + offset, dt, alpha, grec_r),
-        fracint.frac_deriv_right_mid(vals, dt, alpha, grec_r),
+        fracint.frac_deriv_right_mid(vals + offset, dt, alpha),
+        fracint.frac_deriv_right_mid(vals, dt, alpha),
     )
     grec_l = 1.0 / gamma(1.0 - alpha)
     moved = fracint.frac_deriv_left_mid(
-        vals + offset, dt, alpha, grec_l
-    ) - fracint.frac_deriv_left_mid(vals, dt, alpha, grec_l)
+        vals + offset, dt, alpha
+    ) - fracint.frac_deriv_left_mid(vals, dt, alpha)
     expected = np.broadcast_to((grec_l * offset / r**alpha)[:, None], moved.shape)
     assert _rel_err(moved, expected) <= 1e-12
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughdyn import heat, paths, solver
+from roughdyn import fracint, heat, paths, solver
 from roughdyn.spectral import SpectralOperator
 
 
@@ -165,6 +165,53 @@ def test_holder_seminorm_examples():
     assert paths.holder_seminorm(lin, 0.5) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         paths.holder_seminorm(lin, 0.5, 0.5, 0.5)
+
+
+def test_grid_rule_shared_by_driver_and_integrand():
+    # one grid rule for both path types: the same times are nodes, the
+    # same windows exist, and a window is a view of the same type
+    dt = 1 / 64
+    om = paths.SampledPath(0.25, dt, paths.sample_fbm_1d(0.75, 64, dt, 5).values)
+    g = fracint.IntegrandPath(om.t0, dt, np.cos(om.times))
+    probes = [om.t0 + k * dt for k in range(-2, 67)]
+    probes += [om.t0 + (k + 0.5) * dt for k in range(-1, 65)]
+    probes += [om.t0 + 7 * dt * (1 + 1e-13), om.t0 + 7 * dt * (1 + 1e-6)]
+
+    def outcome(path, fn):
+        try:
+            return fn(path)
+        except ValueError:
+            return None
+
+    nodes = [outcome(om, lambda p: p.index_of(t)) for t in probes]
+    assert nodes == [outcome(g, lambda p: p.index_of(t)) for t in probes]
+    # every node, plus the one within the node tolerance of node 7
+    assert sorted(k for k in nodes if k is not None) == sorted([*range(65), 7])
+    windows = [
+        (None, None, True),
+        (om.t0, om.t_end, True),
+        (om.t0 + 8 * dt, om.t0 + 40 * dt, True),
+        (None, om.t0 + 17 * dt, True),
+        (om.t0 + dt, None, True),
+        (om.t0 + 3 * dt, om.t0 + 3 * dt, False),  # no step
+        (om.t0 + 9 * dt, om.t0 + 2 * dt, False),  # reversed
+        (om.t0 + 0.5 * dt, None, False),  # off the grid
+    ]
+    for s, t, exists in windows:
+        wo = outcome(om, lambda p: p.window(s, t))
+        wg = outcome(g, lambda p: p.window(s, t))
+        assert (wo is not None) == (wg is not None) == exists
+        if not exists:
+            continue
+        assert type(wo) is paths.SampledPath and type(wg) is fracint.IntegrandPath
+        assert (wo.t0, wo.n_nodes) == (wg.t0, wg.n_nodes)
+        assert np.shares_memory(wo.values, om.values)
+        assert np.shares_memory(wg.values, g.values)
+        assert paths.holder_seminorm(om, 0.6, s, t) == paths.holder_seminorm(wo, 0.6)
+    whole = om.window()
+    assert (whole.t0, whole.dt) == (om.t0, om.dt)
+    assert np.array_equal(whole.values, om.values)
+    assert np.array_equal(g.window().values, g.values)
 
 
 def test_holder_seminorm_monotone_under_refinement():

@@ -234,6 +234,23 @@ def _solved_example(n=64, seed=8):
     return spec, om, cfg, sols
 
 
+def test_choose_rho_applies_mild_operator_once_per_probe(monkeypatch):
+    # the contraction factor pairs the free evolution with two other probes;
+    # T is applied once to each of the three distinct probe paths
+    spec, om, cfg, sols = _solved_example()
+    real = solver.apply_mild
+    seen = []
+
+    def counting(u, *args):
+        seen.append(u)
+        return real(u, *args)
+
+    monkeypatch.setattr(solver, "apply_mild", counting)
+    rho, q = solver._choose_rho(np.array([1.0, -0.5, 0.25]), om, spec, cfg)
+    assert len(seen) == 3 and len({id(u) for u in seen}) == 3
+    assert (rho, q) == (sols.rho, sols.contraction_factor)
+
+
 def test_concatenate_self_split():
     spec, om, cfg, sols = _solved_example()
     u = sols.elements[0]
