@@ -47,7 +47,11 @@ _DEFAULTS = {
     },
 }
 
-_DRIFTS = {"tanh": np.tanh, "zero": lambda z: np.zeros_like(z), "identity": lambda z: z}
+_DRIFTS = {  # name -> (F, its declared constant L_F)
+    "tanh": (np.tanh, 1.0),
+    "zero": (np.zeros_like, 0.0),
+    "identity": (lambda z: z, 1.0),
+}
 
 _INTEGRANDS = ("constant", "time-linear")
 
@@ -160,13 +164,14 @@ def _radii(cfg) -> list:
 def _problem(cfg) -> solver.ProblemSpec:
     pb = cfg["problem"]
     kernel = heat.default_kernel(amplitude=pb["kernel_amplitude"])
+    f, L_F = _DRIFTS[pb["drift"]]
     return heat.build_heat_problem(
-        f=_DRIFTS[pb["drift"]],
+        f=f,
         kernel=kernel,
         params=_params(cfg),
         n_modes=pb["n_modes"],
         m_phys=pb["m_phys"],
-        L_F=1.0 if pb["drift"] != "zero" else 0.0,
+        L_F=L_F,
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betaln, hyp1f1
 
 from .paths import HolderParams, SampledPath, weighted_holder_norm, wiener_shift
-from .spectral import SpectralOperator, frac_power_norm
+from .spectral import SpectralOperator, frac_power_norm, semigroup_apply
 
 __all__ = [
     "ProblemSpec",
@@ -113,6 +113,10 @@ class SolverConfig:
             raise ValueError("fp_tol must be positive")
         if not self.distinct_tol > self.fp_tol:
             raise ValueError("distinct_tol must exceed fp_tol")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -179,25 +183,28 @@ def _phi_weights(z: np.ndarray):
 
     so a cell contributes dt*(phi0*f_k + phi1*f_{k+1}) to the semigroup
     convolution of a piecewise-linear f.  Series branch below z = 1e-4
-    avoids catastrophic cancellation; both reduce to 1/2 at z = 0.
+    avoids catastrophic cancellation; both reduce to 1/2 at z = 0.  Above
+    z = 1e150 the leading terms in 1/z are exact to machine precision.
     """
     z = np.asarray(z, dtype=float)
     phi0 = np.empty_like(z)
     phi1 = np.empty_like(z)
     small = z < 1e-4
+    huge = z > 1e150
+    mid = ~(small | huge)
     zs = z[small]
     phi1[small] = 0.5 - zs / 6.0 + zs**2 / 24.0 - zs**3 / 120.0
     phi0[small] = 0.5 - zs / 3.0 + zs**2 / 8.0 - zs**3 / 30.0
-    zb = z[~small]
+    zb = z[mid]
     em = -np.expm1(-zb)  # 1 - e^{-z}
-    phi1[~small] = (zb - em) / zb**2
-    phi0[~small] = em / zb - phi1[~small]
+    phi1[mid] = (zb - em) / zb**2
+    phi0[mid] = em / zb - phi1[mid]
+    # e^{-z} = 0 here and z**2 would overflow: phi1 = 1/z - 1/z^2 rounds
+    # to 1/z, phi0 = 1/z^2 (underflowing to 0 past z ~ 1e154)
+    zinv = 1.0 / z[huge]
+    phi1[huge] = zinv
+    phi0[huge] = zinv * zinv
     return phi0, phi1
-
-
-def _free_evolution(u0, lam, dt, n):
-    """S(t)u0 at the grid nodes t = k*dt, k = 0..n: shape (n+1, N)."""
-    return np.exp(-np.outer(dt * np.arange(n + 1), lam)) * u0
 
 
 def apply_mild(
@@ -242,8 +249,8 @@ def apply_mild(
         acc[s + 1 :] += decay * acc[1 : n + 1 - s]
         decay = decay * decay
         s *= 2
-    out = _free_evolution(u0, lam, dt, n) + acc
-    return SampledPath(t0=u.t0, dt=dt, values=out)
+    acc += semigroup_apply(spec.operator, dt * np.arange(n + 1), u0)
+    return SampledPath(t0=u.t0, dt=dt, values=acc)
 
 
 def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
@@ -251,62 +258,53 @@ def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
     return weighted_holder_norm(diff, beta, rho)
 
 
-def _plain_starts(u0, omega, spec):
-    """Node times of the driver's grid, the constant path u0 and the free
-    evolution S(t)u0 on it."""
+def _start_family(u0, omega, spec, cfg):
+    """Contraction probes u0, S(t)u0 and S(t)u0 + 0.3 sqrt(t) xi (xi from
+    default_rng(seed)), and an iterator over the n_starts Picard starts: the
+    first two probes themselves, then S(t)u0 + s t^beta xi (s, xi from
+    SeedSequence([seed, 7])), each built when it is reached."""
     n, dt = omega.n_steps, omega.dt
-    base = _free_evolution(u0, spec.operator.eigenvalues, dt, n)
-    return dt * np.arange(n + 1), np.tile(u0, (n + 1, 1)), base
+    tt = dt * np.arange(n + 1)
+    base = semigroup_apply(spec.operator, tt, u0)
+    xi = np.random.default_rng(cfg.seed).standard_normal(spec.operator.n_modes)
+    probe = base + 0.3 * np.sqrt(tt)[:, None] * xi
+    probes = [SampledPath(0.0, dt, p) for p in (np.tile(u0, (n + 1, 1)), base, probe)]
+    plain = probes[: min(2, cfg.n_starts)]
+    rough = (tt**spec.params.beta)[:, None]
+
+    def starts():
+        yield from plain
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
+        for _ in range(cfg.n_starts - 2):
+            bump = rng.standard_normal(spec.operator.n_modes)
+            scale = rng.uniform(0.05, 0.5)
+            yield SampledPath(0.0, dt, base + scale * rough * bump)
+
+    return probes, starts()
 
 
-def _probe_paths(u0, omega, spec, rng):
-    """Probe paths for measuring the contraction factor of T: the free
-    evolution, the constant path and the free evolution plus a random
-    bump."""
-    tt, const, base = _plain_starts(u0, omega, spec)
-    bump = rng.standard_normal(spec.operator.n_modes)
-    probes = [base, const, base + 0.3 * np.sqrt(tt)[:, None] * bump]
-    return [SampledPath(0.0, omega.dt, p) for p in probes]
-
-
-def _choose_rho(u0, omega, spec, cfg) -> tuple:
-    """Double rho from 1 until the measured contraction factor of T over
-    probe pairs drops below 1/2 (the images of T are rho-independent, so
-    each probe's is computed once).  Fails loudly at the cap."""
-    rng = np.random.default_rng(cfg.seed)
-    probes = _probe_paths(u0, omega, spec, rng)
-    images = [apply_mild(p, omega, u0, spec) for p in probes]
-    beta = spec.params.beta
+def _choose_rho(probes, images, beta) -> tuple:
+    """Double rho from 1 until the contraction factor q of T, measured on
+    S(t)u0 paired with each other probe and on their rho-free images, drops
+    below 1/2.  q is a measurement on two pairs, not a proof of contraction."""
     rho = 1.0
     while rho <= _RHO_MAX:
         q = 0.0
         informative = False
-        for i, j in ((0, 1), (0, 2)):  # free evolution against the others
-            den = _residual_norm(probes[i], probes[j], beta, rho)
+        for j in (0, 2):  # S(t)u0 against u0, then against the bump probe
+            den = _residual_norm(probes[1], probes[j], beta, rho)
             if not den > 1e-12:
                 # the exponential weight underflowed the probe difference;
                 # this rho measures nothing and must not count as contractive
                 continue
             informative = True
-            q = max(q, _residual_norm(images[i], images[j], beta, rho) / den)
+            q = max(q, _residual_norm(images[1], images[j], beta, rho) / den)
         if informative and np.isfinite(q) and q < 0.5:
             return rho, q
         rho *= 2.0
     raise SolverError(
         f"no contractive weight found up to rho = {_RHO_MAX}"
     )
-
-
-def _initial_candidates(u0, omega, spec, cfg):
-    tt, const, base = _plain_starts(u0, omega, spec)
-    starts = [const, base]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
-    while len(starts) < cfg.n_starts:
-        bump = rng.standard_normal(spec.operator.n_modes)
-        scale = rng.uniform(0.05, 0.5)
-        # perturbation vanishing at t = 0, Hölder-rough in t
-        starts.append(base + scale * (tt**spec.params.beta)[:, None] * bump)
-    return [SampledPath(0.0, omega.dt, s) for s in starts[: cfg.n_starts]]
 
 
 def solve_mild(
@@ -321,15 +319,19 @@ def solve_mild(
     """
     u0 = np.asarray(u0, dtype=float)
     beta = spec.params.beta
-    rho, qfac = _choose_rho(u0, omega, spec, cfg)
+    probes, starts = _start_family(u0, omega, spec, cfg)
+    images = [apply_mild(p, omega, u0, spec) for p in probes]
+    rho, qfac = _choose_rho(probes, images, beta)
+    # T(u0) and T(S(t)u0) are the first Picard steps of starts 0 and 1
+    firsts = images[: min(2, cfg.n_starts)]
+    del probes, images
     radius = 1.0 + 2.0 * np.linalg.norm(u0)
     elements, residuals, traces, ball_ok = [], [], [], []
-    for cand in _initial_candidates(u0, omega, spec, cfg):
+    for u in starts:
         trace = []
-        u = cand
         converged = False
-        for _ in range(cfg.max_iters):
-            tu = apply_mild(u, omega, u0, spec)
+        for k in range(cfg.max_iters):
+            tu = apply_mild(u, omega, u0, spec) if k or not firsts else firsts.pop(0)
             res = _residual_norm(tu, u, beta, rho)
             trace.append(res)
             u = tu

@@ -60,14 +60,14 @@ def laplacian_1d(n_modes: int = 32, length: float = np.pi, trace_weights=None):
     return SpectralOperator(eigenvalues=lam, trace_weights=q)
 
 
-def semigroup_apply(op: SpectralOperator, t: float, u: np.ndarray) -> np.ndarray:
-    """Coefficients of S(t)u: c_i -> exp(-lambda_i t) c_i."""
-    if t < 0:
+def semigroup_apply(op: SpectralOperator, t, u: np.ndarray) -> np.ndarray:
+    """Coefficients of S(t)u: c_i -> exp(-lambda_i t) c_i.  An array of
+    times, e.g. the nodes of a grid, gives one row per time."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("semigroup defined for t >= 0 only")
     u = np.asarray(u, dtype=float)
-    if t == 0.0:
-        return u.copy()
-    return np.exp(-op.eigenvalues * t) * u
+    return np.exp(-np.multiply.outer(t, op.eigenvalues)) * u
 
 
 def frac_power_norm(op: SpectralOperator, delta: float, u: np.ndarray) -> float:

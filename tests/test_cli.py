@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,31 @@ def test_grid_and_horizon_rules_are_config_errors(
         argv += ["--grid-pow", grid_pow]
     assert cli.main(argv) == 2
     _assert_rejected_before_running(capsys, out)
+
+
+def test_huge_step_solver_failure_is_one_stderr_line(tmp_path, capsys):
+    # lambda*dt ~ 1e198: the mild operator's cell moments stay finite and
+    # warning-free, and no contractive weight exists on this grid
+    cfg_path = tmp_path / "huge.ini"
+    cfg_path.write_text("[problem]\nhorizon = 1e200\n")
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--grid-pow", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("drift", sorted(cli._DRIFTS))
+def test_drift_table_declares_valid_constants(drift):
+    cfg = cli._load_config(None, 0, 4)
+    cfg["problem"]["drift"] = drift
+    spec = cli._problem(cfg)
+    assert spec.L_F == cli._DRIFTS[drift][1]
+    rep = spec.spot_check_growth(rng=0)
+    # identity measures -5.3e-15: round-off of the sine synthesis round trip
+    assert rep["drift_growth_slack"] >= -1e-12
+    assert rep["diffusion_lipschitz_slack"] >= -1e-12
 
 
 def test_usc_runs_on_an_even_grid_off_quarters(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import betaln, roots_jacobi
@@ -234,10 +236,13 @@ def _solved_example(n=64, seed=8):
     return spec, om, cfg, sols
 
 
-def test_choose_rho_applies_mild_operator_once_per_probe(monkeypatch):
-    # the contraction factor pairs the free evolution with two other probes;
-    # T is applied once to each of the three distinct probe paths
-    spec, om, cfg, sols = _solved_example()
+def test_probe_images_are_the_first_picard_steps(monkeypatch):
+    # rho is measured on T's images of u0, S(t)u0 and one bump probe; the
+    # first two are also the first Picard steps of starts 0 and 1, so a
+    # solve applies T once per Picard step plus once to the probe, and once
+    # more to S(t)u0 when it is no start (n_starts = 1)
+    spec, om, cfg, _ = _solved_example()
+    u0 = np.array([1.0, -0.5, 0.25])
     real = solver.apply_mild
     seen = []
 
@@ -246,9 +251,46 @@ def test_choose_rho_applies_mild_operator_once_per_probe(monkeypatch):
         return real(u, *args)
 
     monkeypatch.setattr(solver, "apply_mild", counting)
-    rho, q = solver._choose_rho(np.array([1.0, -0.5, 0.25]), om, spec, cfg)
-    assert len(seen) == 3 and len({id(u) for u in seen}) == 3
-    assert (rho, q) == (sols.rho, sols.contraction_factor)
+    for n_starts, probe_calls in ((1, 2), (2, 1), (3, 1)):
+        seen.clear()
+        c = solver.SolverConfig(n_starts=n_starts, seed=cfg.seed)
+        sols = solver.solve_mild(u0, om, spec, c)
+        assert len(sols.residual_traces) == n_starts
+        steps = sum(len(t) for t in sols.residual_traces)
+        assert len(seen) == steps + probe_calls
+        # frozen from the solver that applied T to u0 and S(t)u0 twice
+        assert (sols.rho, sols.contraction_factor) == (1.0, 0.3137927758675681)
+
+    # _choose_rho measures on the images it is given and applies T to nothing
+    probes, starts = solver._start_family(u0, om, spec, cfg)
+    starts = list(starts)
+    assert len(probes) == 3 and len(starts) == cfg.n_starts == 2
+    assert starts[0] is probes[0] and starts[1] is probes[1]
+    images = [real(p, om, u0, spec) for p in probes]
+    seen.clear()
+    assert solver._choose_rho(probes, images, PP.beta) == (1.0, 0.3137927758675681)
+    assert seen == []
+
+
+def test_choose_rho_doubles_to_a_frozen_weight():
+    # a diffusion strong enough that rho = 1, 2 and 4 do not contract on the
+    # probes; the values are frozen from the solver that applied T to u0 and
+    # S(t)u0 twice
+    op = laplacian_1d(3)
+    spec = solver.ProblemSpec(
+        op,
+        lambda u: np.tanh(u),
+        lambda u: 6.0 * np.eye(3) * (1.0 + 0.3 * np.tanh(u[..., 1]))[..., None, None],
+        PP,
+        L_F=1.0,
+    )
+    om = paths.sample_qfbm(op, 0.75, 64, 1.0 / 64, 8)
+    u0 = np.array([1.0, -0.5, 0.25])
+    for n_starts in (1, 3):
+        c = solver.SolverConfig(n_starts=n_starts, seed=8)
+        sols = solver.solve_mild(u0, om, spec, c)
+        assert (sols.rho, sols.contraction_factor) == (16.0, 0.24921666696172362)
+        assert [len(t) for t in sols.residual_traces] == [7] * n_starts
 
 
 def test_concatenate_self_split():
@@ -340,6 +382,32 @@ def test_solver_config_validation():
         solver.SolverConfig(fp_tol=0.0)
     with pytest.raises(ValueError):
         solver.SolverConfig(fp_tol=1e-3, distinct_tol=1e-4)
+
+
+def test_solver_config_rejects_empty_search():
+    # no start, or no Picard step, can never converge
+    with pytest.raises(ValueError, match="n_starts"):
+        solver.SolverConfig(n_starts=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        solver.SolverConfig(max_iters=0)
+    assert solver.SolverConfig(n_starts=1, max_iters=1).n_starts == 1
+
+
+def test_phi_weights_huge_steps():
+    # for z > 1e150, e^{-z} = 0 and phi1 = 1/z - 1/z^2 + e^{-z}/z^2 is 1/z
+    # to machine precision, phi0 = 1/z^2 - e^{-z}(1/z + 1/z^2) is 1/z^2;
+    # evaluating them must neither overflow nor warn
+    z = np.array([1e151, 1e155, 1e200, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi0, phi1 = solver._phi_weights(z)
+    assert np.all(np.isfinite(phi0)) and np.all(np.isfinite(phi1))
+    assert np.all(phi1 == 1.0 / z)
+    assert np.all(phi0 >= 0.0) and np.all(phi0 <= phi1 * 1e-150)
+    assert phi0[0] == pytest.approx(1e-302, rel=1e-15, abs=0.0)
+    # phi1 is continuous across the switch
+    _, p1 = solver._phi_weights(np.array([1e150, np.nextafter(1e150, np.inf)]))
+    assert p1 == pytest.approx(np.array([1e-150, 1e-150]), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("zdt", [1e-6, 1.0, 64.0, 800.0])

@@ -37,6 +37,20 @@ def test_semigroup_apply_examples():
         spectral.semigroup_apply(op1, -0.1, np.array([1.0]))
 
 
+def test_semigroup_apply_time_vector():
+    # one row per time, each the same bits as the scalar call
+    op = spectral.laplacian_1d(5)
+    u = np.linspace(-1.0, 2.0, 5)
+    t = 0.01 * np.arange(9)
+    rows = spectral.semigroup_apply(op, t, u)
+    assert rows.shape == (9, 5)
+    for k, tk in enumerate(t):
+        assert np.array_equal(rows[k], spectral.semigroup_apply(op, tk, u))
+    assert np.array_equal(rows[0], u)
+    with pytest.raises(ValueError):
+        spectral.semigroup_apply(op, np.array([0.0, 0.1, -1e-300]), u)
+
+
 def test_semigroup_law():
     op = spectral.laplacian_1d(8)
     u = np.linspace(1, 2, 8)
