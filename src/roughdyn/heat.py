@@ -10,10 +10,11 @@ Every field operation acts along the last axis, so one call handles a
 single field of shape (N,) or a whole grid path of shape (n+1, N).
 
 The diffusion G(u) is the integral operator v -> int g(x, y, u(y)) v(y) dy,
-discretized as an N x N matrix by the same quadrature.  Kernels with a
-profile bound |g(x,y,z1) - g(x,y,z2)| <= L(x)|z1 - z2| make G Lipschitz in
-the Hilbert-Schmidt norm with constant ||L||; that bound survives the
-discretization exactly (the quadrature is a Parseval pairing).
+discretized by the same quadrature and applied to noise coefficients v
+directly (kernel_apply), so a path never builds an N x N matrix per node.
+Kernels with a profile bound |g(x,y,z1) - g(x,y,z2)| <= L(x)|z1 - z2| make
+G Lipschitz in the Hilbert-Schmidt norm with constant ||L||; that bound
+survives the discretization exactly (the quadrature is a Parseval pairing).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "synthesize",
     "project",
     "nemytskii_apply",
-    "kernel_matrix",
+    "kernel_apply",
     "lipschitz_norm",
     "default_kernel",
     "build_heat_problem",
@@ -90,9 +91,10 @@ class KernelSpec:
     """Integral kernel g(x, y, z) with Lipschitz profile L(x).
 
     g must vectorize over (x, y, z) arrays.  When the kernel factors as
-    g(x,y,z) = phi(x) * psi(y, z), pass (phi, psi) as `separable` and the
-    operator matrix is assembled rank-one in O(M N) instead of O(M^2 N);
-    psi must then broadcast nodes y (M,) against values z (..., M).
+    g(x,y,z) = phi(x) * psi(y, z), pass (phi, psi) as `separable`: G(u)v is
+    then phi's coefficients times one inner product with v, O(N) per field
+    after synthesis instead of an (M, M) kernel table; psi must then
+    broadcast nodes y (M,) against values z (..., M).
     """
 
     g: callable
@@ -112,30 +114,39 @@ class KernelSpec:
         return float(np.min(rhs - lhs))
 
 
-def kernel_matrix(kspec: KernelSpec, u: np.ndarray, basis: SineBasis) -> np.ndarray:
-    """Entries (e_j, G(u) e_i) = w^2 sum_{a,b} e_j(x_a) g(x_a, y_b, u(y_b)) e_i(y_b).
+def kernel_apply(
+    kspec: KernelSpec, u: np.ndarray, v: np.ndarray, basis: SineBasis
+) -> np.ndarray:
+    """(e_i, G(u)v) = w^2 sum_{a,b} e_i(x_a) g(x_a, y_b, u(y_b)) sum_j e_j(y_b) v_j.
 
-    u of shape (..., N) gives matrices of shape (..., N, N).
+    u (..., N) and v (..., N) broadcast along their leading axes to a result
+    (..., N); each field u is synthesized once, however many v it meets.
+    On the unit vectors, kernel_apply(k, u, np.eye(N), basis) is G(u)^T.
     """
     S = basis.synth_matrix
     w = basis.weight
     x = basis.nodes
-    uy = synthesize(basis, u)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    # one matrix product over all fields, whatever u's leading shape
+    uy = synthesize(basis, u.reshape(-1, u.shape[-1]))
     if kspec.separable is not None:
         phi, psi = kspec.separable
         left = w * (phi(x) @ S)
-        right = w * (psi(x, uy) @ S)
-        return left[:, None] * right[..., None, :]
+        right = (w * (psi(x, uy) @ S)).reshape(u.shape)
+        return left * np.sum(right * v, axis=-1, keepdims=True)
 
-    def one(row):
-        gv = kspec.g(x[:, None], x[None, :], row[None, :])
-        return w**2 * (S.T @ gv @ S)
-
-    # one (M, M) kernel table at a time: a path never holds (n+1, M, M)
-    flat = uy.reshape(-1, uy.shape[-1])
-    return np.array([one(row) for row in flat]).reshape(
-        uy.shape[:-1] + (S.shape[1], S.shape[1])
-    )
+    # one (M, M) kernel table per field u, applied to every v it meets: a
+    # path never holds (n+1, M, M)
+    lead = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    ulead = (1,) * (len(lead) + 1 - u.ndim) + u.shape[:-1]
+    vy = synthesize(basis, np.broadcast_to(v, lead + v.shape[-1:]))
+    out = np.empty(lead + (S.shape[1],))
+    for row, idx in zip(uy, np.ndindex(ulead)):
+        sel = tuple(i if m > 1 else slice(None) for i, m in zip(idx, ulead))
+        table = kspec.g(x[:, None], x[None, :], row[None, :])
+        out[sel] = w**2 * ((vy[sel] @ table.T) @ S)
+    return out
 
 
 def lipschitz_norm(kspec: KernelSpec, basis: SineBasis) -> float:
@@ -183,7 +194,7 @@ def build_heat_problem(
     return ProblemSpec(
         operator=op,
         drift=lambda u: nemytskii_apply(f, u, basis),
-        diffusion=lambda u: kernel_matrix(kernel, u, basis),
+        diffusion=lambda u, v: kernel_apply(kernel, u, v, basis),
         params=params,
         c_F=c_F,
         L_F=L_F,

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betaln, hyp1f1
 
 from .paths import HolderParams, SampledPath, weighted_holder_norm, wiener_shift
-from .spectral import SpectralOperator, frac_power_norm, semigroup_apply
+from .spectral import SpectralOperator, semigroup_apply
 
 __all__ = [
     "ProblemSpec",
@@ -34,7 +35,6 @@ __all__ = [
     "kummer_decay",
     "apply_mild",
     "solve_mild",
-    "smoothing_norm",
     "concatenate",
     "translate_check",
 ]
@@ -59,9 +59,10 @@ class ProblemSpec:
     spec solves on any window of a path, and a window is a slice of omega.
 
     F and G act node by node along the leading axes of a whole path:
-    F: (..., N) -> (..., N) and G: (..., N) -> (..., N, n_noise_modes).
-    A single field (N,) is the case with no leading axes; the mild
-    operator passes the whole grid path (n+1, N) in one call each.
+    drift(u) maps (..., N) to (..., N), and diffusion(u, v) is G(u)v for
+    fields u (..., N) and noise vectors v (..., M), leading axes broadcast,
+    result (..., N).  A single field (N,) is the case with no leading axes;
+    the mild operator calls each once per application, on the whole path.
     The declared constants |F(u)| <= c_F + L_F|u| and
     |G(u) - G(v)| <= L_G|u - v| are keyword-only; the solver never reads
     them, and spot_check_growth tests them on random fields.
@@ -78,9 +79,11 @@ class ProblemSpec:
 
     def spot_check_growth(self, rng=None, n_samples: int = 20) -> dict:
         """Verify the declared constants on random fields; returns worst
-        slacks (negative slack = declared constant violated)."""
+        slacks (negative slack = declared constant violated).  G's HS norm
+        is that of G applied to the N unit noise vectors, G transposed."""
         rng = np.random.default_rng(rng)
         N = self.operator.n_modes
+        units = np.eye(N)
         worst_f, worst_g = np.inf, np.inf
         for _ in range(n_samples):
             u = rng.standard_normal(N) * rng.uniform(0.1, 3.0)
@@ -89,7 +92,7 @@ class ProblemSpec:
             worst_f = min(
                 worst_f, self.c_F + self.L_F * np.linalg.norm(u) - fu
             )
-            dg = np.linalg.norm(self.diffusion(u) - self.diffusion(v))
+            dg = np.linalg.norm(self.diffusion(u, units) - self.diffusion(v, units))
             worst_g = min(
                 worst_g, self.L_G * np.linalg.norm(u - v) - dg
             )
@@ -184,7 +187,9 @@ def _phi_weights(z: np.ndarray):
     so a cell contributes dt*(phi0*f_k + phi1*f_{k+1}) to the semigroup
     convolution of a piecewise-linear f.  Series branch below z = 1e-4
     avoids catastrophic cancellation; both reduce to 1/2 at z = 0.  Above
-    z = 1e150 the leading terms in 1/z are exact to machine precision.
+    z = 1, phi0 = (1 - (1+z)e^{-z})/z^2 directly, as (1 - e^{-z})/z - phi1
+    cancels to ~1/z^2.  Above z = 1e150 the leading terms in 1/z are exact
+    to machine precision.
     """
     z = np.asarray(z, dtype=float)
     phi0 = np.empty_like(z)
@@ -198,7 +203,9 @@ def _phi_weights(z: np.ndarray):
     zb = z[mid]
     em = -np.expm1(-zb)  # 1 - e^{-z}
     phi1[mid] = (zb - em) / zb**2
-    phi0[mid] = em / zb - phi1[mid]
+    phi0[mid] = np.where(
+        zb > 1.0, (em - zb * np.exp(-zb)) / zb**2, em / zb - phi1[mid]
+    )
     # e^{-z} = 0 here and z**2 would overflow: phi1 = 1/z - 1/z^2 rounds
     # to 1/z, phi0 = 1/z^2 (underflowing to 0 past z ~ 1e154)
     zinv = 1.0 / z[huge]
@@ -233,12 +240,16 @@ def apply_mild(
     z = lam * dt
     phi0, phi1 = _phi_weights(z)
 
+    dw = np.zeros((n + 2, omega.n_modes))
+    np.subtract(omega.values[1:], omega.values[:-1], out=dw[1:-1])
+    # one diffusion call on the n+1 nodes, each meeting the increments of
+    # both its cells: gv[k] = (G(u_k)dw[k-1], G(u_k)dw[k]) on the padded dw.
+    # It runs before the drift: its temporaries are freed before fvals
+    # exists (drift first holds one more path at the solve's peak)
+    pairs = sliding_window_view(dw, 2, axis=0).swapaxes(-1, -2)
+    gv = spec.diffusion(u.values[:, None, :], pairs)
+    g_lo, g_hi = gv[:-1, 1], gv[1:, 0]  # cell m: G(u_m)dw[m], G(u_{m+1})dw[m]
     fvals = spec.drift(u.values)
-    gmats = spec.diffusion(u.values)
-    dw = np.diff(omega.values, axis=0)
-    # cell m couples both endpoint matrices to the same increment dw[m]
-    g_lo = np.einsum("kij,kj->ki", gmats[:-1], dw)
-    g_hi = np.einsum("kij,kj->ki", gmats[1:], dw)
     acc = np.zeros((n + 1, N))
     acc[1:] = (
         dt * (phi0 * fvals[:-1] + phi1 * fvals[1:]) + phi0 * g_lo + phi1 * g_hi
@@ -365,34 +376,6 @@ def solve_mild(
         ball_radius=radius,
         ball_ok=ball_ok,
     )
-
-
-def smoothing_norm(
-    u: SampledPath, omega: SampledPath, spec: ProblemSpec, t: float, delta: float
-) -> dict:
-    """Fractional-power norm of the solution at time t, with the a-priori
-    smoothing envelope c_S t^{-delta}||u(0)|| + c (t^{beta'-delta}|||omega|||
-    + t^{1-delta})(1 + ||u||) reported alongside (c measured as the ratio)."""
-    if not (0.0 <= delta < spec.params.beta_prime):
-        raise ValueError("need 0 <= delta < beta_prime")
-    if t <= 0 and delta > 0:
-        raise ValueError("need t > 0 for positive delta")
-    from .paths import holder_seminorm
-
-    val = frac_power_norm(spec.operator, delta, u.values[u.index_of(t)])
-    u0n = np.linalg.norm(u.values[0])
-    wnorm = holder_seminorm(omega, spec.params.beta_prime)
-    unorm = weighted_holder_norm(u, spec.params.beta, 0.0)
-    bp = spec.params.beta_prime
-    envelope_shape = (
-        (t**-delta * u0n if t > 0 else np.inf)
-        + (t ** (bp - delta) * wnorm + t ** (1.0 - delta)) * (1.0 + unorm)
-    )
-    return {
-        "value": val,
-        "envelope_shape": float(envelope_shape),
-        "ratio": float(val / envelope_shape) if envelope_shape > 0 else 0.0,
-    }
 
 
 def concatenate(u1: SampledPath, u2: SampledPath) -> SampledPath:

@@ -181,7 +181,7 @@ def test_criterion_07_additive_noise_oracle():
     spec = solver.ProblemSpec(
         op,
         lambda u: np.zeros_like(u),
-        lambda u: np.broadcast_to(sigma, u.shape[:-1] + (1, 1)),
+        lambda u, v: sigma * v,
         PP,
     )
     u0 = np.array([1.0])
@@ -306,14 +306,15 @@ def test_criterion_11_hs_lipschitz():
     basis = heat.SineBasis(n_modes=16, m_phys=256)
     kern = heat.default_kernel()
     lnorm = heat.lipschitz_norm(kern, basis)
+    units = np.eye(16)  # G(u) on the unit vectors: G(u)^T, same HS norm
     rng = np.random.default_rng(777)
     worst = -np.inf
     for _ in range(100):
         u1 = rng.standard_normal(16) * rng.uniform(0.1, 3.0)
         u2 = rng.standard_normal(16) * rng.uniform(0.1, 3.0)
         lhs = np.linalg.norm(
-            heat.kernel_matrix(kern, u1, basis)
-            - heat.kernel_matrix(kern, u2, basis)
+            heat.kernel_apply(kern, u1, units, basis)
+            - heat.kernel_apply(kern, u2, units, basis)
         )
         worst = max(worst, lhs - lnorm * np.linalg.norm(u1 - u2))
     ok = worst <= 1e-6

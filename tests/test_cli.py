@@ -268,6 +268,16 @@ def test_memory_budget_is_linear_in_grid_size():
     assert 1.99 < sizes[1] / sizes[0] < 2.01
 
 
+def test_memory_budget_is_affine_in_mode_count():
+    # the diffusion acts on increments: no (n+1) x N x N term
+    pb = dict(cli._DEFAULTS["problem"], n_steps=1 << 10, m_phys=256)
+    f = []
+    for N in (16, 32, 48):
+        pb["n_modes"] = N
+        f.append(cli._memory_bytes(pb, 8))
+    assert f[1] - f[0] == f[2] - f[1]
+
+
 def test_defaults_are_the_library_defaults():
     cfg = cli._load_config(None, 5, None)
     assert cli._params(cfg) == paths.HolderParams()

@@ -14,7 +14,7 @@ def _pure_semigroup_problem(n_modes=3, n_steps=64):
     spec = solver.ProblemSpec(
         op,
         lambda u: np.zeros_like(u),
-        lambda u: np.zeros(u.shape[:-1] + (n_modes, n_modes)),
+        lambda u, v: np.zeros(np.broadcast_shapes(u.shape, v.shape)),
         PP,
     )
     om = paths.sample_qfbm(op, 0.75, n_steps, 1.0 / n_steps, 1)
@@ -151,13 +151,16 @@ def _armed_problem(u0, bad_drift=None, bad_diffusion=None):
     zero_f, zero_g = spec.drift, spec.diffusion
 
     def perturbed(u):
-        return not np.array_equal(np.asarray(u)[0], u0)
+        # the drift gets the path (n+1, N), the diffusion (n+1, 1, N)
+        return not np.array_equal(np.reshape(u, (-1, u0.size))[0], u0)
 
     def drift(u):
         return bad_drift(u) if bad_drift and perturbed(u) else zero_f(u)
 
-    def diffusion(u):
-        return bad_diffusion(u) if bad_diffusion and perturbed(u) else zero_g(u)
+    def diffusion(u, v):
+        if bad_diffusion and perturbed(u):
+            return bad_diffusion(u, v)
+        return zero_g(u, v)
 
     spec.drift, spec.diffusion = drift, diffusion
     return spec, om
@@ -177,7 +180,7 @@ def test_usc_counts_solver_failures():
 def test_usc_propagates_programming_errors():
     u0 = np.array([1.0, 0.0, 0.0])
 
-    def broken(u):
+    def broken(u, v):
         raise TypeError("diffusion bug")
 
     spec, om = _armed_problem(u0, bad_diffusion=broken)

@@ -38,12 +38,17 @@ def test_nemytskii_sin_against_dense_oracle():
     assert got[4] == pytest.approx(0.0002055498074377138, abs=1e-6)
 
 
+def _transposed(kspec, u, basis):
+    # G(u) applied to the unit vectors: G(u) transposed, same HS norm
+    return heat.kernel_apply(kspec, u, np.eye(basis.n_modes), basis)
+
+
 def test_kernel_zero():
     basis = heat.SineBasis(n_modes=4, m_phys=64)
     k = heat.KernelSpec(
         g=lambda x, y, z: 0.0 * x * y, lipschitz_profile=lambda x: 0.0 * x
     )
-    assert np.all(heat.kernel_matrix(k, np.ones(4), basis) == 0.0)
+    assert np.all(_transposed(k, np.ones(4), basis) == 0.0)
 
 
 def test_kernel_separable_rank_one():
@@ -54,7 +59,7 @@ def test_kernel_separable_rank_one():
         g=lambda x, y, z: np.sin(x) * np.sin(y) + 0.0 * z,
         lipschitz_profile=lambda x: 0.0 * x,
     )
-    m = heat.kernel_matrix(k, np.zeros(8), basis)
+    m = _transposed(k, np.zeros(8), basis)
     assert np.linalg.matrix_rank(m, tol=1e-10) == 1
     assert np.linalg.norm(m) == pytest.approx(np.pi / 2.0, rel=1e-6)
 
@@ -64,10 +69,15 @@ def test_kernel_separable_path_matches_generic():
     kern = heat.default_kernel()
     generic = heat.KernelSpec(g=kern.g, lipschitz_profile=kern.lipschitz_profile)
     rng = np.random.default_rng(3)
+    vrng = np.random.default_rng(4)
     for _ in range(5):
         u = rng.standard_normal(8)
-        a = heat.kernel_matrix(kern, u, basis)
-        b = heat.kernel_matrix(generic, u, basis)
+        a = _transposed(kern, u, basis)
+        b = _transposed(generic, u, basis)
+        assert np.max(np.abs(a - b)) < 1e-12
+        v = vrng.standard_normal(8)
+        a = heat.kernel_apply(kern, u, v, basis)
+        b = heat.kernel_apply(generic, u, v, basis)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -81,8 +91,7 @@ def test_kernel_lipschitz_bound():
         u1 = rng.standard_normal(16) * rng.uniform(0.1, 3.0)
         u2 = rng.standard_normal(16) * rng.uniform(0.1, 3.0)
         lhs = np.linalg.norm(
-            heat.kernel_matrix(kern, u1, basis)
-            - heat.kernel_matrix(kern, u2, basis)
+            _transposed(kern, u1, basis) - _transposed(kern, u2, basis)
         )
         assert lhs <= lnorm * np.linalg.norm(u1 - u2) + 1e-6
 
@@ -98,7 +107,7 @@ def test_parseval_bound():
         uy = heat.synthesize(basis, u)
         gv = kern.g(basis.nodes[:, None], basis.nodes[None, :], uy[None, :])
         full = w**2 * np.sum(gv**2)
-        hs = np.linalg.norm(heat.kernel_matrix(kern, u, basis)) ** 2
+        hs = np.linalg.norm(_transposed(kern, u, basis)) ** 2
         assert hs <= full * (1.0 + 1e-12)
 
 
@@ -118,7 +127,7 @@ def test_build_heat_problem_constants():
     assert spec.L_G == pytest.approx(0.1 * np.sqrt(np.pi / 2.0), rel=1e-2)
     # G(0) = 0 for the default tanh(0) = 0 kernel
     basis = heat.SineBasis(n_modes=8, m_phys=64)
-    assert np.all(heat.kernel_matrix(heat.default_kernel(), np.zeros(8), basis) == 0.0)
+    assert np.all(_transposed(heat.default_kernel(), np.zeros(8), basis) == 0.0)
     rep = spec.spot_check_growth(rng=0)
     assert rep["drift_growth_slack"] >= 0.0
     assert rep["diffusion_lipschitz_slack"] >= -1e-12
@@ -164,21 +173,24 @@ def test_heat_drift_diffusion_on_path_match_per_node():
     spec = heat.build_heat_problem(n_modes=N, m_phys=M)
     x, S, w = _independent_sine(N, M)
     a = 0.1  # default kernel g(x, y, z) = a sin(x) sin(y) tanh(z)
-    path = np.random.default_rng(21).standard_normal((n + 1, N))
+    rng = np.random.default_rng(21)
+    path = rng.standard_normal((n + 1, N))
+    vpath = rng.standard_normal((n + 1, 2, N))
     fpath = spec.drift(path)
-    gpath = spec.diffusion(path)
+    # the mild operator's call: each node against two noise vectors
+    gpath = spec.diffusion(path[:, None, :], vpath)
     assert fpath.shape == (n + 1, N)
-    assert gpath.shape == (n + 1, N, N)
+    assert gpath.shape == (n + 1, 2, N)
     for k in range(n + 1):
         uy = S @ path[k]
         f_ref = w * (S.T @ np.tanh(uy))
         gv = a * np.sin(x)[:, None] * np.sin(x)[None, :] * np.tanh(uy)[None, :]
         g_ref = w**2 * (S.T @ gv @ S)
         assert np.max(np.abs(fpath[k] - f_ref)) < 1e-13
-        assert np.max(np.abs(gpath[k] - g_ref)) < 1e-13
+        assert np.max(np.abs(gpath[k] - vpath[k] @ g_ref.T)) < 1e-13
     # a single field is the path contract with no leading axes
     assert np.max(np.abs(spec.drift(path[3]) - fpath[3])) < 1e-14
-    assert np.max(np.abs(spec.diffusion(path[3]) - gpath[3])) < 1e-14
+    assert np.max(np.abs(spec.diffusion(path[3], vpath[3, 1]) - gpath[3, 1])) < 1e-14
 
 
 def test_generic_kernel_on_path_matches_per_node():
@@ -186,10 +198,17 @@ def test_generic_kernel_on_path_matches_per_node():
     kern = heat.default_kernel()
     generic = heat.KernelSpec(g=kern.g, lipschitz_profile=kern.lipschitz_profile)
     path = np.random.default_rng(22).standard_normal((2, 3, 5))
-    got = heat.kernel_matrix(generic, path, basis)
-    assert got.shape == (2, 3, 5, 5)
+    vs = np.random.default_rng(23).standard_normal((2, 3, 5))
+    got = heat.kernel_apply(generic, path, vs, basis)
+    # one field against three noise vectors: one kernel table per field
+    wide = heat.kernel_apply(generic, path[:, :1], vs, basis)
+    assert got.shape == wide.shape == (2, 3, 5)
     for idx in np.ndindex(2, 3):
-        ref = heat.kernel_matrix(generic, path[idx], basis)
+        ref = heat.kernel_apply(generic, path[idx], vs[idx], basis)
         assert np.max(np.abs(got[idx] - ref)) < 1e-13
-        sep = heat.kernel_matrix(kern, path[idx], basis)
+        dense = _transposed(generic, path[idx], basis).T
+        assert np.max(np.abs(ref - dense @ vs[idx])) < 1e-13
+        sep = heat.kernel_apply(kern, path[idx], vs[idx], basis)
         assert np.max(np.abs(got[idx] - sep)) < 1e-12
+        first = heat.kernel_apply(generic, path[idx[0], 0], vs[idx], basis)
+        assert np.max(np.abs(wide[idx] - first)) < 1e-13

@@ -1,3 +1,4 @@
+import decimal
 import warnings
 
 import numpy as np
@@ -14,13 +15,8 @@ def _zero_drift(u):
     return np.zeros_like(u)
 
 
-def _zero_diffusion_factory(n, m=None):
-    m = n if m is None else m
-
-    def g(u):
-        return np.zeros(u.shape[:-1] + (n, m))
-
-    return g
+def _zero_diffusion(u, v):
+    return np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + u.shape[-1:])
 
 
 # ---------------------------------------------------------------- kummer
@@ -87,7 +83,7 @@ def test_kummer_parameter_validation():
 
 def test_apply_mild_pure_semigroup():
     op = laplacian_1d(4)
-    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(4), PP)
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
     om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 1)
     u0 = np.array([1.0, -2.0, 0.5, 0.0])
     cand = paths.SampledPath(0.0, 1 / 64, np.random.default_rng(0).normal(size=(65, 4)))
@@ -101,7 +97,7 @@ def test_apply_mild_pure_semigroup():
 def test_apply_mild_linear_ode_fixed_point():
     # lambda = 1, F(u) = u: u(t) = u0 constant solves u' = -u + u
     op = SpectralOperator(np.array([1.0]), np.array([1.0]))
-    spec = solver.ProblemSpec(op, lambda u: u, _zero_diffusion_factory(1), PP)
+    spec = solver.ProblemSpec(op, lambda u: u, _zero_diffusion, PP)
     om = paths.sample_qfbm(op, 0.75, 128, 1 / 128, 2)
     cand = paths.SampledPath(0.0, 1 / 128, 2.0 * np.ones((129, 1)))
     out = solver.apply_mild(cand, om, np.array([2.0]), spec)
@@ -116,7 +112,7 @@ def test_apply_mild_additive_noise_riemann_stieltjes_oracle():
     spec = solver.ProblemSpec(
         op,
         _zero_drift,
-        lambda u: np.broadcast_to(sigma, u.shape[:-1] + (1, 1)),
+        lambda u, v: sigma * v,
         PP,
     )
     tt_f = np.linspace(0.0, 1.0, 4 * n + 1)
@@ -135,7 +131,7 @@ def test_apply_mild_additive_noise_riemann_stieltjes_oracle():
 
 def test_apply_mild_rejects_grid_mismatch():
     op = laplacian_1d(2)
-    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(2), PP)
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
     om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
     cand = paths.SampledPath(0.0, 1 / 32, np.zeros((33, 2)))
     with pytest.raises(ValueError):
@@ -147,7 +143,7 @@ def test_apply_mild_rejects_grid_mismatch():
 
 def test_solve_pure_semigroup_unique():
     op = laplacian_1d(3)
-    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(3), PP)
+    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
     om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 4)
     u0 = np.array([1.0, 0.5, 0.0])
     sols = solver.solve_mild(u0, om, spec, solver.SolverConfig(n_starts=3, seed=4))
@@ -161,11 +157,10 @@ def test_solve_pure_semigroup_unique():
 
 def test_solve_geometric_decay_and_contraction():
     op = laplacian_1d(3)
-    sigma = 0.2 * np.eye(3)
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: sigma * (1.0 + 0.5 * np.tanh(u[..., 0]))[..., None, None],
+        lambda u, v: 0.2 * (1.0 + 0.5 * np.tanh(u[..., :1])) * v,
         PP,
         L_F=1.0,
         L_G=0.3,
@@ -184,7 +179,7 @@ def test_solve_geometric_decay_and_contraction():
 def test_solver_failure_reports_traces():
     op = laplacian_1d(2)
     # absurd drift growth defeats contraction at every weight
-    spec = solver.ProblemSpec(op, lambda u: 1e8 * u, _zero_diffusion_factory(2), PP)
+    spec = solver.ProblemSpec(op, lambda u: 1e8 * u, _zero_diffusion, PP)
     om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
     with pytest.raises(solver.SolverError):
         solver.solve_mild(np.array([1.0, 0.0]), om, spec, solver.SolverConfig())
@@ -195,9 +190,9 @@ def test_declared_constants_are_keyword_only():
     # c_F and L_F
     op = laplacian_1d(2)
     with pytest.raises(TypeError):
-        solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(2), PP, 1.0, 64)
+        solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP, 1.0, 64)
     spec = solver.ProblemSpec(
-        op, _zero_drift, _zero_diffusion_factory(2), PP, L_F=2.0
+        op, _zero_drift, _zero_diffusion, PP, L_F=2.0
     )
     assert (spec.c_F, spec.L_F, spec.L_G) == (0.0, 2.0, 0.0)
 
@@ -207,7 +202,7 @@ def test_spot_check_growth():
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: np.broadcast_to(0.1 * np.eye(4), u.shape[:-1] + (4, 4)),
+        lambda u, v: 0.1 * v,
         PP,
         c_F=0.0,
         L_F=1.0,
@@ -226,7 +221,7 @@ def _solved_example(n=64, seed=8):
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: 0.15 * np.eye(3) * (1.0 + 0.3 * np.tanh(u[..., 1]))[..., None, None],
+        lambda u, v: 0.15 * (1.0 + 0.3 * np.tanh(u[..., 1:2])) * v,
         PP,
         L_F=1.0,
     )
@@ -280,7 +275,7 @@ def test_choose_rho_doubles_to_a_frozen_weight():
     spec = solver.ProblemSpec(
         op,
         lambda u: np.tanh(u),
-        lambda u: 6.0 * np.eye(3) * (1.0 + 0.3 * np.tanh(u[..., 1]))[..., None, None],
+        lambda u, v: 6.0 * (1.0 + 0.3 * np.tanh(u[..., 1:2])) * v,
         PP,
         L_F=1.0,
     )
@@ -353,30 +348,6 @@ def test_translate_check():
     assert res < 2.0 * cfg.fp_tol
 
 
-def test_smoothing_norm():
-    spec, om, cfg, sols = _solved_example()
-    u = sols.elements[0]
-    rep0 = solver.smoothing_norm(u, om, spec, 0.5, 0.0)
-    assert rep0["value"] == pytest.approx(np.linalg.norm(u.values[32]))
-    rep = solver.smoothing_norm(u, om, spec, 0.5, 0.4)
-    assert np.isfinite(rep["value"]) and rep["value"] > 0
-    with pytest.raises(ValueError):
-        solver.smoothing_norm(u, om, spec, 0.5, PP.beta_prime)
-
-
-def test_smoothing_norm_semigroup_closed_form():
-    op = laplacian_1d(3)
-    spec = solver.ProblemSpec(op, _zero_drift, _zero_diffusion_factory(3), PP)
-    tt = np.arange(33) / 32
-    u0 = np.array([1.0, 0.0, 0.0])
-    u = paths.SampledPath(0.0, 1 / 32, np.exp(-np.outer(tt, op.eigenvalues)) * u0)
-    om = paths.sample_qfbm(op, 0.75, 32, 1 / 32, 0)
-    rep = solver.smoothing_norm(u, om, spec, 0.5, 0.4)
-    assert rep["value"] == pytest.approx(
-        op.eigenvalues[0] ** 0.4 * np.exp(-op.eigenvalues[0] * 0.5), rel=1e-12
-    )
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         solver.SolverConfig(fp_tol=0.0)
@@ -410,6 +381,68 @@ def test_phi_weights_huge_steps():
     assert p1 == pytest.approx(np.array([1e-150, 1e-150]), rel=1e-15, abs=0.0)
 
 
+def _phi0_oracle(z):
+    # (1 - (1+z)e^{-z})/z^2 in 60-digit decimal arithmetic
+    ctx = decimal.Context(prec=60)
+    d = ctx.create_decimal(float(z))
+    e = ctx.exp(ctx.minus(d))
+    num = ctx.subtract(1, ctx.multiply(ctx.add(1, d), e))
+    return float(ctx.divide(num, ctx.multiply(d, d)))
+
+
+def test_phi0_without_cancellation():
+    # (1 - e^{-z})/z - phi1 cancels to ~1/z^2: it gave 1.18e-30 for 1e-30 at
+    # z = 1e15, 0 at z = 1e20 and -1.36e-166 at z = 1e150
+    z = np.geomspace(1e-4, 1e300, 601)
+    phi0, _ = solver._phi_weights(z)
+    ref = np.array([_phi0_oracle(x) for x in z])
+    assert np.all(phi0 >= 0.0)
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() > 300  # z below ~1.3e154
+    rel = np.abs(phi0[normal] - ref[normal]) / ref[normal]
+    assert rel.max() <= 1e-12
+    for zz, want in ((1e15, 1e-30), (1e20, 1e-40), (1e150, 1e-300)):
+        got = solver._phi_weights(np.array([zz]))[0][0]
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_one_diffusion_call_per_apply_on_the_grid_nodes(monkeypatch):
+    # T calls the diffusion once, on the n+1 nodes, so no node is
+    # synthesized twice: node k meets the increments of both its cells in
+    # that call, and a count of diffusion calls is a count of T's
+    spec, om, cfg, _ = _solved_example()
+    u0 = np.array([1.0, -0.5, 0.25])
+    real_g = spec.diffusion
+    calls = []
+
+    def recorded(u, v):
+        calls.append((np.array(u), np.array(v)))
+        return real_g(u, v)
+
+    spec.diffusion = recorded
+    cand = paths.SampledPath(0.0, om.dt, np.random.default_rng(9).normal(size=(65, 3)))
+    solver.apply_mild(cand, om, u0, spec)
+    assert len(calls) == 1
+    u, v = calls[0]
+    assert u.size == cand.values.size
+    assert np.array_equal(u.reshape(cand.values.shape), cand.values)
+    dw = np.diff(om.values, axis=0)
+    # cell m takes G(u_m) dw[m] and G(u_{m+1}) dw[m]
+    assert np.array_equal(v[:-1, 1], dw) and np.array_equal(v[1:, 0], dw)
+
+    real_apply = solver.apply_mild
+    applied = []
+
+    def counting(*args):
+        applied.append(1)
+        return real_apply(*args)
+
+    monkeypatch.setattr(solver, "apply_mild", counting)
+    calls.clear()
+    solver.solve_mild(u0, om, spec, cfg)
+    assert len(calls) == len(applied) > 2
+
+
 @pytest.mark.parametrize("zdt", [1e-6, 1.0, 64.0, 800.0])
 def test_apply_mild_scan_matches_sequential_recursion(zdt):
     # the doubling scan against the one-cell-at-a-time recursion
@@ -422,7 +455,7 @@ def test_apply_mild_scan_matches_sequential_recursion(zdt):
     spec = solver.ProblemSpec(
         op,
         lambda u: np.sin(u) + 0.5,
-        lambda u: B * (1.0 + 0.2 * np.cos(u[..., :1]))[..., None],
+        lambda u, v: (1.0 + 0.2 * np.cos(u[..., :1])) * (v @ B.T),
         PP,
     )
     rng = np.random.default_rng(31)

@@ -71,6 +71,21 @@ def test_frac_power_norm_examples():
         spectral.frac_power_norm(op, -0.5, np.ones(3))
 
 
+def test_frac_power_norm_of_semigroup_closed_form():
+    # ||S(1/2) e_1|| in D((-A)^0.4) is lambda_1^0.4 e^{-lambda_1/2}; also at
+    # lambda_1 = 4, where the power is not 1
+    for op in (
+        spectral.laplacian_1d(3),
+        spectral.SpectralOperator(np.array([4.0, 9.0, 16.0]), np.zeros(3)),
+    ):
+        e1 = np.array([1.0, 0.0, 0.0])
+        got = spectral.frac_power_norm(
+            op, 0.4, spectral.semigroup_apply(op, 0.5, e1)
+        )
+        lam = op.eigenvalues[0]
+        assert got == pytest.approx(lam**0.4 * np.exp(-lam * 0.5), rel=1e-12)
+
+
 def test_smoothing_monotone_in_time():
     op = spectral.laplacian_1d(16)
     u = np.ones(16)
