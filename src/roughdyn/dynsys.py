@@ -105,31 +105,32 @@ def usc_probe(
     """Upper-semicontinuity probe of u0 -> Phi(t, omega, u0).
 
     For each radius r, m initial values at distance exactly r from u0 are
-    sampled and e(r) = max over samples of the semidistance from the
-    perturbed set to the unperturbed one is recorded.  Solver failures
-    (SolverError) are counted, not fatal; any other exception propagates.
+    sampled; e(r) and e_lsc(r) are the max over samples of the semidistance
+    from the perturbed set to the unperturbed one and back.  Solver
+    failures (SolverError) are counted, not fatal, and a radius where every
+    solve failed reports None; any other exception propagates.
     """
     u0 = np.asarray(u0, dtype=float)
     radii = _checked_radii(radii)
     base = solution_map(t, omega, u0, spec, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
-    e_vals, failures = [], 0
+    e_vals, e_lsc, failures = [], [], 0
     for r in radii:
-        worst = 0.0
+        psets = []
         for _ in range(m_per_radius):
             direction = rng.standard_normal(u0.size)
             direction /= np.linalg.norm(direction)
             try:
-                pset = solution_map(t, omega, u0 + r * direction, spec, cfg)
+                psets.append(solution_map(t, omega, u0 + r * direction, spec, cfg))
             except SolverError:
                 failures += 1
-                continue
-            worst = max(worst, hausdorff_semidist(pset, base))
-        e_vals.append(worst)
+        e_vals.append(max((hausdorff_semidist(p, base) for p in psets), default=None))
+        e_lsc.append(max((hausdorff_semidist(base, p) for p in psets), default=None))
     return {
         "t": t,
         "radii": radii,
         "e": e_vals,
+        "e_lsc": e_lsc,
         "failures": failures,
         "m_per_radius": m_per_radius,
     }

@@ -62,5 +62,6 @@ def write_series(path: str, sampled_path, config: dict) -> str:
 
     h = config_hash(config)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    path_to_csv(sampled_path, path, header_lines=[f"config_hash: {h}"])
+    with open(path, "w", newline="") as fh:
+        path_to_csv(sampled_path, fh, header_lines=[f"config_hash: {h}"])
     return h

@@ -13,7 +13,6 @@ with direct differences, and returns the all-pairs max bit for bit.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -392,21 +391,15 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
 
 
 def path_to_csv(u: SampledPath, stream, header_lines=()) -> None:
-    """Write `t, mode_1..mode_N` rows with 17-significant-digit payload."""
-    own = isinstance(stream, (str,))
-    fh = open(stream, "w", newline="") if own else stream
-    try:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        # the rows csv.writer would write: comma-separated, "\r\n"-terminated
-        names = ["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)]
-        fh.write(",".join(names) + "\r\n")
-        row = ",".join(["%.17g"] * len(names)) + "\r\n"
-        table = np.column_stack([u.times, u.values]).tolist()
-        fh.writelines(row % tuple(r) for r in table)
-    finally:
-        if own:
-            fh.close()
+    """Write `t, mode_1..mode_N` rows, 17 significant digits, to a stream."""
+    for line in header_lines:
+        stream.write(f"# {line}\n")
+    # the rows csv.writer would write: comma-separated, "\r\n"-terminated
+    names = ["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)]
+    stream.write(",".join(names) + "\r\n")
+    row = ",".join(["%.17g"] * len(names)) + "\r\n"
+    table = np.column_stack([u.times, u.values]).tolist()
+    stream.writelines(row % tuple(r) for r in table)
 
 
 def path_from_csv(source) -> SampledPath:
@@ -428,9 +421,3 @@ def path_from_csv(source) -> SampledPath:
     if not np.allclose(np.diff(times), dt, rtol=1e-8, atol=1e-12):
         raise ValueError("CSV grid is not uniform")
     return SampledPath(t0=float(times[0]), dt=dt, values=vals)
-
-
-def csv_roundtrip_string(u: SampledPath, header_lines=()) -> str:
-    buf = io.StringIO()
-    path_to_csv(u, buf, header_lines)
-    return buf.getvalue()

@@ -1,4 +1,4 @@
-"""Mild-equation operator, weighted fixed-point solver, and solution surgery.
+"""Mild-equation operator, weighted fixed-point solver, translation residual.
 
 The mild form of du = (Au + F(u))dt + G(u)domega is
 
@@ -35,7 +35,6 @@ __all__ = [
     "kummer_decay",
     "apply_mild",
     "solve_mild",
-    "concatenate",
     "translate_check",
 ]
 
@@ -64,8 +63,8 @@ class ProblemSpec:
     result (..., N).  A single field (N,) is the case with no leading axes;
     the mild operator calls each once per application, on the whole path.
     The declared constants |F(u)| <= c_F + L_F|u| and
-    |G(u) - G(v)| <= L_G|u - v| are keyword-only; the solver never reads
-    them, and spot_check_growth tests them on random fields.
+    |G(u) - G(v)| <= L_G|u - v| are keyword-only and unread by the solver;
+    verify-all's heat check reports their slacks from spot_check_growth.
     """
 
     operator: SpectralOperator
@@ -78,9 +77,10 @@ class ProblemSpec:
     L_G: float = 0.0
 
     def spot_check_growth(self, rng=None, n_samples: int = 20) -> dict:
-        """Verify the declared constants on random fields; returns worst
-        slacks (negative slack = declared constant violated).  G's HS norm
-        is that of G applied to the N unit noise vectors, G transposed."""
+        """Worst slacks of the declared constants on random fields (negative
+        = violated).  G's HS norm is that of G on the N unit noise vectors,
+        G transposed, so the noise must have the operator's N modes, as any
+        driver sample_qfbm(spec.operator, ...) has; for M != N, G raises."""
         rng = np.random.default_rng(rng)
         N = self.operator.n_modes
         units = np.eye(N)
@@ -378,17 +378,6 @@ def solve_mild(
     )
 
 
-def concatenate(u1: SampledPath, u2: SampledPath) -> SampledPath:
-    """Paste two solution windows; u2 must start where u1 ends (to 1e-12)."""
-    if not u1.same_step(u2):
-        raise ValueError("grids must share dt")
-    gap = np.max(np.abs(u2.values[0] - u1.values[-1]))
-    if gap > 1e-12:
-        raise ValueError(f"endpoint mismatch {gap:.3e} exceeds 1e-12")
-    vals = np.vstack([u1.values, u2.values[1:]])
-    return SampledPath(t0=u1.t0, dt=u1.dt, values=vals)
-
-
 def translate_check(
     u: SampledPath,
     s: float,
@@ -398,7 +387,8 @@ def translate_check(
 ) -> float:
     """Residual of the time-translated path as a solution on [0, T-s]:
     v = u(s + .) must satisfy the mild equation with driver
-    omega(s + .) - omega(s) and initial value u(s)."""
+    omega(s + .) - omega(s) and initial value u(s).  s = 0 gives the
+    residual of u itself, e.g. of a concatenation of two solutions."""
     v = u.window(u.t0 + s)
     om = wiener_shift(omega, u.n_steps - v.n_steps)
     tv = apply_mild(v, om, v.values[0], spec)

@@ -87,6 +87,18 @@ def test_integrate_constant_identity(tmp_path, small_cfg):
     assert doc["report"]["constant_identity_error"] < 1e-12
 
 
+def test_integrate_time_linear_by_parts_identity(tmp_path):
+    # int t domega = T omega(T) - t0 omega(t0) - trapezoid int omega dt,
+    # exact for the trapezoid Stieltjes sum on piecewise-linear data
+    cfg = tmp_path / "lin.ini"
+    cfg.write_text("[experiment]\nintegrand = time-linear\n")
+    argv = ["integrate", "--config", str(cfg), "--seed", "3", "--grid-pow", "10"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "integrate.json").read_text())["report"]
+    assert "constant_identity_error" not in rep
+    assert rep["by_parts_identity_error"] <= 1e-12 * (1.0 + rep["norm"])
+
+
 def test_solve_writes_solutions(tmp_path, small_cfg):
     rc = cli.main(
         ["solve", "--config", small_cfg, "--seed", "4", "--out", str(tmp_path)]
@@ -376,3 +388,83 @@ def test_usc_runs_on_an_even_grid_off_quarters(tmp_path):
     rc = cli.main(["usc", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert rc == 0
     assert json.loads((tmp_path / "usc.json").read_text())["report"]["failures"] == 0
+
+
+# ------------------------------------------------------ the verify-all battery
+
+_BATTERY = {
+    "fbm_covariance",
+    "constant_integrand",
+    "smooth_young",
+    "additivity",
+    "integral_norm_bound",
+    "kummer_decay",
+    "semigroup_bounds",
+    "heat_hs_lipschitz",
+    "mild_solve",
+    "translation",
+    "concatenation",
+    "cocycle",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_battery_names_and_passes(seed):
+    checks = cli._verify_battery(cli._load_config(None, seed, None))
+    assert set(checks) == _BATTERY
+    assert [n for n, c in checks.items() if not c["pass"]] == []
+
+
+def test_verify_battery_translation_fails_on_an_early_shift(monkeypatch):
+    # the shifted driver starts one step before u(T/2) but keeps its length
+    real = paths.wiener_shift
+
+    def early(omega, k):
+        sh = real(omega, max(k - 1, 0))
+        return paths.SampledPath(sh.t0, sh.dt, sh.values[: omega.n_nodes - k])
+
+    monkeypatch.setattr(solver, "wiener_shift", early)
+    checks = cli._verify_battery(cli._load_config(None, 0, None))
+    assert not checks["translation"]["pass"]
+    assert checks["translation"]["residual"] > 100.0 * solver.SolverConfig().fp_tol
+
+
+def _patch_tail_solve(monkeypatch, tail):
+    # the battery's first solve_mild call solves on [0, T], the second the
+    # tail from u(T/2); tail(real, u, omega, spec, cfg) answers the second,
+    # with real the library solver and u the path of the first solve
+    real = solver.solve_mild
+    first = []
+
+    def patched(u0, omega, spec, cfg):
+        if first:
+            return tail(real, first[0].elements[0], omega, spec, cfg)
+        first.append(real(u0, omega, spec, cfg))
+        return first[0]
+
+    monkeypatch.setattr(solver, "solve_mild", patched)
+
+
+def test_verify_battery_concatenation_fails_on_a_misplaced_tail(monkeypatch):
+    # the tail is solved from u at node k - 1 but pasted at node k
+    def from_one_node_early(real, u, omega, spec, cfg):
+        return real(u.values[u.n_steps // 2 - 1], omega, spec, cfg)
+
+    _patch_tail_solve(monkeypatch, from_one_node_early)
+    checks = cli._verify_battery(cli._load_config(None, 0, None))
+    assert checks["translation"]["pass"] and not checks["concatenation"]["pass"]
+    assert checks["concatenation"]["residual"] > 100.0 * solver.SolverConfig().fp_tol
+
+
+def test_verify_battery_tail_solver_failure_fails_its_checks(monkeypatch):
+    def failing(real, u, omega, spec, cfg):
+        raise solver.SolverError("no start converged within max_iters")
+
+    _patch_tail_solve(monkeypatch, failing)
+    checks = cli._verify_battery(cli._load_config(None, 0, None))
+    assert set(checks) == _BATTERY and checks["mild_solve"]["pass"]
+    for name in ("translation", "concatenation", "cocycle"):
+        assert checks[name] == {
+            "pass": False,
+            "error": "no start converged within max_iters",
+        }

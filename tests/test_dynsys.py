@@ -129,6 +129,8 @@ def test_usc_pure_semigroup_contraction():
     for r, e in zip(rep["radii"], rep["e"]):
         assert e <= r * (1.0 + 1e-9)
     assert rep["e"][1] <= rep["e"][0]
+    # both sets are singletons, so the two directions are one distance
+    assert rep["e_lsc"] == rep["e"]
 
 
 def test_usc_radii_validation():
@@ -175,6 +177,8 @@ def test_usc_counts_solver_failures():
         0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2, seed=5
     )
     assert rep["failures"] == 2
+    # a radius where every solve failed measured nothing, not a perfect 0
+    assert rep["e"] == [None] and rep["e_lsc"] == [None]
 
 
 def test_usc_propagates_programming_errors():

@@ -213,6 +213,20 @@ def test_spot_check_growth():
     assert rep["diffusion_lipschitz_slack"] >= 0.0
 
 
+def test_spot_check_growth_needs_the_operators_mode_count():
+    # G is applied to the N unit noise vectors, so a noise with M != N modes
+    # cannot meet them (N = 3, M = 2: the spec of the scan test below)
+    B = np.random.default_rng(30).standard_normal((3, 2))
+    spec = solver.ProblemSpec(
+        laplacian_1d(3),
+        lambda u: np.sin(u) + 0.5,
+        lambda u, v: (1.0 + 0.2 * np.cos(u[..., :1])) * (v @ B.T),
+        PP,
+    )
+    with pytest.raises(ValueError):
+        spec.spot_check_growth(rng=0)
+
+
 # ------------------------------------------------- concatenation/translation
 
 
@@ -288,36 +302,6 @@ def test_choose_rho_doubles_to_a_frozen_weight():
         assert [len(t) for t in sols.residual_traces] == [7] * n_starts
 
 
-def test_concatenate_self_split():
-    spec, om, cfg, sols = _solved_example()
-    u = sols.elements[0]
-    left = paths.SampledPath(0.0, u.dt, u.values[:33].copy())
-    right = paths.SampledPath(0.0, u.dt, u.values[32:].copy())
-    glued = solver.concatenate(left, right)
-    assert np.max(np.abs(glued.values - u.values)) < 1e-10
-
-
-def test_concatenate_semigroup_paste():
-    op = laplacian_1d(2)
-    tt = np.arange(33) / 32
-    u0 = np.array([1.0, 2.0])
-    seg1 = np.exp(-np.outer(tt, op.eigenvalues)) * u0
-    seg2 = np.exp(-np.outer(tt, op.eigenvalues)) * seg1[-1]
-    glued = solver.concatenate(
-        paths.SampledPath(0.0, 1 / 32, seg1), paths.SampledPath(0.0, 1 / 32, seg2)
-    )
-    full_tt = np.arange(65) / 32
-    exact = np.exp(-np.outer(full_tt, op.eigenvalues)) * u0
-    assert np.max(np.abs(glued.values - exact)) < 1e-13
-
-
-def test_concatenate_rejects_mismatch():
-    a = paths.SampledPath(0.0, 0.5, np.array([[0.0], [1.0]]))
-    b = paths.SampledPath(0.0, 0.5, np.array([[2.0], [3.0]]))
-    with pytest.raises(ValueError):
-        solver.concatenate(a, b)
-
-
 def test_concatenated_solution_residual():
     # solve on [0,1], re-solve from u(1/2) on the shifted driver, paste:
     # the paste must still satisfy the full-window mild equation
@@ -326,9 +310,8 @@ def test_concatenated_solution_residual():
     k = 32
     om2 = paths.wiener_shift(om, k)
     sols2 = solver.solve_mild(u.values[k], om2, spec, cfg)
-    glued = solver.concatenate(
-        paths.SampledPath(0.0, u.dt, u.values[: k + 1].copy()),
-        sols2.elements[0],
+    glued = paths.SampledPath(
+        0.0, u.dt, np.vstack([u.values[: k + 1], sols2.elements[0].values[1:]])
     )
     tg = solver.apply_mild(glued, om, u.values[0], spec)
     res = paths.weighted_holder_norm(
