@@ -375,17 +375,31 @@ def _verify_battery(cfg) -> dict:
         "pass": mono and abs(ks[0] - k0_ref) < 1e-6,
     }
 
-    # semigroup smoothing constants stay under the analytic envelope
+    # the solver's S(t) on the unit vectors e_i, in the D((-A)^delta) norms:
+    # smoothing ||S(t)e_i||_gamma <= sup_{lam >= lam_1} lam^gamma e^{-lam t}
+    # (the constant reported is t^gamma e^{lam_1 t} times the left side) and
+    # the difference bound ||(S(t) - I)e_i||_theta <= t^{sigma-theta} ||e_i||_sigma
     op = spectral.laplacian_1d(n_modes=16)
-    rep = spectral.verify_semigroup_bounds(op, pp.beta_prime, [0.01, 0.1, 1.0])
-    env_ok = bool(
-        np.all(rep["smoothing_per_t"] <= rep["smoothing_envelope_per_t"] * (1 + 1e-12))
-    )
-    diff_ok = all(v <= 1.0 + 1e-12 for v in rep["difference_constants"].values())
+    gam, lam1 = pp.beta_prime, op.eigenvalues[0]
+    smooth, env_ok = 0.0, True
+    diff = {}
+    for t in (0.01, 0.1, 1.0):
+        lam_max = max(gam / t, lam1)  # the sup's maximiser
+        envelope = lam_max**gam * np.exp(-lam_max * t)
+        for e in np.eye(op.n_modes):
+            st = spectral.semigroup_apply(op, t, e)
+            norm = spectral.frac_power_norm(op, gam, st)
+            env_ok = env_ok and norm <= envelope * (1 + 1e-12)
+            smooth = max(smooth, t**gam * np.exp(lam1 * t) * norm)
+            for th, sg in ((0.0, 1.0), (0.0, gam), (gam, 1.0)):
+                key = f"theta={th:g},sigma={sg:g}"
+                scale = t ** (sg - th) * spectral.frac_power_norm(op, sg, e)
+                ratio = spectral.frac_power_norm(op, th, st - e) / scale
+                diff[key] = max(diff.get(key, 0.0), ratio)
     checks["semigroup_bounds"] = {
-        "smoothing_constant": rep["smoothing_constant"],
-        "difference_constants": rep["difference_constants"],
-        "pass": env_ok and diff_ok,
+        "smoothing_constant": smooth,
+        "difference_constants": diff,
+        "pass": env_ok and all(v <= 1.0 + 1e-12 for v in diff.values()),
     }
 
     # heat example: the declared growth and HS-Lipschitz constants, the

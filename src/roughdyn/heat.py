@@ -26,7 +26,7 @@ import numpy as np
 
 from .paths import HolderParams
 from .solver import ProblemSpec
-from .spectral import SpectralOperator, laplacian_1d
+from .spectral import laplacian_1d
 
 __all__ = [
     "SineBasis",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughdyn import cli, paths, solver
+from roughdyn import cli, paths, solver, spectral
 
 
 SMALL = """
@@ -427,6 +427,23 @@ def test_verify_battery_translation_fails_on_an_early_shift(monkeypatch):
     checks = cli._verify_battery(cli._load_config(None, 0, None))
     assert not checks["translation"]["pass"]
     assert checks["translation"]["residual"] > 100.0 * solver.SolverConfig().fp_tol
+
+
+@pytest.mark.parametrize("rate", [0.5, 2.0])
+def test_verify_battery_semigroup_bounds_fail_on_a_wrong_rate(monkeypatch, rate):
+    # the check measures the library's S(t): at half the rate S(1)e_1 is
+    # e^{1/2} over the smoothing envelope, at double the rate
+    # ||(S(t) - I)e_1|| / t = (1 - e^{-0.02}) / 0.01 ~ 1.98 at t = 0.01
+    real = spectral.semigroup_apply
+    monkeypatch.setattr(
+        spectral, "semigroup_apply", lambda op, t, u: real(op, rate * t, u)
+    )
+    rep = cli._verify_battery(cli._load_config(None, 0, None))["semigroup_bounds"]
+    assert not rep["pass"]
+    if rate < 1.0:
+        assert rep["smoothing_constant"] > 1.6
+    else:
+        assert rep["difference_constants"]["theta=0,sigma=1"] > 1.9
 
 
 def _patch_tail_solve(monkeypatch, tail):
