@@ -444,7 +444,7 @@ def _verify_battery(cfg) -> dict:
             ("concatenation", np.vstack([u[: k + 1], tail[1:]]), 0.0, 3.0),
         ):
             v = paths.SampledPath(0.0, om.dt, path)
-            res = solver.translate_check(v, s, om, spec_small, sols.rho)
+            res = solver.translate_check(v, s, om, spec_small)
             checks[name] = {"residual": res, "pass": res < tol * scfg.fp_tol}
         rep = dynsys.check_cocycle(0.125, 0.125, om, u0, spec_small, scfg)
         worst_d = max(rep["d1_lhs_to_rhs"], rep["d2_rhs_to_lhs"])

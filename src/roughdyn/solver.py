@@ -11,9 +11,9 @@ the semigroup recursion.
 At lambda = 0 the noise term reduces exactly to the trapezoid Stieltjes
 sum of fracint.pathwise_integral.
 
-Fixed points of T are found by Picard iteration in the exponentially
-weighted Hölder norm; the weight rho is doubled until the measured
-contraction factor on probe pairs drops below 1/2.
+Fixed points of T are found by Picard iteration and accepted in the
+unweighted Hölder norm; the weight rho, doubled until the contraction
+factor measured on probe pairs drops below 1/2, only scales the report.
 """
 
 from __future__ import annotations
@@ -323,10 +323,11 @@ def solve_mild(
 ) -> SolutionSet:
     """Picard-iterate T from several starts; collect distinct fixed points.
 
-    Each accepted path u satisfies ||T(u) - u||_{beta,beta;rho} < fp_tol.
-    Ball invariance ||u||_{beta,beta;rho} <= 1 + 2 c_S ||u0|| (c_S = 1 for
-    this contraction semigroup) is checked and reported; paths further
-    than distinct_tol apart in the unweighted norm count as distinct.
+    A path u is accepted when ||T(u) - u||_{beta,beta} < fp_tol in the
+    unweighted norm, which also measures the residual traces and
+    distinct_tol.  rho only scales the report: the contraction factor and
+    ball invariance ||u||_{beta,beta;rho} <= 1 + 2 c_S ||u0|| (c_S = 1 for
+    this contraction semigroup).
     """
     u0 = np.asarray(u0, dtype=float)
     beta = spec.params.beta
@@ -343,7 +344,7 @@ def solve_mild(
         converged = False
         for k in range(cfg.max_iters):
             tu = apply_mild(u, omega, u0, spec) if k or not firsts else firsts.pop(0)
-            res = _residual_norm(tu, u, beta, rho)
+            res = _residual_norm(tu, u, beta, 0.0)
             trace.append(res)
             u = tu
             if not (np.isfinite(res) and np.all(np.isfinite(u.values))):
@@ -383,13 +384,12 @@ def translate_check(
     s: float,
     omega: SampledPath,
     spec: ProblemSpec,
-    rho: float,
 ) -> float:
-    """Residual of the time-translated path as a solution on [0, T-s]:
-    v = u(s + .) must satisfy the mild equation with driver
-    omega(s + .) - omega(s) and initial value u(s).  s = 0 gives the
-    residual of u itself, e.g. of a concatenation of two solutions."""
+    """Unweighted residual of v = u(s + .) as a solution on [0, T-s]: v must
+    satisfy the mild equation with driver omega(s + .) - omega(s) and
+    initial value u(s).  s = 0 gives the residual of u itself, e.g. of a
+    concatenation of two solutions, in the norm solve_mild accepts in."""
     v = u.window(u.t0 + s)
     om = wiener_shift(omega, u.n_steps - v.n_steps)
     tv = apply_mild(v, om, v.values[0], spec)
-    return _residual_norm(tv, v, spec.params.beta, rho)
+    return _residual_norm(tv, v, spec.params.beta, 0.0)
