@@ -68,4 +68,3 @@ def frac_power_norm(op: SpectralOperator, delta: float, u: np.ndarray) -> float:
     if delta == 0.0:
         return float(np.linalg.norm(u))
     return float(np.sqrt(np.sum(op.eigenvalues ** (2.0 * delta) * u**2)))
-
