@@ -64,13 +64,18 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
     cfg = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            entries = {sec: parser.items(sec) for sec in parser.sections()}
+        except configparser.Error as exc:
+            # configparser spreads some messages over several lines
+            raise ValueError(" ".join(str(exc).split())) from None
         if not read:
             raise ValueError(f"config file not readable: {path}")
-        for sec in parser.sections():
+        for sec, items in entries.items():
             if sec not in cfg:
                 raise ValueError(f"unknown config section [{sec}]")
-            for key, raw in parser.items(sec):
+            for key, raw in items:
                 if key not in cfg[sec]:
                     raise ValueError(f"unknown config key {sec}.{key}")
                 cfg[sec][key] = _parse_value(sec, key, raw)
@@ -176,10 +181,11 @@ def _solver_cfg(cfg) -> solver.SolverConfig:
     return solver.SolverConfig(**cfg["solver"], seed=cfg["seed"])
 
 
-def _driver(cfg, spec) -> paths.SampledPath:
+def _driver(cfg) -> paths.SampledPath:
+    """The fBm driver, on the trace weights of the heat problem's operator."""
     pb = cfg["problem"]
     return paths.sample_qfbm(
-        spec.operator,
+        spectral.laplacian_1d(pb["n_modes"]),
         cfg["params"]["hurst"],
         pb["n_steps"],
         pb["horizon"] / pb["n_steps"],
@@ -187,15 +193,14 @@ def _driver(cfg, spec) -> paths.SampledPath:
     )
 
 
-def _u0(cfg, spec) -> np.ndarray:
-    u0 = np.zeros(spec.operator.n_modes)
+def _u0(cfg) -> np.ndarray:
+    u0 = np.zeros(cfg["problem"]["n_modes"])
     u0[cfg["experiment"]["u0_mode"] - 1] = cfg["experiment"]["u0_scale"]
     return u0
 
 
 def cmd_sample_path(cfg, out: str) -> int:
-    spec = _problem(cfg)
-    om = _driver(cfg, spec)
+    om = _driver(cfg)
     io.write_series(os.path.join(out, "path.csv"), om, cfg)
     pp = _params(cfg)
     io.write_report(
@@ -212,11 +217,10 @@ def cmd_sample_path(cfg, out: str) -> int:
 
 
 def cmd_integrate(cfg, out: str) -> int:
-    spec = _problem(cfg)
-    om = _driver(cfg, spec)
+    om = _driver(cfg)
     pp = _params(cfg)
     kind = cfg["experiment"]["integrand"]
-    N = spec.operator.n_modes
+    N = om.n_modes
     w = om.values
     if kind == "constant":
         g = fracint.IntegrandPath.constant(np.eye(N), om)
@@ -240,9 +244,9 @@ def cmd_integrate(cfg, out: str) -> int:
 
 def cmd_solve(cfg, out: str) -> int:
     spec = _problem(cfg)
-    om = _driver(cfg, spec)
+    om = _driver(cfg)
     try:
-        sols = solver.solve_mild(_u0(cfg, spec), om, spec, _solver_cfg(cfg))
+        sols = solver.solve_mild(_u0(cfg), om, spec, _solver_cfg(cfg))
     except solver.SolverError as exc:
         io.write_report(
             os.path.join(out, "solve.json"),
@@ -275,9 +279,9 @@ def cmd_solve(cfg, out: str) -> int:
 
 def cmd_cocycle(cfg, out: str) -> int:
     spec = _problem(cfg)
-    om = _driver(cfg, spec)
+    om = _driver(cfg)
     scfg = _solver_cfg(cfg)
-    u0 = _u0(cfg, spec)
+    u0 = _u0(cfg)
     T = cfg["problem"]["horizon"]
     reports = [
         dynsys.check_cocycle(T / 4, T / 4, om, u0, spec, scfg),
@@ -289,16 +293,15 @@ def cmd_cocycle(cfg, out: str) -> int:
 
 def cmd_usc(cfg, out: str) -> int:
     spec = _problem(cfg)
-    om = _driver(cfg, spec)
+    om = _driver(cfg)
     report = dynsys.usc_probe(
         cfg["problem"]["horizon"] / 2,
         om,
-        _u0(cfg, spec),
+        _u0(cfg),
         spec,
         _solver_cfg(cfg),
         radii=_radii(cfg),
         m_per_radius=cfg["experiment"]["m_per_radius"],
-        seed=cfg["seed"],
     )
     io.write_report(os.path.join(out, "usc.json"), cfg, report)
     return 0
@@ -498,7 +501,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](cfg, args.out)
     except solver.SolverError as exc:

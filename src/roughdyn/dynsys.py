@@ -100,20 +100,20 @@ def usc_probe(
     cfg: SolverConfig,
     radii=(1e-1, 1e-2, 1e-3),
     m_per_radius: int = 10,
-    seed: int = 0,
 ) -> dict:
     """Upper-semicontinuity probe of u0 -> Phi(t, omega, u0).
 
     For each radius r, m initial values at distance exactly r from u0 are
-    sampled; e(r) and e_lsc(r) are the max over samples of the semidistance
-    from the perturbed set to the unperturbed one and back.  Solver
+    sampled, in directions drawn from SeedSequence([cfg.seed, 11]); e(r)
+    and e_lsc(r) are the max over samples of the semidistance from the
+    perturbed set to the unperturbed one and back.  Solver
     failures (SolverError) are counted, not fatal, and a radius where every
     solve failed reports None; any other exception propagates.
     """
     u0 = np.asarray(u0, dtype=float)
     radii = _checked_radii(radii)
     base = solution_map(t, omega, u0, spec, cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     e_vals, e_lsc, failures = [], [], 0
     for r in radii:
         psets = []

@@ -101,14 +101,15 @@ class KernelSpec:
     lipschitz_profile: callable
     separable: tuple | None = None
 
-    def spot_check_profile(self, rng=None, n_samples: int = 200) -> float:
-        """Worst slack of |g(x,y,z1)-g(x,y,z2)| <= L(x)|z1-z2| on random
-        triples; negative means the declared profile is wrong."""
+    def spot_check_profile(self, rng) -> float:
+        """Worst slack of |g(x,y,z1)-g(x,y,z2)| <= L(x)|z1-z2| on 200 random
+        triples drawn from rng, a seed or a Generator; negative means the
+        declared profile is wrong."""
         rng = np.random.default_rng(rng)
-        x = rng.uniform(0.0, np.pi, n_samples)
-        y = rng.uniform(0.0, np.pi, n_samples)
-        z1 = rng.uniform(-5.0, 5.0, n_samples)
-        z2 = rng.uniform(-5.0, 5.0, n_samples)
+        x = rng.uniform(0.0, np.pi, 200)
+        y = rng.uniform(0.0, np.pi, 200)
+        z1 = rng.uniform(-5.0, 5.0, 200)
+        z2 = rng.uniform(-5.0, 5.0, 200)
         lhs = np.abs(self.g(x, y, z1) - self.g(x, y, z2))
         rhs = self.lipschitz_profile(x) * np.abs(z1 - z2)
         return float(np.min(rhs - lhs))

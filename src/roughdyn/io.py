@@ -16,52 +16,34 @@ import numpy as np
 __all__ = ["canonical_json", "config_hash", "write_report", "write_series"]
 
 
-def _plain(obj):
-    """Recursively convert numpy containers to JSON-ready python objects
-    with full-precision floats."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def canonical_json(payload) -> str:
-    return json.dumps(_plain(payload), sort_keys=True, indent=1)
+    """Sorted, indented JSON with full-precision floats; numpy arrays and
+    scalars are written as the python values their tolist() gives."""
+    return json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist())
 
 
 def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
-def write_report(path: str, config: dict, payload: dict) -> str:
+def write_report(path: str, config: dict, payload: dict) -> None:
     """JSON report carrying the resolved config and its hash."""
-    doc = {
-        "config": _plain(config),
-        "config_hash": config_hash(config),
-        "report": _plain(payload),
-    }
+    doc = {"config": config, "config_hash": config_hash(config), "report": payload}
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(canonical_json(doc))
         fh.write("\n")
-    return doc["config_hash"]
 
 
-def write_series(path: str, sampled_path, config: dict) -> str:
-    """CSV time series with the config hash echoed in the header."""
-    from .paths import path_to_csv
-
-    h = config_hash(config)
+def write_series(path: str, u, config: dict) -> None:
+    """CSV time series of a SampledPath: a '# config_hash: ...' line, then
+    `t, mode_1..mode_N` rows with 17 significant digits."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # the rows csv.writer would write: comma-separated, "\r\n"-terminated
+    names = ["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)]
+    row = ",".join(["%.17g"] * len(names)) + "\r\n"
+    table = np.column_stack([u.times, u.values]).tolist()
     with open(path, "w", newline="") as fh:
-        path_to_csv(sampled_path, fh, header_lines=[f"config_hash: {h}"])
-    return h
+        fh.write(f"# config_hash: {config_hash(config)}\n")
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(row % tuple(r) for r in table)

@@ -12,7 +12,6 @@ with direct differences, and returns the all-pairs max bit for bit.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ __all__ = [
     "holder_seminorm",
     "weighted_holder_norm",
     "wiener_modulus",
-    "path_to_csv",
-    "path_from_csv",
 ]
 
 @dataclass(frozen=True)
@@ -388,36 +385,3 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     return _weighted_holder_sup(u.values, u.dt, beta, rho)
-
-
-def path_to_csv(u: SampledPath, stream, header_lines=()) -> None:
-    """Write `t, mode_1..mode_N` rows, 17 significant digits, to a stream."""
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    # the rows csv.writer would write: comma-separated, "\r\n"-terminated
-    names = ["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)]
-    stream.write(",".join(names) + "\r\n")
-    row = ",".join(["%.17g"] * len(names)) + "\r\n"
-    table = np.column_stack([u.times, u.values]).tolist()
-    stream.writelines(row % tuple(r) for r in table)
-
-
-def path_from_csv(source) -> SampledPath:
-    """Inverse of path_to_csv; '#' lines are ignored."""
-    own = isinstance(source, str)
-    fh = open(source, "r", newline="") if own else source
-    try:
-        rows = [
-            row
-            for row in csv.reader(fh)
-            if row and not row[0].lstrip().startswith("#")
-        ]
-    finally:
-        if own:
-            fh.close()
-    body = np.array([[float(x) for x in row] for row in rows[1:]])
-    times, vals = body[:, 0], body[:, 1:]
-    dt = float(np.mean(np.diff(times)))
-    if not np.allclose(np.diff(times), dt, rtol=1e-8, atol=1e-12):
-        raise ValueError("CSV grid is not uniform")
-    return SampledPath(t0=float(times[0]), dt=dt, values=vals)

@@ -18,7 +18,7 @@ factor measured on probe pairs drops below 1/2, only scales the report.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,16 +76,17 @@ class ProblemSpec:
     L_F: float = 0.0
     L_G: float = 0.0
 
-    def spot_check_growth(self, rng=None, n_samples: int = 20) -> dict:
-        """Worst slacks of the declared constants on random fields (negative
-        = violated).  G's HS norm is that of G on the N unit noise vectors,
-        G transposed, so the noise must have the operator's N modes, as any
-        driver sample_qfbm(spec.operator, ...) has; for M != N, G raises."""
+    def spot_check_growth(self, rng) -> dict:
+        """Worst slacks of the declared constants on 20 random field pairs
+        drawn from rng, a seed or a Generator (negative = violated).  G's
+        HS norm is that of G on the N unit noise vectors, G transposed, so
+        the noise must have the operator's N modes, as any driver
+        sample_qfbm(spec.operator, ...) has; for M != N, G raises."""
         rng = np.random.default_rng(rng)
         N = self.operator.n_modes
         units = np.eye(N)
         worst_f, worst_g = np.inf, np.inf
-        for _ in range(n_samples):
+        for _ in range(20):
             u = rng.standard_normal(N) * rng.uniform(0.1, 3.0)
             v = rng.standard_normal(N) * rng.uniform(0.1, 3.0)
             fu = np.linalg.norm(self.drift(u))
@@ -130,9 +131,9 @@ class SolutionSet:
     residuals: list
     rho: float
     contraction_factor: float
-    residual_traces: list = field(default_factory=list)
-    ball_radius: float = float("inf")
-    ball_ok: list = field(default_factory=list)
+    residual_traces: list
+    ball_radius: float
+    ball_ok: list
 
     def __len__(self):
         return len(self.elements)

@@ -43,7 +43,7 @@ class SpectralOperator:
         return self.eigenvalues.size
 
 
-def laplacian_1d(n_modes: int = 32) -> SpectralOperator:
+def laplacian_1d(n_modes: int) -> SpectralOperator:
     """Dirichlet Laplacian on (0, pi): lambda_i = i^2 exactly, with trace
     weights q_i = 1/i^2, which keep the noise trace-class."""
     i = np.arange(1.0, n_modes + 1)

@@ -263,7 +263,6 @@ def test_criterion_09_usc_probe():
         cfg,
         radii=(1e-1, 1e-2, 1e-3),
         m_per_radius=10,
-        seed=42,
     )
     e = rep["e"]
     noninc = all(a >= b for a, b in zip(e, e[1:]))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -32,13 +33,28 @@ def small_cfg(tmp_path):
     return str(p)
 
 
+def _csv_table(path):
+    """The `t, mode_1..mode_N` rows of a series CSV as floats, read with
+    the csv module; '#' lines are skipped.  The times must lie on a uniform
+    grid."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert rows[0] == ["t"] + [f"mode_{i}" for i in range(1, len(rows[0]))]
+    table = np.array(rows[1:], dtype=float)
+    steps = np.diff(table[:, 0])
+    assert np.allclose(steps, steps.mean(), rtol=1e-8, atol=1e-12)
+    return table
+
+
 def test_sample_path_smoke_and_roundtrip(tmp_path, small_cfg):
     rc = cli.main(
         ["sample-path", "--config", small_cfg, "--seed", "3", "--out", str(tmp_path)]
     )
     assert rc == 0
-    back = paths.path_from_csv(str(tmp_path / "path.csv"))
-    assert back.n_steps == 32 and back.n_modes == 4
+    back = _csv_table(tmp_path / "path.csv")
+    assert back.shape == (33, 5)  # 32 steps, 4 modes
+    om = cli._driver(cli._load_config(small_cfg, 3, None))
+    assert np.array_equal(back[:, 1:], om.values)
     doc = json.loads((tmp_path / "sample_path.json").read_text())
     assert doc["report"]["n_steps"] == 32
     assert "config_hash" in doc
@@ -74,8 +90,7 @@ def test_grid_pow_override(tmp_path, small_cfg):
             "6",
         ]
     )
-    back = paths.path_from_csv(str(tmp_path / "path.csv"))
-    assert back.n_steps == 64
+    assert _csv_table(tmp_path / "path.csv").shape[0] == 65  # 64 steps
 
 
 def test_integrate_constant_identity(tmp_path, small_cfg):
@@ -107,8 +122,8 @@ def test_solve_writes_solutions(tmp_path, small_cfg):
     doc = json.loads((tmp_path / "solve.json").read_text())
     assert doc["report"]["converged"] is True
     assert max(doc["report"]["residuals"]) < 1e-8
-    sol = paths.path_from_csv(str(tmp_path / doc["report"]["solution_files"][0]))
-    assert sol.n_steps == 32
+    sol = _csv_table(tmp_path / doc["report"]["solution_files"][0])
+    assert sol.shape[0] == 33  # 32 steps
 
 
 @pytest.mark.parametrize(
@@ -355,6 +370,49 @@ def test_grid_and_horizon_rules_are_config_errors(
         argv += ["--grid-pow", grid_pow]
     assert cli.main(argv) == 2
     _assert_rejected_before_running(capsys, out)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "n_steps = 64\n[problem]\n",  # a key before any section header
+        "[problem]\nn_steps = 64\n[problem]\nn_modes = 4\n",  # duplicate section
+        "[problem]\nn_steps = 64\nn_steps = 32\n",  # duplicate key
+        "[problem]\nn_steps\n",  # no '='
+        "[problem]\ndrift = %(x)s\n",  # interpolation of an unknown key
+        "[foo]\nbar = 1\n",
+        "[problem]\ndrift = cubic\n",
+    ],
+    ids=[
+        "no-section",
+        "duplicate-section",
+        "duplicate-key",
+        "no-equals",
+        "interpolation",
+        "unknown-section",
+        "unknown-drift",
+    ],
+)
+def test_bad_config_file_is_rejected_before_running(tmp_path, capsys, body):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(body)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    _assert_rejected_before_running(capsys, out)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+def test_unusable_out_is_config_error(tmp_path, capsys, under):
+    # --out names an existing regular file, or a directory below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "run" if under else blocker
+    argv = ["sample-path", "--grid-pow", "4", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
 
 
 def test_huge_step_solver_failure_is_one_stderr_line(tmp_path, capsys):

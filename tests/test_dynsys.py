@@ -123,7 +123,7 @@ def test_usc_pure_semigroup_contraction():
     u0 = np.array([1.0, 0.0, 0.0])
     cfg = solver.SolverConfig(n_starts=1, seed=5)
     rep = dynsys.usc_probe(
-        0.5, om, u0, spec, cfg, radii=(0.1, 0.01), m_per_radius=3, seed=5
+        0.5, om, u0, spec, cfg, radii=(0.1, 0.01), m_per_radius=3
     )
     assert rep["failures"] == 0
     for r, e in zip(rep["radii"], rep["e"]):
@@ -174,7 +174,7 @@ def test_usc_counts_solver_failures():
     spec, om = _armed_problem(u0, bad_drift=lambda u: 1e8 * u)
     cfg = solver.SolverConfig(n_starts=1, seed=5)
     rep = dynsys.usc_probe(
-        0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2, seed=5
+        0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2
     )
     assert rep["failures"] == 2
     # a radius where every solve failed measured nothing, not a perfect 0
@@ -191,5 +191,5 @@ def test_usc_propagates_programming_errors():
     cfg = solver.SolverConfig(n_starts=1, seed=5)
     with pytest.raises(TypeError, match="diffusion bug"):
         dynsys.usc_probe(
-            0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2, seed=5
+            0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2
         )

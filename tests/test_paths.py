@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughdyn import fracint, heat, paths, solver
+from roughdyn import io as rdio
 from roughdyn.spectral import SpectralOperator
 
 
@@ -271,7 +274,7 @@ def test_wiener_modulus_examples():
         assert paths.wiener_modulus(lin, 0.5, tt[1] / 2) == 0.0
 
 
-def test_csv_roundtrip():
+def test_csv_roundtrip(tmp_path):
     om = paths.sample_qfbm(
         SpectralOperator(np.array([1.0, 4.0]), np.array([1.0, 0.5])),
         0.75,
@@ -279,12 +282,12 @@ def test_csv_roundtrip():
         1 / 16,
         2,
     )
-    buf = io.StringIO()
-    paths.path_to_csv(om, buf, ["config_hash: abc"])
-    buf.seek(0)
-    back = paths.path_from_csv(buf)
-    assert np.array_equal(back.values, om.values)
-    assert back.dt == pytest.approx(om.dt)
+    rdio.write_series(str(tmp_path / "om.csv"), om, {"seed": 2})
+    with open(tmp_path / "om.csv", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    body = np.array(rows[1:], dtype=float)
+    assert np.array_equal(body[:, 1:], om.values)
+    assert np.diff(body[:, 0]) == pytest.approx(om.dt)
 
 
 # ------------------------------------------- Hölder sups: direct differences
@@ -599,7 +602,7 @@ def test_non_finite_node_gives_nan(bad):
     assert np.isfinite(paths.holder_seminorm(u, 0.6, 0.0, 0.5))
 
 
-def test_path_to_csv_matches_csv_writer_reference():
+def test_path_to_csv_matches_csv_writer_reference(tmp_path):
     vals = np.array(
         [
             [0.0, -0.0, 1.0],
@@ -609,12 +612,14 @@ def test_path_to_csv_matches_csv_writer_reference():
         ]
     )
     u = paths.SampledPath(0.1, 1.0 / 3.0, vals)
+    config = {"seed": 3}
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, indent=1).encode())
     ref = io.StringIO()
-    ref.write("# hdr\n")
+    ref.write(f"# config_hash: {digest.hexdigest()[:16]}\n")
     writer = csv.writer(ref)
     writer.writerow(["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)])
     for k, t in enumerate(u.times):
         writer.writerow([format(t, ".17g")] + [format(v, ".17g") for v in vals[k]])
-    got = io.StringIO()
-    paths.path_to_csv(u, got, ["hdr"])
-    assert got.getvalue() == ref.getvalue()
+    rdio.write_series(str(tmp_path / "u.csv"), u, config)
+    with open(tmp_path / "u.csv", newline="") as fh:
+        assert fh.read() == ref.getvalue()

@@ -206,6 +206,59 @@ def test_solver_failure_reports_traces():
         solver.solve_mild(np.array([1.0, 0.0]), om, spec, solver.SolverConfig())
 
 
+def _drift_off_the_probes(op, om, u0, cfg, on, off):
+    """A spec with G = 0 whose drift is the constant `on` on the three rho
+    probes of (u0, om, cfg) and `off` on every other path; returns it with
+    the probes."""
+    clean = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
+    probes, _ = solver._start_family(u0, om, clean, cfg)
+
+    def drift(u):
+        hit = any(np.array_equal(u, p.values) for p in probes)
+        return np.full_like(u, on if hit else off)
+
+    return solver.ProblemSpec(op, drift, _zero_diffusion, PP), probes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_stops_and_is_never_accepted(bad):
+    # F = 0 on the probes: starts 0 and 1 step onto S(t)u0 and converge,
+    # while start 2, the first bump start, turns non-finite at its first
+    # Picard step
+    op = laplacian_1d(3)
+    om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 4)
+    u0 = np.array([1.0, 0.5, 0.0])
+    cfg = solver.SolverConfig(n_starts=3, seed=4)
+    spec, probes = _drift_off_the_probes(op, om, u0, cfg, 0.0, bad)
+    sols = solver.solve_mild(u0, om, spec, cfg)
+    traces = sols.residual_traces
+    # the diverging start stops at that step, long before max_iters
+    assert [len(t) for t in traces] == [2, 1, 1]
+    assert traces[0][-1] == 0.0 and traces[1] == [0.0]
+    assert np.isnan(traces[2][0])
+    # and is never accepted: the one element is S(t)u0, with a zero residual
+    assert len(sols) == 1 and sols.residuals == [0.0]
+    assert np.array_equal(sols.elements[0].values, probes[1].values)
+
+
+def test_every_start_non_finite_is_a_solver_failure():
+    # F = 1 on the probes, so their images are finite and equal (rho = 1,
+    # q = 0): each start stops at its first step off the probes, and none
+    # is accepted
+    op = laplacian_1d(2)
+    om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
+    u0 = np.array([1.0, 0.0])
+    cfg = solver.SolverConfig(n_starts=3, seed=0)
+    spec, _ = _drift_off_the_probes(op, om, u0, cfg, 1.0, np.nan)
+    with pytest.raises(solver.SolverError) as info:
+        solver.solve_mild(u0, om, spec, cfg)
+    traces = info.value.residual_traces
+    # starts 0 and 1 take one finite step from their probe image
+    assert [len(t) for t in traces] == [2, 2, 1]
+    assert traces[0][0] > cfg.fp_tol and traces[1][0] > cfg.fp_tol
+    assert all(np.isnan(t[-1]) for t in traces)
+
+
 def test_declared_constants_are_keyword_only():
     # a stale call with the old grid arguments must not bind them to
     # c_F and L_F
