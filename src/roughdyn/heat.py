@@ -9,9 +9,9 @@ identity, not an approximation.
 Every field operation acts along the last axis, so one call handles a
 single field of shape (N,) or a whole grid path of shape (n+1, N).
 
-The diffusion G(u) is the integral operator v -> int g(x, y, u(y)) v(y) dy,
-discretized by the same quadrature and applied to noise coefficients v
-directly (kernel_apply), so a path never builds an N x N matrix per node.
+The diffusion G(u) is the integral operator v -> int g(x, y, u(y)) v(y) dy
+with g(x, y, z) = phi(x) psi(y, z), discretized by the same quadrature and
+applied to noise coefficients v directly (kernel_apply): no matrix per node.
 Kernels with a profile bound |g(x,y,z1) - g(x,y,z2)| <= L(x)|z1 - z2| make
 G Lipschitz in the Hilbert-Schmidt norm with constant ||L||; that bound
 survives the discretization exactly (the quadrature is a Parseval pairing).
@@ -88,18 +88,20 @@ def nemytskii_apply(f, u: np.ndarray, basis: SineBasis) -> np.ndarray:
 
 @dataclass
 class KernelSpec:
-    """Integral kernel g(x, y, z) with Lipschitz profile L(x).
+    """Integral kernel g(x, y, z) = phi(x) psi(y, z), Lipschitz profile L(x).
 
-    g must vectorize over (x, y, z) arrays.  When the kernel factors as
-    g(x,y,z) = phi(x) * psi(y, z), pass (phi, psi) as `separable`: G(u)v is
-    then phi's coefficients times one inner product with v, O(N) per field
-    after synthesis instead of an (M, M) kernel table; psi must then
-    broadcast nodes y (M,) against values z (..., M).
+    phi must vectorize over nodes x (M,) and psi must broadcast nodes y (M,)
+    against values z (..., M); G(u)v is then phi's coefficients times one
+    inner product with v, O(N) per field after synthesis.
     """
 
-    g: callable
+    phi: callable
+    psi: callable
     lipschitz_profile: callable
-    separable: tuple | None = None
+
+    def g(self, x, y, z):
+        """Kernel value phi(x) * psi(y, z)."""
+        return self.phi(x) * self.psi(y, z)
 
     def spot_check_profile(self, rng) -> float:
         """Worst slack of |g(x,y,z1)-g(x,y,z2)| <= L(x)|z1-z2| on 200 random
@@ -118,36 +120,18 @@ class KernelSpec:
 def kernel_apply(
     kspec: KernelSpec, u: np.ndarray, v: np.ndarray, basis: SineBasis
 ) -> np.ndarray:
-    """(e_i, G(u)v) = w^2 sum_{a,b} e_i(x_a) g(x_a, y_b, u(y_b)) sum_j e_j(y_b) v_j.
+    """(e_i, G(u)v) = (e_i, phi) w sum_b psi(y_b, u(y_b)) sum_j e_j(y_b) v_j.
 
     u (..., N) and v (..., N) broadcast along their leading axes to a result
     (..., N); each field u is synthesized once, however many v it meets.
     On the unit vectors, kernel_apply(k, u, np.eye(N), basis) is G(u)^T.
     """
-    S = basis.synth_matrix
-    w = basis.weight
-    x = basis.nodes
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    # one matrix product over all fields, whatever u's leading shape
+    # one synthesis over all fields, whatever u's leading shape
     uy = synthesize(basis, u.reshape(-1, u.shape[-1]))
-    if kspec.separable is not None:
-        phi, psi = kspec.separable
-        left = w * (phi(x) @ S)
-        right = (w * (psi(x, uy) @ S)).reshape(u.shape)
-        return left * np.sum(right * v, axis=-1, keepdims=True)
-
-    # one (M, M) kernel table per field u, applied to every v it meets: a
-    # path never holds (n+1, M, M)
-    lead = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
-    ulead = (1,) * (len(lead) + 1 - u.ndim) + u.shape[:-1]
-    vy = synthesize(basis, np.broadcast_to(v, lead + v.shape[-1:]))
-    out = np.empty(lead + (S.shape[1],))
-    for row, idx in zip(uy, np.ndindex(ulead)):
-        sel = tuple(i if m > 1 else slice(None) for i, m in zip(idx, ulead))
-        table = kspec.g(x[:, None], x[None, :], row[None, :])
-        out[sel] = w**2 * ((vy[sel] @ table.T) @ S)
-    return out
+    left = project(basis, kspec.phi(basis.nodes))
+    right = project(basis, kspec.psi(basis.nodes, uy)).reshape(u.shape)
+    return left * np.sum(right * v, axis=-1, keepdims=True)
 
 
 def lipschitz_norm(kspec: KernelSpec, basis: SineBasis) -> float:
@@ -160,14 +144,10 @@ def default_kernel(amplitude: float = 0.1) -> KernelSpec:
     """Demo kernel g(x,y,z) = amplitude sin(x) sin(y) tanh(z), profile
     L(x) = amplitude sin(x) (tanh is 1-Lipschitz)."""
     a = amplitude
-
-    def g(x, y, z):
-        return a * np.sin(x) * np.sin(y) * np.tanh(z)
-
     return KernelSpec(
-        g=g,
+        phi=np.sin,
+        psi=lambda y, z: a * np.sin(y) * np.tanh(z),
         lipschitz_profile=lambda x: a * np.sin(x),
-        separable=(np.sin, lambda y, z: a * np.sin(y) * np.tanh(z)),
     )
 
 

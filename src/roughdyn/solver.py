@@ -310,7 +310,8 @@ def _choose_rho(probes, images, beta) -> tuple:
                 # this rho measures nothing and must not count as contractive
                 continue
             informative = True
-            q = max(q, _residual_norm(images[1], images[j], beta, rho) / den)
+            ratio = _residual_norm(images[1], images[j], beta, rho) / den
+            q = max(q, ratio) if np.isfinite(ratio) else np.inf  # max() drops NaN
         if informative and np.isfinite(q) and q < 0.5:
             return rho, q
         rho *= 2.0

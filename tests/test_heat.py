@@ -38,6 +38,26 @@ def test_nemytskii_sin_against_dense_oracle():
     assert got[4] == pytest.approx(0.0002055498074377138, abs=1e-6)
 
 
+def _independent_sine(n_modes, m_phys):
+    # e_i(x_a) = sqrt(2/pi) sin(i x_a), x_a = a pi/(M+1), built here rather
+    # than through SineBasis
+    x = np.pi * np.arange(1, m_phys + 1) / (m_phys + 1)
+    i = np.arange(1, n_modes + 1)
+    return x, np.sqrt(2.0 / np.pi) * np.sin(np.outer(x, i)), np.pi / (m_phys + 1)
+
+
+def _dense(g, u, n_modes, m_phys):
+    # G(u) = w^2 S^T table S from the full M x M table g(x_a, y_b, u(y_b)),
+    # built without SineBasis or KernelSpec
+    x, S, w = _independent_sine(n_modes, m_phys)
+    table = g(x[:, None], x[None, :], (S @ u)[None, :])
+    return w**2 * (S.T @ table @ S)
+
+
+def _default_g(x, y, z):
+    return 0.1 * np.sin(x) * np.sin(y) * np.tanh(z)
+
+
 def _transposed(kspec, u, basis):
     # G(u) applied to the unit vectors: G(u) transposed, same HS norm
     return heat.kernel_apply(kspec, u, np.eye(basis.n_modes), basis)
@@ -46,7 +66,7 @@ def _transposed(kspec, u, basis):
 def test_kernel_zero():
     basis = heat.SineBasis(n_modes=4, m_phys=64)
     k = heat.KernelSpec(
-        g=lambda x, y, z: 0.0 * x * y, lipschitz_profile=lambda x: 0.0 * x
+        phi=np.sin, psi=lambda y, z: 0.0 * y * z, lipschitz_profile=lambda x: 0.0 * x
     )
     assert np.all(_transposed(k, np.ones(4), basis) == 0.0)
 
@@ -56,29 +76,56 @@ def test_kernel_separable_rank_one():
     # here phi = psi = sin with ||sin||^2 = pi/2
     basis = heat.SineBasis(n_modes=8, m_phys=256)
     k = heat.KernelSpec(
-        g=lambda x, y, z: np.sin(x) * np.sin(y) + 0.0 * z,
+        phi=np.sin,
+        psi=lambda y, z: np.sin(y) + 0.0 * z,
         lipschitz_profile=lambda x: 0.0 * x,
     )
     m = _transposed(k, np.zeros(8), basis)
     assert np.linalg.matrix_rank(m, tol=1e-10) == 1
     assert np.linalg.norm(m) == pytest.approx(np.pi / 2.0, rel=1e-6)
+    dense = _dense(lambda x, y, z: np.sin(x) * np.sin(y) + 0.0 * z, np.zeros(8), 8, 256)
+    assert np.max(np.abs(m - dense.T)) < 1e-12
 
 
 def test_kernel_separable_path_matches_generic():
     basis = heat.SineBasis(n_modes=8, m_phys=128)
     kern = heat.default_kernel()
-    generic = heat.KernelSpec(g=kern.g, lipschitz_profile=kern.lipschitz_profile)
     rng = np.random.default_rng(3)
     vrng = np.random.default_rng(4)
     for _ in range(5):
         u = rng.standard_normal(8)
+        dense = _dense(_default_g, u, 8, 128)
         a = _transposed(kern, u, basis)
-        b = _transposed(generic, u, basis)
-        assert np.max(np.abs(a - b)) < 1e-12
+        assert np.max(np.abs(a - dense.T)) < 1e-12
         v = vrng.standard_normal(8)
         a = heat.kernel_apply(kern, u, v, basis)
-        b = heat.kernel_apply(generic, u, v, basis)
-        assert np.max(np.abs(a - b)) < 1e-12
+        assert np.max(np.abs(a - dense @ v)) < 1e-12
+
+
+def test_kernel_apply_non_product_psi_matches_dense():
+    # psi(y, z) = cos(y + z) does not factor in (y, z); the one path of
+    # kernel_apply still matches the full table, on one field and on a path
+    N, M, a = 6, 64, 0.37
+    basis = heat.SineBasis(n_modes=N, m_phys=M)
+    k = heat.KernelSpec(
+        phi=lambda x: a * np.sin(2.0 * x),
+        psi=lambda y, z: np.cos(y + z),
+        lipschitz_profile=lambda x: a * np.abs(np.sin(2.0 * x)),
+    )
+
+    def g(x, y, z):
+        return a * np.sin(2.0 * x) * np.cos(y + z)
+
+    rng = np.random.default_rng(31)
+    path = rng.standard_normal((4, N))
+    vs = rng.standard_normal((4, 2, N))
+    got = heat.kernel_apply(k, path[:, None, :], vs, basis)
+    assert got.shape == (4, 2, N)
+    for j in range(4):
+        dense = _dense(g, path[j], N, M)
+        assert np.max(np.abs(_transposed(k, path[j], basis) - dense.T)) < 1e-13
+        assert np.max(np.abs(got[j] - vs[j] @ dense.T)) < 1e-13
+    assert k.spot_check_profile(rng=0) >= 0.0
 
 
 def test_kernel_lipschitz_bound():
@@ -114,8 +161,7 @@ def test_parseval_bound():
 def test_profile_spot_check():
     assert heat.default_kernel().spot_check_profile(rng=0) >= 0.0
     bad = heat.KernelSpec(
-        g=lambda x, y, z: np.sin(x) * z,
-        lipschitz_profile=lambda x: 0.01 * np.sin(x),
+        phi=np.sin, psi=lambda y, z: z, lipschitz_profile=lambda x: 0.01 * np.sin(x)
     )
     assert bad.spot_check_profile(rng=0) < 0.0
 
@@ -154,14 +200,6 @@ def test_truncation_self_convergence():
 # ------------------------------------------------------- whole-path contract
 
 
-def _independent_sine(n_modes, m_phys):
-    # e_i(x_a) = sqrt(2/pi) sin(i x_a), x_a = a pi/(M+1), built here rather
-    # than through SineBasis
-    x = np.pi * np.arange(1, m_phys + 1) / (m_phys + 1)
-    i = np.arange(1, n_modes + 1)
-    return x, np.sqrt(2.0 / np.pi) * np.sin(np.outer(x, i)), np.pi / (m_phys + 1)
-
-
 def test_synth_matrix_cached():
     basis = heat.SineBasis(n_modes=8, m_phys=64)
     assert basis.synth_matrix is basis.synth_matrix
@@ -196,19 +234,16 @@ def test_heat_drift_diffusion_on_path_match_per_node():
 def test_generic_kernel_on_path_matches_per_node():
     basis = heat.SineBasis(n_modes=5, m_phys=40)
     kern = heat.default_kernel()
-    generic = heat.KernelSpec(g=kern.g, lipschitz_profile=kern.lipschitz_profile)
     path = np.random.default_rng(22).standard_normal((2, 3, 5))
     vs = np.random.default_rng(23).standard_normal((2, 3, 5))
-    got = heat.kernel_apply(generic, path, vs, basis)
-    # one field against three noise vectors: one kernel table per field
-    wide = heat.kernel_apply(generic, path[:, :1], vs, basis)
+    got = heat.kernel_apply(kern, path, vs, basis)
+    # one field against three noise vectors: one synthesis per field
+    wide = heat.kernel_apply(kern, path[:, :1], vs, basis)
     assert got.shape == wide.shape == (2, 3, 5)
     for idx in np.ndindex(2, 3):
-        ref = heat.kernel_apply(generic, path[idx], vs[idx], basis)
+        ref = heat.kernel_apply(kern, path[idx], vs[idx], basis)
         assert np.max(np.abs(got[idx] - ref)) < 1e-13
-        dense = _transposed(generic, path[idx], basis).T
+        dense = _dense(_default_g, path[idx], 5, 40)
         assert np.max(np.abs(ref - dense @ vs[idx])) < 1e-13
-        sep = heat.kernel_apply(kern, path[idx], vs[idx], basis)
-        assert np.max(np.abs(got[idx] - sep)) < 1e-12
-        first = heat.kernel_apply(generic, path[idx[0], 0], vs[idx], basis)
-        assert np.max(np.abs(wide[idx] - first)) < 1e-13
+        first = _dense(_default_g, path[idx[0], 0], 5, 40)
+        assert np.max(np.abs(wide[idx] - first @ vs[idx])) < 1e-13

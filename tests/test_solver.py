@@ -259,6 +259,29 @@ def test_every_start_non_finite_is_a_solver_failure():
     assert all(np.isnan(t[-1]) for t in traces)
 
 
+def test_choose_rho_rejects_a_non_finite_image():
+    # F = 0 on the constant path u0 and NaN on every other path, so the
+    # probe images are [finite, NaN, NaN]: a NaN ratio must not vanish into
+    # the max over the two probe pairs and read as q = 0
+    op = laplacian_1d(2)
+    om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
+    u0 = np.array([1.0, 0.0])
+    cfg = solver.SolverConfig(n_starts=3, seed=0)
+    clean = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
+    probes, _ = solver._start_family(u0, om, clean, cfg)
+
+    def drift(u):
+        return np.full_like(u, 0.0 if np.array_equal(u, probes[0].values) else np.nan)
+
+    spec = solver.ProblemSpec(op, drift, _zero_diffusion, PP)
+    images = [solver.apply_mild(p, om, u0, spec) for p in probes]
+    assert [np.isfinite(im.values).all() for im in images] == [True, False, False]
+    with pytest.raises(solver.SolverError, match="no contractive weight"):
+        solver._choose_rho(probes, images, PP.beta)
+    with pytest.raises(solver.SolverError, match="no contractive weight"):
+        solver.solve_mild(u0, om, spec, cfg)
+
+
 def test_declared_constants_are_keyword_only():
     # a stale call with the old grid arguments must not bind them to
     # c_F and L_F
