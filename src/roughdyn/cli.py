@@ -368,9 +368,7 @@ def _verify_battery(cfg) -> dict:
     # Kummer decay function: monotone in rho, closed form at rho = 0
     a, b, d = -pp.alpha, pp.alpha - 1.0, pp.beta_prime - pp.beta
     ks = [solver.kummer_decay(r, a, b, d, 1.0) for r in (0.0, 1.0, 10.0, 100.0)]
-    from scipy.special import betaln
-
-    k0_ref = float(np.exp(betaln(1.0 - pp.alpha, pp.alpha)))
+    k0_ref = fracint.beta_fn(1.0 - pp.alpha, pp.alpha)
     mono = all(x > y for x, y in zip(ks, ks[1:]))
     checks["kummer_decay"] = {
         "values": ks,

