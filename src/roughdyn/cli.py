@@ -55,6 +55,11 @@ _DRIFTS = {  # name -> (F, its declared constant L_F)
 
 _INTEGRANDS = ("constant", "time-linear")
 
+# the Hölder norms a run reports square node values and their differences,
+# and a float64 square overflows above sqrt(max double) ~ 1.34e154; the
+# bound on |u0_scale| leaves a factor 1e4 for differences and mode sums
+_U0_SCALE_MAX = 1e150
+
 # commands that solve up to multiples of horizon/d need d | n_steps: cocycle
 # checks at T/4, T/2 and 3T/4, usc at T/2
 _GRID_DIVISORS = {"cocycle": 4, "usc": 2}
@@ -109,6 +114,11 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
     ex = cfg["experiment"]
     if ex["u0_mode"] > pb["n_modes"]:
         raise ValueError("experiment.u0_mode must lie in 1..problem.n_modes")
+    if abs(ex["u0_scale"]) > _U0_SCALE_MAX:
+        raise ValueError(
+            f"experiment.u0_scale = {ex['u0_scale']!r} exceeds {_U0_SCALE_MAX:g} "
+            "in size, so the solution's Hölder norms would overflow"
+        )
     if ex["integrand"] not in _INTEGRANDS:
         raise ValueError(f"unknown integrand '{ex['integrand']}'")
     _radii(cfg)

@@ -10,9 +10,9 @@ is Zähle's fractional-derivative integral,
 valid when the Hölder exponents of g and omega sum above 1; it then equals
 the Riemann-Stieltjes integral and does not depend on alpha (Zähle 1998,
 Integration with respect to fractal functions and stochastic calculus I).
-frac_deriv_right and frac_deriv_right_mid return the right derivative
-without its (-1)^(1-alpha) factor; with the leading (-1)^alpha the two
-factors multiply to -1.
+frac_deriv_right_mid returns the right derivative without its
+(-1)^(1-alpha) factor; with the leading (-1)^alpha the two factors
+multiply to -1.
 
 Grid data are read as piecewise-linear interpolants.  Two routes are
 provided:
@@ -38,8 +38,8 @@ from .paths import GridPath, HolderParams, SampledPath
 
 __all__ = [
     "IntegrandPath",
-    "frac_deriv_left",
-    "frac_deriv_right",
+    "frac_deriv_left_mid",
+    "frac_deriv_right_mid",
     "pathwise_integral",
     "pathwise_integral_window",
     "integral_norm_bound",
@@ -77,82 +77,6 @@ class IntegrandPath(GridPath):
         c = np.atleast_2d(np.asarray(c, dtype=float))
         vals = np.broadcast_to(c, (like.n_nodes,) + c.shape).copy()
         return IntegrandPath(t0=like.t0, dt=like.dt, values=vals)
-
-
-def _check_alpha(alpha: float):
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-
-
-def frac_deriv_left(g, alpha: float, s: float, r: float):
-    """Left fractional derivative of order alpha at grid node r:
-
-        D[r] = (1/Gamma(1-alpha)) ( g(r)/(r-s)^alpha
-               + alpha int_s^r (g(r)-g(q)) (r-q)^{-1-alpha} dq ),
-
-    the singular integral evaluated exactly for the piecewise-linear
-    interpolant of g (per-cell antiderivative of (A + Bx) x^{-1-alpha}).
-    Accepts an IntegrandPath (returns a matrix) or a SampledPath with one
-    mode (returns a scalar).
-    """
-    _check_alpha(alpha)
-    scalar = isinstance(g, SampledPath)
-    gp = IntegrandPath(g.t0, g.dt, g.scalar()) if scalar else g
-    i_s, i_r = gp.index_of(s), gp.index_of(r)
-    if i_r <= i_s:
-        raise ValueError("need s < r (kernel singular at zero gap)")
-    dt = gp.dt
-    v = gp.values
-    gr = v[i_r]
-    acc = gr / ((i_r - i_s) * dt) ** alpha
-    for k in range(i_s, i_r):
-        sl = (v[k + 1] - v[k]) / dt
-        if k == i_r - 1:
-            # cell touching r: g(r)-g(q) = sl*(r-q), no constant part
-            acc += alpha * sl * dt ** (1.0 - alpha) / (1.0 - alpha)
-            continue
-        xa = (i_r - k - 1) * dt
-        xb = (i_r - k) * dt
-        A = gr - v[k + 1] - sl * xa
-        acc += alpha * (
-            A * (xa**-alpha - xb**-alpha) / alpha
-            + sl * (xb ** (1.0 - alpha) - xa ** (1.0 - alpha)) / (1.0 - alpha)
-        )
-    out = acc / gamma(1.0 - alpha)
-    return float(out[0, 0]) if scalar else out
-
-
-def frac_deriv_right(omega: SampledPath, alpha: float, r: float, t: float):
-    """Right fractional derivative of order 1-alpha of omega - omega(t):
-
-        D[r] = (1/Gamma(alpha)) ( (omega(r)-omega(t))/(t-r)^{1-alpha}
-               + (1-alpha) int_r^t (omega(r)-omega(q)) (q-r)^{alpha-2} dq ),
-
-    exact on the piecewise-linear interpolant.  Returns an array over the
-    modes of omega (a scalar path yields a length-1 array).
-    """
-    _check_alpha(alpha)
-    i_r, i_t = omega.index_of(r), omega.index_of(t)
-    if i_t <= i_r:
-        raise ValueError("need r < t (kernel singular at zero gap)")
-    dt = omega.dt
-    v = omega.values
-    wr = v[i_r]
-    acc = (wr - v[i_t]) / ((i_t - i_r) * dt) ** (1.0 - alpha)
-    for k in range(i_r, i_t):
-        sl = (v[k + 1] - v[k]) / dt
-        if k == i_r:
-            # cell touching r: omega(r)-omega(q) = -sl*(q-r)
-            acc += (1.0 - alpha) * (-sl) * dt**alpha / alpha
-            continue
-        xa = (k - i_r) * dt
-        xb = (k + 1 - i_r) * dt
-        A = wr - v[k] + sl * xa
-        acc += (1.0 - alpha) * (
-            A * (xb ** (alpha - 1.0) - xa ** (alpha - 1.0)) / (alpha - 1.0)
-            - sl * (xb**alpha - xa**alpha) / alpha
-        )
-    return acc / gamma(alpha)
 
 
 def _cell_kernel(n: int, dt: float, order: float) -> np.ndarray:

@@ -142,11 +142,6 @@ class SampledPath(GridPath):
     def n_modes(self) -> int:
         return self.values.shape[1]
 
-    def scalar(self) -> np.ndarray:
-        if self.n_modes != 1:
-            raise ValueError("path is not scalar")
-        return self.values[:, 0]
-
 
 def fbm_covariance(t, s, hurst: float):
     """Covariance 0.5(|t|^2H + |s|^2H - |t-s|^2H) of two-sided fBm."""
@@ -341,22 +336,6 @@ def _holder_pair_sup(u, dt, beta, max_gap):
     return _pair_sup(u, ones, ones, span_pow, n_gaps)
 
 
-def _weighted_holder_sup(u, dt, beta, rho):
-    """Weighted Hölder norm on the grid, measured from the left endpoint:
-
-    sup_k e^{-rho*k*dt} ||u[k]||
-      + sup_{j<k} (j*dt)^beta e^{-rho*k*dt} ||u[k]-u[j]|| / ((k-j)*dt)^beta.
-
-    The j = 0 terms carry weight 0^beta = 0 and drop out.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    span_pow = (dt * np.arange(n)) ** beta
-    decay = np.exp(-rho * dt * np.arange(n))
-    sup_val = float(np.max(decay * _row_norms(u)))
-    return sup_val + _pair_sup(u, span_pow, decay, span_pow, n - 1)
-
-
 def holder_seminorm(u: SampledPath, beta: float, s=None, t=None) -> float:
     """Grid estimator of |||u|||_beta over [s, t]: max over node pairs of
     ||u(t_k)-u(t_j)|| / (t_k-t_j)^beta.  A lower bound of the continuum
@@ -376,7 +355,7 @@ def wiener_modulus(u: SampledPath, beta: float, delta: float) -> float:
 
 
 def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
-    """Weighted norm: sup_s e^{-rho(s-t0)}||u(s)||
+    """Weighted norm on the grid nodes: sup_s e^{-rho(s-t0)}||u(s)||
     + sup_{s<t} (s-t0)^beta e^{-rho(t-t0)} ||u(t)-u(s)||/(t-s)^beta.
 
     rho = 0 recovers the plain (beta, beta)-norm.  NaN when a node value is
@@ -384,4 +363,8 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return _weighted_holder_sup(u.values, u.dt, beta, rho)
+    n, dt = u.n_nodes, u.dt
+    span_pow = (dt * np.arange(n)) ** beta
+    decay = np.exp(-rho * dt * np.arange(n))
+    sup_val = float(np.max(decay * _row_norms(u.values)))
+    return sup_val + _pair_sup(u.values, span_pow, decay, span_pow, n - 1)

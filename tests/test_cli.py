@@ -206,6 +206,12 @@ def test_verify_all_uses_the_resolved_solver_config(tmp_path):
         "[experiment]\nradii = 0.1,abc\n",
         "[experiment]\nradii = 0.01,0.1\n",  # must strictly decrease
         "[experiment]\nintegrand = foo\n",
+        # |u0_scale| > 1e150: the Hölder norms square node values, and a
+        # float64 square overflows above about 1.34e154; such a run warned
+        # of overflow and reported an infinite ball radius, vacuously ok
+        "[experiment]\nu0_scale = 1e300\n",
+        "[experiment]\nu0_scale = 1e160\n",
+        "[experiment]\nu0_scale = -1e160\n",
     ],
 )
 def test_config_validated_at_parse_time(tmp_path, capsys, body):
@@ -424,6 +430,24 @@ def test_tiny_horizon_solves_to_u0(tmp_path):
     assert rep["rho"] == 1.0
     assert rep["n_distinct"] == 1
     assert rep["residuals"] == [0.0]
+
+
+@pytest.mark.parametrize(
+    "command, scale",
+    [("solve", 1e150), ("solve", -1e150), ("cocycle", 1e150), ("usc", 1e150)],
+)
+def test_u0_scale_at_the_bound_runs_without_warnings(tmp_path, command, scale):
+    # the largest accepted size: a finite ball radius and no numpy warning,
+    # which the suite's filterwarnings turns into an error
+    cfg_path = tmp_path / "edge.ini"
+    cfg_path.write_text(f"[experiment]\nu0_scale = {scale!r}\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(out), "--grid-pow", "4"]
+    assert cli.main(argv) == 0
+    if command == "solve":
+        rep = json.loads((out / "solve.json").read_text())["report"]
+        assert rep["ball_radius"] == 1.0 + 2.0 * abs(scale)
+        assert all(rep["ball_ok"]) and all(np.isfinite(rep["residuals"]))
 
 
 @pytest.mark.parametrize("drift", sorted(cli._DRIFTS))

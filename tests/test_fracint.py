@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gamma
 
 from roughdyn import fracint, paths
@@ -16,83 +17,11 @@ def _linear_path(n=64, t_end=1.0, slope=1.0):
 
 # ---------------------------------------------------------------- derivatives
 
-
-def test_frac_deriv_left_constant():
-    g = paths.SampledPath(0.0, 1 / 64, 3.0 * np.ones(65))
-    # difference integral vanishes: c / (Gamma(1-a) (r-s)^a)
-    assert fracint.frac_deriv_left(g, 0.5, 0.0, 1.0) == pytest.approx(
-        3.0 / np.sqrt(np.pi), rel=1e-12
-    )
-
-
-def test_frac_deriv_left_linear():
-    # power rule Gamma(2)/Gamma(1.5) (r-s)^{0.5} = 2/sqrt(pi); independent
-    # quadrature oracle (scipy.integrate.quad on the defining integral)
-    # gives 1.1283791670955436
-    got = fracint.frac_deriv_left(_linear_path(), 0.5, 0.0, 1.0)
-    assert got == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-12)
-    assert got == pytest.approx(1.1283791670955436, rel=1e-10)
-
-
-def test_frac_deriv_left_small_alpha_is_near_identity():
-    # D^alpha -> identity as alpha -> 0; quadrature oracle for g = sin,
-    # alpha = 1e-3, r = 1: 0.8416979099142762 (within 0.03% of sin(1))
-    tt = np.linspace(0.0, 1.0, 2049)
-    g = paths.SampledPath(0.0, tt[1], np.sin(tt))
-    got = fracint.frac_deriv_left(g, 1e-3, 0.0, 1.0)
-    assert got == pytest.approx(0.8416979099142762, rel=1e-6)
-    assert abs(got - np.sin(1.0)) / np.sin(1.0) < 0.01
-
-
-def test_frac_deriv_left_rejects_zero_gap():
-    with pytest.raises(ValueError):
-        fracint.frac_deriv_left(_linear_path(), 0.5, 0.5, 0.5)
-
-
-def test_frac_deriv_right_constant_is_zero():
-    om = paths.SampledPath(0.0, 1 / 32, 4.0 * np.ones(33))
-    assert fracint.frac_deriv_right(om, 0.5, 0.0, 1.0)[0] == 0.0
-
-
-def test_frac_deriv_right_linear():
-    # closed form for omega(q) = q: -(t-r)^alpha / Gamma(1+alpha); magnitude
-    # 2/sqrt(pi) at r=0, t=1, alpha=0.5
-    got = fracint.frac_deriv_right(_linear_path(), 0.5, 0.0, 1.0)[0]
-    assert abs(got) == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-12)
-    assert got == pytest.approx(-1.0 / gamma(1.5), rel=1e-12)
-
-
-def test_frac_deriv_right_quadratic_oracle():
-    # omega(q) = q^2, r = 0.25, t = 1, alpha = 0.5: quadrature oracle
-    # (scipy.integrate.quad on the defining integral) = -0.9772050238058516.
-    # The only error is piecewise-linear interpolation of q^2, which the
-    # singular kernel amplifies to O(dt^{3/2}).
-    errs = {}
-    for n in (512, 4096):
-        tt = np.linspace(0.0, 1.0, n + 1)
-        om = paths.SampledPath(0.0, tt[1], tt**2)
-        got = fracint.frac_deriv_right(om, 0.5, 0.25, 1.0)[0]
-        errs[n] = abs(got - (-0.9772050238058516))
-    assert errs[4096] < 1e-5
-    assert errs[4096] < errs[512] / 8.0  # observed rate ~ dt^{3/2}
-
-
-def test_frac_deriv_right_fbm_envelope():
-    # |D^{1-a} omega[r]| <= c |||omega|||_{b'} (t-r)^{a+b'-1} with
-    # c = (1 + (1-a)/(a+b'-1)) / Gamma(a)
-    om = paths.sample_fbm_1d(0.75, 128, 1 / 128, 31)
-    a, bp = PP.alpha, PP.beta_prime
-    wnorm = paths.holder_seminorm(om, bp)
-    c = (1.0 + (1.0 - a) / (a + bp - 1.0)) / gamma(a)
-    for k in range(0, 128, 9):
-        r = k / 128
-        got = abs(fracint.frac_deriv_right(om, a, r, 1.0)[0])
-        assert got <= c * wnorm * (1.0 - r) ** (a + bp - 1.0) * (1 + 1e-12)
-
-
-# ------------------------------------------------------- midpoint sweeps
-
 ALPHAS = [0.3, 0.5, 0.7]
+
+
+def _midpoints(n, dt):
+    return (np.arange(n) + 0.5) * dt
 
 
 def _random_paths(n=96, m=3):
@@ -104,43 +33,170 @@ def _random_paths(n=96, m=3):
     return np.round(g * 2.0**30) / 2.0**30, dt
 
 
-def _refined(vals):
-    # insert linear midpoints: the piecewise-linear interpolant is unchanged
-    # and every cell midpoint of the coarse grid becomes a node
-    fine = np.empty((2 * vals.shape[0] - 1,) + vals.shape[1:])
-    fine[::2] = vals
-    fine[1::2] = 0.5 * (vals[:-1] + vals[1:])
-    return fine
-
-
 def _rel_err(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+# Quadrature oracle, independent of the library: the defining Marchaud/Weyl
+# integrals of the piecewise-linear interpolant at each cell midpoint r,
+# with scipy's plain rule on each whole cell and the algebraic weight
+# (r - q)^-alpha or (q - r)^(alpha-1) on the half cell touching r, where
+# g(r) - g(q) is the cell slope times r - q.
+_QUAD_TOL = dict(epsabs=1e-14, epsrel=1e-13)
+
+
+def _cell_integrand(q, gr, gk, slope, qk, r, power):
+    """(g(r) - g(q)) |r - q|^power, with g(q) = gk + slope (q - qk) on the
+    cell that starts at qk."""
+    return (gr - gk - slope * (q - qk)) * abs(r - q) ** power
+
+
+def _left_quad(g, dt, alpha):
+    """(1/Gamma(1-alpha)) (g(r)/r^alpha
+    + alpha int_0^r (g(r)-g(q)) (r-q)^(-1-alpha) dq) per column of g."""
+    n = g.shape[0] - 1
+    out = np.empty((n, g.shape[1]))
+    for i, col in enumerate(g.T):
+        sl = np.diff(col) / dt
+        for p in range(n):
+            r = (p + 0.5) * dt
+            gr = 0.5 * (col[p] + col[p + 1])
+            acc = gr / r**alpha
+            half = quad(lambda q: sl[p], p * dt, r, weight="alg", wvar=(0.0, -alpha))
+            acc += alpha * half[0]
+            for k in range(p):
+                args = (gr, col[k], sl[k], k * dt, r, -1.0 - alpha)
+                cell = quad(_cell_integrand, k * dt, (k + 1) * dt, args, **_QUAD_TOL)
+                acc += alpha * cell[0]
+            out[p, i] = acc / gamma(1.0 - alpha)
+    return out
+
+
+def _right_quad(w, dt, alpha):
+    """(1/Gamma(alpha)) ((w(r)-w(T))/(T-r)^(1-alpha)
+    + (1-alpha) int_r^T (w(r)-w(q)) (q-r)^(alpha-2) dq) per column of w."""
+    n = w.shape[0] - 1
+    T = n * dt
+    out = np.empty((n, w.shape[1]))
+    for i, col in enumerate(w.T):
+        sl = np.diff(col) / dt
+        for p in range(n):
+            r = (p + 0.5) * dt
+            wr = 0.5 * (col[p] + col[p + 1])
+            acc = (wr - col[n]) / (T - r) ** (1.0 - alpha)
+            wvar = (alpha - 1.0, 0.0)
+            half = quad(lambda q: -sl[p], r, (p + 1) * dt, weight="alg", wvar=wvar)
+            acc += (1.0 - alpha) * half[0]
+            for k in range(p + 1, n):
+                args = (wr, col[k], sl[k], k * dt, r, alpha - 2.0)
+                cell = quad(_cell_integrand, k * dt, (k + 1) * dt, args, **_QUAD_TOL)
+                acc += (1.0 - alpha) * cell[0]
+            out[p, i] = acc / gamma(alpha)
+    return out
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_frac_deriv_left_mid_matches_nodewise_oracle(alpha):
-    vals, dt = _random_paths()
-    n = vals.shape[0] - 1
+def test_frac_deriv_left_mid_matches_quadrature_oracle(alpha):
+    vals, dt = _random_paths(n=32)
     got = fracint.frac_deriv_left_mid(vals, dt, alpha)
-    fine = fracint.IntegrandPath(0.0, dt / 2, _refined(vals))  # diagonal lift
-    ref = np.array(
-        [np.diag(fracint.frac_deriv_left(fine, alpha, 0.0, (p + 0.5) * dt)) for p in range(n)]
-    )
-    assert got.shape == (n, vals.shape[1])
-    assert _rel_err(got, ref) <= 1e-12
+    assert got.shape == (32, vals.shape[1])
+    assert _rel_err(got, _left_quad(vals, dt, alpha)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_frac_deriv_right_mid_matches_nodewise_oracle(alpha):
-    vals, dt = _random_paths()
-    n = vals.shape[0] - 1
+def test_frac_deriv_right_mid_matches_quadrature_oracle(alpha):
+    vals, dt = _random_paths(n=32)
     got = fracint.frac_deriv_right_mid(vals, dt, alpha)
-    fine = paths.SampledPath(0.0, dt / 2, _refined(vals))
-    ref = np.array(
-        [fracint.frac_deriv_right(fine, alpha, (p + 0.5) * dt, n * dt) for p in range(n)]
-    )
-    assert got.shape == (n, vals.shape[1])
+    assert got.shape == (32, vals.shape[1])
+    assert _rel_err(got, _right_quad(vals, dt, alpha)) <= 1e-12
+
+
+def test_frac_deriv_left_constant():
+    # difference integral vanishes: c / (Gamma(1-a) r^a), Gamma(1/2) = sqrt(pi)
+    n, dt = 64, 1 / 64
+    got = fracint.frac_deriv_left_mid(3.0 * np.ones((n + 1, 1)), dt, 0.5)[:, 0]
+    ref = 3.0 / np.sqrt(np.pi * _midpoints(n, dt))
     assert _rel_err(got, ref) <= 1e-12
+
+
+def _ending_at_one(n):
+    # n cells whose last midpoint is r = 1
+    dt = 1.0 / (n - 0.5)
+    return dt * np.arange(n + 1), dt
+
+
+def test_frac_deriv_left_linear():
+    # power rule Gamma(2)/Gamma(1.5) r^{0.5} = 2 sqrt(r/pi); at r = 1 the
+    # quadrature oracle (scipy.integrate.quad on the defining integral)
+    # gives 1.1283791670955436
+    tt, dt = _ending_at_one(64)
+    got = fracint.frac_deriv_left_mid(tt[:, None], dt, 0.5)[:, 0]
+    r = _midpoints(64, dt)
+    assert _rel_err(got, 2.0 * np.sqrt(r / np.pi)) <= 1e-12
+    assert r[-1] == pytest.approx(1.0, rel=1e-15)
+    assert got[-1] == pytest.approx(1.1283791670955436, rel=1e-10)
+
+
+def test_frac_deriv_left_small_alpha_is_near_identity():
+    # D^alpha -> identity as alpha -> 0; quadrature oracle for g = sin,
+    # alpha = 1e-3, r = 1: 0.8416979099142762 (within 0.03% of sin(1))
+    tt, dt = _ending_at_one(2048)
+    got = fracint.frac_deriv_left_mid(np.sin(tt)[:, None], dt, 1e-3)[:, 0]
+    r = _midpoints(2048, dt)
+    assert got[-1] == pytest.approx(0.8416979099142762, rel=1e-6)
+    assert np.all(np.abs(got - np.sin(r)) / np.sin(r) < 0.01)
+
+
+def test_frac_deriv_right_constant_is_zero():
+    got = fracint.frac_deriv_right_mid(4.0 * np.ones((33, 1)), 1 / 32, 0.5)
+    assert np.all(got == 0.0)
+
+
+def test_frac_deriv_right_linear():
+    # closed form for omega(q) = q: -(T-r)^alpha / Gamma(1+alpha), which at
+    # alpha = 1/2 is -2 sqrt((T-r)/pi)
+    tt, dt = _ending_at_one(64)
+    got = fracint.frac_deriv_right_mid(tt[:, None], dt, 0.5)[:, 0]
+    T = tt[-1]
+    r = _midpoints(64, dt)
+    assert _rel_err(got, -2.0 * np.sqrt((T - r) / np.pi)) <= 1e-12
+
+
+def test_frac_deriv_right_quadratic_oracle():
+    # omega(q) = q^2, T = 1, alpha = 1/2: the closed form
+    # -(2/sqrt(pi)) ((1-r)^{3/2}/(3/2) + 2 r (1-r)^{1/2}), which at r = 0.25
+    # the quadrature oracle (scipy.integrate.quad on the defining integral)
+    # gives as -0.9772050238058516.  The only error is piecewise-linear
+    # interpolation of q^2, which the singular kernel amplifies to
+    # O(dt^{3/2}).  With n = 4p + 2 cells, r = 0.25 is the midpoint of cell p.
+    errs, sups = {}, {}
+    for n in (514, 4098):
+        tt = np.linspace(0.0, 1.0, n + 1)
+        got = fracint.frac_deriv_right_mid((tt**2)[:, None], tt[1], 0.5)[:, 0]
+        r = _midpoints(n, tt[1])
+        exact = -(2.0 / np.sqrt(np.pi)) * (
+            (1.0 - r) ** 1.5 / 1.5 + 2.0 * r * np.sqrt(1.0 - r)
+        )
+        p = (n - 2) // 4
+        assert r[p] == pytest.approx(0.25, rel=1e-14)
+        assert exact[p] == pytest.approx(-0.9772050238058516, rel=1e-13)
+        errs[n] = abs(got[p] - exact[p])
+        sups[n] = np.max(np.abs(got - exact))
+    assert errs[4098] < 1e-5 and sups[4098] < 2e-6
+    assert errs[4098] < errs[514] / 8.0  # observed rate ~ dt^{3/2}
+    assert sups[4098] < sups[514] / 8.0
+
+
+def test_frac_deriv_right_fbm_envelope():
+    # |D^{1-a} omega[r]| <= c |||omega|||_{b'} (t-r)^{a+b'-1} with
+    # c = (1 + (1-a)/(a+b'-1)) / Gamma(a), at every cell midpoint
+    om = paths.sample_fbm_1d(0.75, 128, 1 / 128, 31)
+    a, bp = PP.alpha, PP.beta_prime
+    wnorm = paths.holder_seminorm(om, bp)
+    c = (1.0 + (1.0 - a) / (a + bp - 1.0)) / gamma(a)
+    got = np.abs(fracint.frac_deriv_right_mid(om.values, om.dt, a)[:, 0])
+    r = _midpoints(128, om.dt)
+    assert np.all(got <= c * wnorm * (1.0 - r) ** (a + bp - 1.0) * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

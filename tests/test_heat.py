@@ -87,7 +87,7 @@ def test_kernel_separable_rank_one():
     assert np.max(np.abs(m - dense.T)) < 1e-12
 
 
-def test_kernel_separable_path_matches_generic():
+def test_kernel_apply_default_kernel_matches_dense():
     basis = heat.SineBasis(n_modes=8, m_phys=128)
     kern = heat.default_kernel()
     rng = np.random.default_rng(3)
@@ -231,7 +231,7 @@ def test_heat_drift_diffusion_on_path_match_per_node():
     assert np.max(np.abs(spec.diffusion(path[3], vpath[3, 1]) - gpath[3, 1])) < 1e-14
 
 
-def test_generic_kernel_on_path_matches_per_node():
+def test_kernel_apply_on_path_matches_per_node():
     basis = heat.SineBasis(n_modes=5, m_phys=40)
     kern = heat.default_kernel()
     path = np.random.default_rng(22).standard_normal((2, 3, 5))

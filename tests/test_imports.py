@@ -1,8 +1,10 @@
 """Import hygiene of roughdyn.  Every name a module imports is used in that
 module or listed in its __all__ (`from __future__` imports are exempt), by
-a stdlib ast check, so it needs no linter; and the library loads no scipy."""
+a stdlib ast check, so it needs no linter; every name in a module's __all__
+exists on it; and the library loads no scipy."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -48,6 +50,16 @@ def test_unused_import_finder():
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_all_names_resolve(path):
+    # a stale __all__ entry makes `from roughdyn.<module> import *` raise
+    name = "roughdyn" if path.stem == "__init__" else f"roughdyn.{path.stem}"
+    mod = importlib.import_module(name)
+    assert [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)] == []
 
 
 def test_library_import_leaves_scipy_unloaded():

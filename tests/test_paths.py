@@ -39,7 +39,7 @@ def test_sampler_map_reproduces_covariance(hurst):
     assert np.max(np.abs(A @ A.T - cov)) < 1e-10
     # A is the map sample_fbm_1d applies to its seeded normals
     z = np.random.default_rng(np.random.SeedSequence(5)).standard_normal(4 * n)
-    path = paths.sample_fbm_1d(hurst, n, dt, 5).scalar()
+    path = paths.sample_fbm_1d(hurst, n, dt, 5).values[:, 0]
     assert path[0] == 0.0
     assert np.allclose(path[1:], A @ z, rtol=0, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_sampler_rejects_bad_grid():
 def test_fbm_variance_and_cross_covariance_monte_carlo():
     n, dt, m = 4, 0.5, 4000
     samples = np.array(
-        [paths.sample_fbm_1d(0.75, n, dt, [9, k]).scalar() for k in range(m)]
+        [paths.sample_fbm_1d(0.75, n, dt, [9, k]).values[:, 0] for k in range(m)]
     )
     # Var B(1) = 1; SE of the variance estimator of a Gaussian is ~ var*sqrt(2/m)
     v = np.var(samples[:, 2])
@@ -87,7 +87,7 @@ def test_fbm_variance_and_cross_covariance_monte_carlo():
 def test_bm_increments_uncorrelated():
     m = 4000
     samples = np.array(
-        [paths.sample_fbm_1d(0.5, 4, 0.25, [11, k]).scalar() for k in range(m)]
+        [paths.sample_fbm_1d(0.5, 4, 0.25, [11, k]).values[:, 0] for k in range(m)]
     )
     inc1 = samples[:, 1] - samples[:, 0]
     inc2 = samples[:, 3] - samples[:, 2]
@@ -330,71 +330,51 @@ def _brute_weighted_parts(vals, dt, beta, rho):
     return sup_v, sup_i
 
 
-class _PublicRoute:
-    """The array-level sups reached through the public SampledPath functions."""
-
-    @staticmethod
-    def holder_pair_sup(vals, dt, beta, max_gap):
-        u = paths.SampledPath(0.0, dt, vals)
-        if np.isinf(max_gap):
-            return paths.holder_seminorm(u, beta)
-        return paths.wiener_modulus(u, beta, max_gap)
-
-    @staticmethod
-    def weighted_holder_sup(vals, dt, beta, rho):
-        return paths.weighted_holder_norm(paths.SampledPath(0.0, dt, vals), beta, rho)
+def _public_pair_sup(vals, dt, beta, max_gap):
+    """The pair sup through the public function that serves max_gap."""
+    u = paths.SampledPath(0.0, dt, vals)
+    if np.isinf(max_gap):
+        return paths.holder_seminorm(u, beta)
+    return paths.wiener_modulus(u, beta, max_gap)
 
 
-class _ArrayRoute:
-    """The array-level sups called directly on the node values."""
-
-    holder_pair_sup = staticmethod(paths._holder_pair_sup)
-    weighted_holder_sup = staticmethod(paths._weighted_holder_sup)
+def _weighted_norm(vals, dt, beta, rho):
+    return paths.weighted_holder_norm(paths.SampledPath(0.0, dt, vals), beta, rho)
 
 
-# "numpy": the array helpers themselves; "active": the public functions that
-# every caller goes through (window slicing, delta and rho checks included)
-_ROUTES = pytest.mark.parametrize(
-    "backend", [_ArrayRoute, _PublicRoute], ids=["numpy", "active"]
-)
-
-
-@_ROUTES
 @pytest.mark.parametrize("offset", [1e2, 1e4])
-def test_holder_pair_sup_constant_offset_invariant(backend, offset):
+def test_holder_pair_sup_constant_offset_invariant(offset):
     vals = _dyadic_smooth_path()
     dt = 1.0 / 64
-    base = backend.holder_pair_sup(vals, dt, 0.65, np.inf)
-    shifted = backend.holder_pair_sup(vals + offset, dt, 0.65, np.inf)
+    base = _public_pair_sup(vals, dt, 0.65, np.inf)
+    shifted = _public_pair_sup(vals + offset, dt, 0.65, np.inf)
     assert base > 0.0
     assert shifted == pytest.approx(base, rel=1e-12)
     assert base == pytest.approx(_brute_pair_sup(vals, dt, 0.65), rel=1e-12)
 
 
-@_ROUTES
 @pytest.mark.parametrize("offset", [1e2, 1e4])
-def test_weighted_holder_sup_constant_offset(backend, offset):
+def test_weighted_holder_sup_constant_offset(offset):
     # the sup term moves with the offset, the increment term must not:
     # compare against the brute-force sup of u + c plus the increments of u
     vals = _dyadic_smooth_path()
     dt, beta, rho = 1.0 / 64, 0.55, 3.0
     sup_v, _ = _brute_weighted_parts(vals + offset, dt, beta, rho)
     _, sup_i = _brute_weighted_parts(vals, dt, beta, rho)
-    got = backend.weighted_holder_sup(vals + offset, dt, beta, rho)
+    got = _weighted_norm(vals + offset, dt, beta, rho)
     assert got == pytest.approx(sup_v + sup_i, rel=1e-13)
 
 
-@_ROUTES
-def test_holder_sups_against_brute_force_pair_loop(backend):
+def test_holder_sups_against_brute_force_pair_loop():
     rng = np.random.default_rng(12)
     vals = np.cumsum(rng.standard_normal((25, 3)), axis=0) * 0.2 + 5.0
     dt = 1.0 / 24
     for max_gap in (np.inf, 0.3, 1.5 * dt):
-        got = backend.holder_pair_sup(vals, dt, 0.6, max_gap)
+        got = _public_pair_sup(vals, dt, 0.6, max_gap)
         ref = _brute_pair_sup(vals, dt, 0.6, max_gap)
         assert got == pytest.approx(ref, rel=1e-12)
     for rho in (0.0, 4.0):
-        got = backend.weighted_holder_sup(vals, dt, 0.6, rho)
+        got = _weighted_norm(vals, dt, 0.6, rho)
         ref = sum(_brute_weighted_parts(vals, dt, 0.6, rho))
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -436,7 +416,7 @@ def _assert_sups_exact(vals, dt, beta, max_gaps=(np.inf,), rhos=(0.0, 1.0, 64.0)
         got = paths._holder_pair_sup(vals, dt, beta, max_gap)
         assert got == _per_gap_pair_sup(vals, dt, beta, max_gap), max_gap
     for rho in rhos:
-        got = paths._weighted_holder_sup(vals, dt, beta, rho)
+        got = _weighted_norm(vals, dt, beta, rho)
         assert got == _per_gap_weighted_sup(vals, dt, beta, rho), rho
 
 
@@ -569,7 +549,7 @@ def test_weighted_pair_search_exact_on_tight_bounds():
     # bounding a block's weights by their smallest values instead of their
     # largest prunes the max here
     vals, dt, beta, rho = _tight_weighted_path()
-    got = paths._weighted_holder_sup(vals, dt, beta, rho)
+    got = _weighted_norm(vals, dt, beta, rho)
     assert got == _per_gap_weighted_sup(vals, dt, beta, rho)
 
 
@@ -602,7 +582,7 @@ def test_non_finite_node_gives_nan(bad):
     assert np.isfinite(paths.holder_seminorm(u, 0.6, 0.0, 0.5))
 
 
-def test_path_to_csv_matches_csv_writer_reference(tmp_path):
+def test_write_series_matches_csv_writer_reference(tmp_path):
     vals = np.array(
         [
             [0.0, -0.0, 1.0],
