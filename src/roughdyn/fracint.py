@@ -57,9 +57,9 @@ class IntegrandPath(GridPath):
     """Operator-valued path on a uniform grid.
 
     values has shape (n_nodes, J, I): node k holds the matrix with entries
-    (e_j, g(t_k) e_i).  Scalar integrands pass shape (n_nodes,) and are
-    lifted to 1x1 matrices; diagonal ones pass (n_nodes, I), one diagonal
-    per node.
+    (e_j, g(t_k) e_i), one column per driver mode.  Scalar integrands pass
+    shape (n_nodes,) and are read as 1x1 matrices (a view); diagonal ones
+    pass (n_nodes, I), one diagonal per node, lifted by one broadcast.
     """
 
     @staticmethod
@@ -67,15 +67,16 @@ class IntegrandPath(GridPath):
         if values.ndim == 1:
             values = values[:, None, None]
         elif values.ndim == 2:
-            values = np.stack([np.diag(row) for row in values])
+            values = values[:, :, None] * np.eye(values.shape[1])
         if values.ndim != 3:
             raise ValueError("values must have shape (n_nodes[, J], I) or (n_nodes,)")
         return values
 
     @staticmethod
     def constant(c: np.ndarray, like: SampledPath) -> "IntegrandPath":
+        """c at every node of like's grid, as a read-only broadcast view."""
         c = np.atleast_2d(np.asarray(c, dtype=float))
-        vals = np.broadcast_to(c, (like.n_nodes,) + c.shape).copy()
+        vals = np.broadcast_to(c, (like.n_nodes,) + c.shape)
         return IntegrandPath(t0=like.t0, dt=like.dt, values=vals)
 
 
@@ -143,10 +144,17 @@ def frac_deriv_right_mid(w, dt, alpha):
     return -gamma_rec * _causal_conv(slopes, _cell_kernel(n, dt, alpha))[::-1]
 
 
-def _window(g: IntegrandPath, omega: SampledPath, s, t):
-    """Node values of omega and of g on [s, t] (default: all of omega)."""
+def _window(g: IntegrandPath, omega: SampledPath, params, s=None, t=None):
+    """Node values of g and of omega on [s, t] (default: all of omega), after
+    the one check of an integrand against its driver: params is a
+    HolderParams, the steps agree, and g has one column per driver mode."""
+    if not isinstance(params, HolderParams):
+        raise TypeError("params must be a HolderParams (enforces exponent chain)")
     if not g.same_step(omega):
         raise ValueError("integrand and driver must share the grid step")
+    if g.values.shape[2] != omega.n_modes:
+        cols, modes = g.values.shape[2], omega.n_modes
+        raise ValueError(f"integrand has {cols} columns, the driver {modes} modes")
     om = omega.window(s, t)
     return g.window(om.t0, om.t_end).values, om.values
 
@@ -161,27 +169,22 @@ def pathwise_integral(
     """int_s^t g domega as the trapezoid Stieltjes sum.
 
     Zähle's integral of the piecewise-linear interpolants is the
-    Riemann-Stieltjes integral, sum_k (g_k + dg_k/2) domega_k over the
-    cells of [s, t]; exact for piecewise-linear data.  params carries the
-    exponent-chain contract shared with pathwise_integral_window; the value
-    does not read alpha.
+    Riemann-Stieltjes integral, sum_k (g_k + g_{k+1})/2 domega_k over the
+    cells of [s, t]; exact for piecewise-linear data.  The two halves are
+    summed on the node arrays as given, so a broadcast g is never copied.
+    params carries the exponent-chain contract shared with
+    pathwise_integral_window; the value does not read alpha.
     """
-    if not isinstance(params, HolderParams):
-        raise TypeError("params must be a HolderParams (enforces exponent chain)")
-    gv, wv = _window(g, omega, s, t)
-    return np.einsum(
-        "kji,ki->j", gv[:-1] + 0.5 * (gv[1:] - gv[:-1]), np.diff(wv, axis=0)
-    )
+    gv, wv = _window(g, omega, params, s, t)
+    dw = np.diff(wv, axis=0)
+    lo = np.einsum("kji,ki->j", gv[:-1], dw)
+    return 0.5 * (lo + np.einsum("kji,ki->j", gv[1:], dw))
 
 
 def pathwise_integral_window(
-    g: IntegrandPath,
-    omega: SampledPath,
-    params: HolderParams,
-    s=None,
-    t=None,
+    g: IntegrandPath, omega: SampledPath, params: HolderParams
 ) -> np.ndarray:
-    """int_s^t g domega by single-window quadrature (oracle route).
+    """int g domega on all of omega by single-window quadrature (oracle route).
 
     Both derivatives are evaluated at cell midpoints (avoiding the
     endpoint singularities), with singular inner kernels integrated
@@ -189,17 +192,14 @@ def pathwise_integral_window(
     path increments; the outer integral uses the midpoint rule.
     O(n log n) in the window length.
     """
-    if not isinstance(params, HolderParams):
-        raise TypeError("params must be a HolderParams (enforces exponent chain)")
-    alpha = params.alpha
-    gv, wv = _window(g, omega, s, t)
+    gv, wv = _window(g, omega, params)
     n1, J, I = gv.shape
     dt = omega.dt
-    dl = frac_deriv_left_mid(gv.reshape(n1, J * I), dt, alpha).reshape(n1 - 1, J, I)
-    dr = frac_deriv_right_mid(wv, dt, alpha)
+    dl = frac_deriv_left_mid(gv.reshape(n1, J * I), dt, params.alpha)
+    dr = frac_deriv_right_mid(wv, dt, params.alpha)
     # Zähle's (-1)^alpha times the (-1)^(1-alpha) of the right Weyl
     # derivative, which frac_deriv_right_mid leaves out, is -1
-    return -dt * np.einsum("pji,pi->j", dl, dr)
+    return -dt * np.einsum("pji,pi->j", dl.reshape(n1 - 1, J, I), dr)
 
 
 def integral_norm_bound(
@@ -214,12 +214,11 @@ def integral_norm_bound(
     s = omega.t0 if s is None else s
     t = omega.t_end if t is None else t
     val = pathwise_integral(g, omega, params, s, t)
-    a, bp = params.alpha, params.beta_prime
+    a, b, bp = params.alpha, params.beta, params.beta_prime
     gwin = g.window(s, t)
     gflat = SampledPath(gwin.t0, gwin.dt, gwin.values.reshape(gwin.n_nodes, -1))
     gnorm = weighted_holder_norm(gflat, params.beta, rho=0.0)
     wnorm = holder_seminorm(omega, bp, s, t)
-    b = params.beta
     # |D^a g[r]| <= ||g|| (r-s)^{-a} (1 + a B(1-b, b-a)) / Gamma(1-a)
     # (difference quotients weighted by (q-s)^b), |D^{1-a} omega[r]| <=
     # |||omega||| (t-r)^{a+b'-1} (1 + (1-a)/(a+b'-1)) / Gamma(a); the outer

@@ -157,15 +157,14 @@ def build_heat_problem(
     params: HolderParams | None = None,
     n_modes: int = 16,
     m_phys: int = 256,
-    c_F: float = 0.0,
     L_F: float = 1.0,
 ) -> ProblemSpec:
     """Assemble the heat equation as a ProblemSpec for the mild solver; the
     time grid is the driver path's.
 
-    Defaults: drift f = tanh (c_F = 0, L_F = 1), the demo kernel above,
-    trace weights q_i = 1/i^2.  The declared L_G is the quadrature value
-    of the kernel's profile norm.
+    Defaults: drift f = tanh (L_F = 1; c_F = 0, as f(0) = 0 for every CLI
+    drift), the demo kernel above, trace weights q_i = 1/i^2.  The declared
+    L_G is the quadrature value of the kernel's profile norm.
     """
     kernel = default_kernel() if kernel is None else kernel
     params = HolderParams() if params is None else params
@@ -177,7 +176,6 @@ def build_heat_problem(
         drift=lambda u: nemytskii_apply(f, u, basis),
         diffusion=lambda u, v: kernel_apply(kernel, u, v, basis),
         params=params,
-        c_F=c_F,
         L_F=L_F,
         L_G=L_G,
     )

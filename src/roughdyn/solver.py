@@ -177,7 +177,9 @@ def kummer_decay(
         ]
     )
     v, w = _gauss_jacobi(a, b)
-    vals = t**d * (np.exp(-rho * np.outer(t, 1.0 - v)) @ w)
+    # e^{-rho t (1-v)} in place: one (t.size, nodes) table, not two
+    table = np.outer(t, v - 1.0)
+    vals = t**d * (np.exp(np.multiply(table, rho, out=table), out=table) @ w)
     return float(np.max(vals))
 
 

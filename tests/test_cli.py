@@ -212,6 +212,11 @@ def test_verify_all_uses_the_resolved_solver_config(tmp_path):
         "[experiment]\nu0_scale = 1e300\n",
         "[experiment]\nu0_scale = 1e160\n",
         "[experiment]\nu0_scale = -1e160\n",
+        # the same rule holds for every float key: at these amplitudes the
+        # run printed two numpy RuntimeWarnings (overflow in L_G's square)
+        # and exited 3; under -W error it exited 1 with a traceback
+        "[problem]\nkernel_amplitude = 1e160\n",
+        "[problem]\nkernel_amplitude = 1e300\n",
     ],
 )
 def test_config_validated_at_parse_time(tmp_path, capsys, body):
@@ -306,6 +311,35 @@ def test_memory_budget_is_affine_in_mode_count():
         pb["n_modes"] = N
         f.append(cli._memory_bytes(pb, 8))
     assert f[1] - f[0] == f[2] - f[1]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_peak_memory_within_budget(tmp_path, command):
+    # the parse-time budget bounds what a run holds: integrate held 8.7x it
+    # when it built the identity as an (n+1) x N x N array, solve 1.4x and
+    # cocycle 1.1x while the budget left out the probes, their images and
+    # the synthesized fields
+    cfg_path = tmp_path / "mem.ini"
+    # usc's peak is that of one solve; two perturbed starts per radius keep
+    # the traced run short
+    cfg_path.write_text(
+        "[problem]\nn_modes = 64\nm_phys = 256\n[solver]\nn_starts = 1\n"
+        "[experiment]\nm_per_radius = 2\n"
+    )
+    argv = [command, "--config", str(cfg_path), "--seed", "1"]
+    argv += ["--out", str(tmp_path / "out")]
+    # a first run pays the one-off allocations (lazy imports, caches)
+    assert cli.main(argv + ["--grid-pow", "4"]) == 0
+    cfg = cli._load_config(str(cfg_path), 1, 8)
+    budget = cli._memory_bytes(cfg["problem"], cfg["solver"]["n_starts"])
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv + ["--grid-pow", "8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= budget
 
 
 def test_defaults_are_the_library_defaults():
@@ -405,10 +439,11 @@ def test_unusable_out_is_config_error(tmp_path, capsys, under):
 
 
 def test_huge_step_solver_failure_is_one_stderr_line(tmp_path, capsys):
-    # lambda*dt ~ 1e198: the mild operator's cell moments stay finite and
-    # warning-free, and no contractive weight exists on this grid
+    # the largest accepted horizon: lambda*dt exceeds 1e150 on 12 of the 16
+    # modes, the mild operator's cell moments stay finite and warning-free,
+    # and no contractive weight exists on this grid
     cfg_path = tmp_path / "huge.ini"
-    cfg_path.write_text("[problem]\nhorizon = 1e200\n")
+    cfg_path.write_text("[problem]\nhorizon = 1e150\n")
     argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

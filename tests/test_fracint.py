@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from roughdyn import fracint, paths
+from roughdyn.spectral import laplacian_1d
 
 PP = paths.HolderParams()
 
@@ -306,13 +307,7 @@ def test_bilinearity():
 
 
 def test_matrix_integrand_contraction():
-    om = paths.sample_qfbm(
-        __import__("roughdyn.spectral", fromlist=["laplacian_1d"]).laplacian_1d(3),
-        0.75,
-        64,
-        1 / 64,
-        9,
-    )
+    om = paths.sample_qfbm(laplacian_1d(3), 0.75, 64, 1 / 64, 9)
     c = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0]])  # J=2, I=3
     g = fracint.IntegrandPath.constant(c, om)
     val = fracint.pathwise_integral(g, om, PP)
@@ -350,6 +345,41 @@ def test_window_scheme_cross_check():
             aw = fracint.pathwise_integral_window(gr, om, PP)[0]
             defects[n] += abs(ac - aw)
     assert defects[256] < 0.75 * defects[64]
+
+
+@pytest.mark.parametrize(
+    "values", [np.ones(65), np.ones((65, 2))], ids=["scalar", "diagonal-2"]
+)
+def test_integrand_columns_must_match_driver_modes(values):
+    # a scalar integrand against this 3-mode driver used to give the sum of
+    # the three mode increments on one route (0.7198) and 0.6977 on the
+    # other, and a 2-column diagonal one a numpy broadcasting error
+    om = paths.sample_qfbm(laplacian_1d(3), 0.75, 64, 1 / 64, 9)
+    g = fracint.IntegrandPath(0.0, om.dt, values)
+    routes = (
+        fracint.pathwise_integral,
+        fracint.pathwise_integral_window,
+        fracint.integral_norm_bound,
+    )
+    msgs = set()
+    for route in routes:
+        with pytest.raises(ValueError, match="columns, the driver 3 modes") as exc:
+            route(g, om, PP)
+        msgs.add(str(exc.value))
+    assert len(msgs) == 1
+
+
+def test_integrand_lifts_are_views_or_one_broadcast():
+    # the constant is not copied per node, and the diagonal lift equals the
+    # per-node np.diag it replaces
+    om = _linear_path(16)
+    c = np.array([[1.0, 2.0], [3.0, 4.0]])
+    g = fracint.IntegrandPath.constant(c, om)
+    assert g.values.shape == (17, 2, 2) and np.shares_memory(g.values, c)
+    assert g.values.strides[0] == 0
+    diag = np.arange(51.0).reshape(17, 3) - 20.0
+    lifted = fracint.IntegrandPath(0.0, om.dt, diag).values
+    assert np.array_equal(lifted, np.stack([np.diag(row) for row in diag]))
 
 
 def test_parameter_chain_rejected():
