@@ -125,14 +125,16 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
 
 
 def _memory_bytes(pb: dict, n_starts: int) -> int:
-    """Upper bound on the bytes a run holds: linear in n, affine in N and
-    m_phys.  Per stage, in float64s, rounded up from tracemalloc peaks of
-    every command (N <= 64, m_phys <= 256, n <= 1024) and summed: the fBm
-    sampler, 14 per mode and step; the diffusion's three (n+1) x m_phys
-    fields; ten (n+1) x N paths (driver, probes, images, temporaries) and
-    one kept solution per start."""
-    n, N = pb["n_steps"], pb["n_modes"]
-    return 8 * (14 * n * N + (n + 1) * (3 * pb["m_phys"] + (10 + n_starts) * N))
+    """Upper bound on the bytes a run holds: affine in N, and in n once a
+    path outgrows one node block.  Per stage, in float64s, rounded up from
+    tracemalloc peaks of every command (N <= 64, m_phys <= 256, n <= 1024)
+    and summed: the fBm sampler, 14 per mode and step; the diffusion's
+    three node-block fields, at most 3 max(m_phys, min((n+1) m_phys, 2^14));
+    ten (n+1) x N paths (driver, probes, images, temporaries) and one kept
+    solution per start."""
+    n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
+    block = max(M, min((n + 1) * M, heat._BLOCK_FLOATS))
+    return 8 * (14 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N)
 
 
 def _parse_value(sec: str, key: str, raw: str):

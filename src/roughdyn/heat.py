@@ -7,7 +7,10 @@ exactly orthogonal on the first M modes - so projection o synthesis is the
 identity, not an approximation.
 
 Every field operation acts along the last axis, so one call handles a
-single field of shape (N,) or a whole grid path of shape (n+1, N).
+single field of shape (N,) or a whole grid path of shape (n+1, N).  The
+drift and the diffusion evaluate a path's physical-node fields in blocks of
+nodes holding at most 2^14 values each (_through_nodes), so the memory they
+hold does not grow with m_phys times the path length.
 
 The diffusion G(u) is the integral operator v -> int g(x, y, u(y)) v(y) dy
 with g(x, y, z) = phi(x) psi(y, z), discretized by the same quadrature and
@@ -81,9 +84,32 @@ def project(basis: SineBasis, values: np.ndarray) -> np.ndarray:
     return basis.weight * (np.asarray(values, dtype=float) @ basis.synth_matrix)
 
 
+# Physical-node fields are built in blocks of at most this many float64s,
+# 128 KiB: glibc's default mmap threshold.  Larger arrays come as fresh
+# zero-filled mappings, so whole (n+1) x m_phys fields paid page faults on
+# every Picard step; blocks below it reuse heap memory that stays in cache.
+_BLOCK_FLOATS = 1 << 14
+
+
+def _through_nodes(basis: SineBasis, g, coeffs: np.ndarray) -> np.ndarray:
+    """project(basis, g(synthesize(basis, coeffs))) for coeffs (rows, N), in
+    equal blocks of rows whose node fields hold at most _BLOCK_FLOATS values
+    (one row at least); the last block may be shorter."""
+    rows = coeffs.shape[0]
+    most = max(1, _BLOCK_FLOATS // basis.m_phys)
+    n_blocks = max(1, -(-rows // most))
+    size = max(1, -(-rows // n_blocks))
+    out = np.empty(coeffs.shape)
+    for a in range(0, rows, size):
+        out[a : a + size] = project(basis, g(synthesize(basis, coeffs[a : a + size])))
+    return out
+
+
 def nemytskii_apply(f, u: np.ndarray, basis: SineBasis) -> np.ndarray:
-    """Coefficients of x -> f(u(x)): synthesize, compose, project."""
-    return project(basis, f(synthesize(basis, u)))
+    """Coefficients of x -> f(u(x)): synthesize, compose, project, over the
+    fields of u (..., N) in node blocks."""
+    u = np.asarray(u, dtype=float)
+    return _through_nodes(basis, f, u.reshape(-1, u.shape[-1])).reshape(u.shape)
 
 
 @dataclass
@@ -123,14 +149,16 @@ def kernel_apply(
     """(e_i, G(u)v) = (e_i, phi) w sum_b psi(y_b, u(y_b)) sum_j e_j(y_b) v_j.
 
     u (..., N) and v (..., N) broadcast along their leading axes to a result
-    (..., N); each field u is synthesized once, however many v it meets.
-    On the unit vectors, kernel_apply(k, u, np.eye(N), basis) is G(u)^T.
+    (..., N); each field u is synthesized once, however many v it meets, and
+    the psi table is projected in node blocks, so no (..., M) array of all
+    fields is ever held.  On the unit vectors, kernel_apply(k, u, np.eye(N),
+    basis) is G(u)^T.
     """
     u = np.asarray(u, dtype=float)
-    # one synthesis over all fields, whatever u's leading shape
-    uy = synthesize(basis, u.reshape(-1, u.shape[-1]))
     left = project(basis, kspec.phi(basis.nodes))
-    right = project(basis, kspec.psi(basis.nodes, uy)).reshape(u.shape)
+    right = _through_nodes(
+        basis, lambda z: kspec.psi(basis.nodes, z), u.reshape(-1, u.shape[-1])
+    ).reshape(u.shape)
     return left * np.sum(right * v, axis=-1, keepdims=True)
 
 

@@ -15,6 +15,10 @@ import numpy as np
 
 __all__ = ["canonical_json", "config_hash", "write_report", "write_series"]
 
+# write_series formats its table this many values at a time: the whole
+# table as Python floats would hold five times the path it writes
+_SERIES_BLOCK = 1 << 12
+
 
 def canonical_json(payload) -> str:
     """Sorted, indented JSON with full-precision floats; numpy arrays and
@@ -42,8 +46,11 @@ def write_series(path: str, u, config: dict) -> None:
     # the rows csv.writer would write: comma-separated, "\r\n"-terminated
     names = ["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)]
     row = ",".join(["%.17g"] * len(names)) + "\r\n"
-    table = np.column_stack([u.times, u.values]).tolist()
+    times = u.times
+    step = max(1, _SERIES_BLOCK // len(names))
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash: {config_hash(config)}\n")
         fh.write(",".join(names) + "\r\n")
-        fh.writelines(row % tuple(r) for r in table)
+        for a in range(0, u.n_nodes, step):
+            block = np.column_stack([times[a : a + step], u.values[a : a + step]])
+            fh.writelines(row % tuple(r) for r in block.tolist())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,80 @@ def test_kernel_apply_on_path_matches_per_node():
         assert np.max(np.abs(ref - dense @ vs[idx])) < 1e-13
         first = _dense(_default_g, path[idx[0], 0], 5, 40)
         assert np.max(np.abs(wide[idx] - first @ vs[idx])) < 1e-13
+
+
+# ------------------------------------------------------------- node blocks
+
+
+def _per_node(path, vs, n_modes, m_phys, a=0.1):
+    # tanh drift and the default kernel, one node at a time, built without
+    # SineBasis: f_k = w S^T tanh(S u_k), g_k = (w S^T phi) (w S^T psi_k . v_k)
+    x, S, w = _independent_sine(n_modes, m_phys)
+    left = w * (S.T @ np.sin(x))
+    f_ref, g_ref = [], []
+    for u, v in zip(path, vs):
+        uy = S @ u
+        f_ref.append(w * (S.T @ np.tanh(uy)))
+        right = w * (S.T @ (a * np.sin(x) * np.tanh(uy)))
+        g_ref.append(left * (v @ right)[..., None])
+    return np.array(f_ref), np.array(g_ref)
+
+
+@pytest.mark.parametrize(
+    "rows, n_modes, m_phys, blocks",
+    [
+        # 1025 nodes of 256 values: 16 blocks of 61 rows and a ragged 49
+        (1025, 16, 256, [61] * 16 + [49]),
+        (1, 8, 256, [1]),
+        # a node above the budget on its own: one row per block
+        (3, 4, (1 << 14) + 100, [1, 1, 1]),
+    ],
+)
+def test_node_blocks_match_per_node(rows, n_modes, m_phys, blocks):
+    basis = heat.SineBasis(n_modes=n_modes, m_phys=m_phys)
+    kern = heat.default_kernel()
+    rng = np.random.default_rng(rows)
+    path = rng.standard_normal((rows, n_modes))
+    vs = rng.standard_normal((rows, 2, n_modes))
+    seen = []
+
+    def tanh(z):
+        seen.append(z.shape)
+        return np.tanh(z)
+
+    f = heat.nemytskii_apply(tanh, path, basis)
+    g = heat.kernel_apply(kern, path[:, None, :], vs, basis)
+    assert seen == [(b, m_phys) for b in blocks]
+    f_ref, g_ref = _per_node(path, vs, n_modes, m_phys)
+    assert np.max(np.abs(f - f_ref)) <= 1e-13
+    assert np.max(np.abs(g - g_ref)) <= 1e-13
+    # a single (N,) field is a one-row path with no leading axis
+    f0 = heat.nemytskii_apply(np.tanh, path[0], basis)
+    g0 = heat.kernel_apply(kern, path[0], vs[0], basis)
+    assert f0.shape == (n_modes,) and g0.shape == (2, n_modes)
+    assert np.max(np.abs(f0 - f_ref[0])) <= 1e-13
+    assert np.max(np.abs(g0 - g_ref[0])) <= 1e-13
+
+
+def test_heat_memory_is_bounded_by_the_node_block():
+    # whole-path fields would hold 8.4 MB each at (4097, 16), m_phys = 256;
+    # the blocks hold at most three fields of 2^14 values besides the paths
+    spec = heat.build_heat_problem(n_modes=16, m_phys=256)
+    rng = np.random.default_rng(6)
+    path = rng.standard_normal((4097, 16))
+    vs = rng.standard_normal((4097, 2, 16))
+    # first calls build the cached synthesis matrix
+    spec.drift(path[:2])
+    spec.diffusion(path[:2, None, :], vs[:2])
+    bound = 8 * (3 * (1 << 14) + 4 * path.size)
+    for call in (
+        lambda: spec.drift(path),
+        lambda: spec.diffusion(path[:, None, :], vs),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

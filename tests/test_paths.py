@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,3 +604,27 @@ def test_write_series_matches_csv_writer_reference(tmp_path):
     rdio.write_series(str(tmp_path / "u.csv"), u, config)
     with open(tmp_path / "u.csv", newline="") as fh:
         assert fh.read() == ref.getvalue()
+
+
+def test_write_series_holds_less_than_its_path(tmp_path):
+    # the table is formatted in row blocks: a whole-path tolist() held 5.2
+    # times the path as Python floats; the rows match csv.writer's across
+    # the block boundaries
+    vals = np.random.default_rng(8).standard_normal((1025, 64))
+    u = paths.SampledPath(0.0, 1.0 / 1024, vals)
+    config = {"seed": 8}
+    rdio.write_series(str(tmp_path / "warm.csv"), u, config)
+    tracemalloc.start()
+    try:
+        rdio.write_series(str(tmp_path / "u.csv"), u, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * vals.nbytes
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(["t"] + [f"mode_{i + 1}" for i in range(64)])
+    for k, t in enumerate(u.times):
+        writer.writerow([format(t, ".17g")] + [format(v, ".17g") for v in vals[k]])
+    with open(tmp_path / "u.csv", newline="") as fh:
+        assert fh.read().split("\n", 1)[1] == ref.getvalue()
