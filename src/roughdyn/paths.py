@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "HolderParams",
@@ -239,12 +240,15 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
     return SampledPath(t0=omega.t0, dt=omega.dt, values=vals)
 
 
-# Block branch and bound behind every pair sup: nodes are cut into at most
-# _MAX_BLOCKS contiguous blocks of at least _MIN_BLOCK nodes, and a batch of
-# exact block pairs holds at most _CHUNK pair differences.
-_MIN_BLOCK = 16
+# Block branch and bound behind every pair sup: nodes are cut into equal
+# blocks of _MIN_BLOCK nodes (wider only where that would make more than
+# _MAX_BLOCKS blocks), the last block padded by repeating the last node with
+# weight 0.  A row chunk holds at most _CHUNK block-pair bounds and an exact
+# batch at most 2 * _CHUNK pair differences, so the working set is a padded
+# copy of the path plus O(_CHUNK) floats, whatever n.
+_MIN_BLOCK = 8
 _MAX_BLOCKS = 512
-_CHUNK = 2**15
+_CHUNK = 2**13
 _EPS = np.finfo(float).eps
 
 
@@ -262,66 +266,103 @@ def _pair_sup(u, a, b, c, max_gap):
     the gap g.  Each block gets a bounding box (centre and half-diagonal),
     which bounds every pair term of a block pair by the centre distance plus
     both radii, the largest a and b of the two blocks and the smallest gap
-    between them.  Block pairs are evaluated exactly, in order of decreasing
-    bound, until no bound left exceeds the best exact term.  The bound is
-    inflated by a relative slack for its own rounding and by an absolute
-    term for the rounding of the box centres, so a pruned pair never holds
-    a larger term; every term is the expression a per-gap pass over direct
-    differences u[k]-u[j] computes, so the max is that pass's bit for bit.
+    between them.  The bounds are built one row chunk of block pairs
+    (I, I + D) at a time; a chunk's block pairs are evaluated exactly, a
+    batch of the largest bounds at a time, until no bound left in it
+    exceeds the best exact term.  The bound is inflated by a relative slack
+    for its own rounding and by an absolute term for the rounding of the box
+    centres, so a pruned pair never holds a larger term.  The divisor of a
+    node pair is read from one table over the block offset D, which holds
+    c[k-j] for 1 <= k-j <= max_gap and inf elsewhere, so the pairs of a
+    block pair outside that range, and those of the padding, are exactly 0.
+    Every term is the expression a per-gap pass over direct differences
+    u[k]-u[j] computes, so the max is that pass's bit for bit.
     """
     n, m = u.shape
     if not np.isfinite(u).all():
         return np.nan
-    max_gap = min(max_gap, n - 1)
+    max_gap = int(min(max_gap, n - 1))
     if max_gap < 1:
         return 0.0
-    nb = min(_MAX_BLOCKS, max(1, n // _MIN_BLOCK))
-    edges = (np.arange(nb + 1) * n) // nb
-    starts, last = edges[:-1], edges[1:] - 1
-    lo = np.minimum.reduceat(u, starts)
-    hi = np.maximum.reduceat(u, starts)
-    centre = 0.5 * (lo + hi)
-    radius = _row_norms(0.5 * (hi - lo))
-    a_top = np.maximum.reduceat(a, starts)
-    b_top = np.maximum.reduceat(b, starts)
-
-    # block pairs I <= J; their bounds are built in place, one mode of the
-    # centre distance at a time, so no temporary holds pairs times modes
-    bi, bj = np.triu_indices(nb)
-    bound = np.zeros(bi.size)
-    for col in centre.T:
-        bound += (col[bj] - col[bi]) ** 2
-    np.sqrt(bound, out=bound)
+    w = max(_MIN_BLOCK, -(-n // _MAX_BLOCKS))
+    nb = -(-n // w)
+    pad = nb * w - n
+    ub = np.concatenate([u, np.broadcast_to(u[-1], (pad, m))]).reshape(nb, w, m)
+    ab = np.concatenate([a, np.zeros(pad)]).reshape(nb, w)
+    bb = np.concatenate([b, np.zeros(pad)]).reshape(nb, w)
+    # block offsets D = J - I whose smallest gap is at most max_gap
+    n_off = min(nb, (max_gap - 1) // w + 2)
+    # per block: box centre (rows :m), radius (row m) and largest b (row
+    # m + 1); n_off - 1 empty blocks past the end (b = 0, so bound 0) give
+    # every block a full window win[:, I, D] = box[:, I + D]
+    lo, hi = ub.min(axis=1), ub.max(axis=1)
+    box = np.zeros((m + 2, nb + n_off - 1))
+    box[:m, :nb] = (0.5 * (lo + hi)).T
+    box[m, :nb] = _row_norms(0.5 * (hi - lo))
+    box[m + 1, :nb] = bb.max(axis=1)
+    del lo, hi
+    win = sliding_window_view(box, n_off, axis=1)
+    a_top = ab.max(axis=1)
+    c_min = c[np.maximum(np.arange(n_off) * w - (w - 1), 1)]
+    # divisors: cg[g + w - 1] = c[g] on 1 <= g <= max_gap, inf elsewhere,
+    # read as table[D, p, q] = c[D*w + q - p] for node p of block I and
+    # node q of block I + D
+    cg = np.full(n_off * w + w - 1, np.inf)
+    top = min(max_gap, n_off * w - 1)
+    cg[w : w + top] = c[1 : top + 1]
+    table = sliding_window_view(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
     centre_err = 4 * _EPS * float(np.abs(u).max()) * np.sqrt(m)
-    bound += radius[bi] + radius[bj] + centre_err
-    bound *= a_top[bi] * b_top[bj] * (1.0 + 1e-12 + 4 * m * _EPS)
-    gap_min = np.maximum(starts[bj] - last[bi], 1)
-    bound /= c[gap_min]
-    bound[gap_min > max_gap] = 0.0
-    del gap_min
-    order = np.argsort(-bound, kind="stable")
-
-    width = int((last - starts).max()) + 1
-    offs = np.arange(width)
-    batch = max(1, _CHUNK // (width * width * m))
+    slack = 1.0 + 1e-12 + 4 * m * _EPS
+    batch = max(1, 2 * _CHUNK // (w * w * m))
+    flat_u = ub.reshape(-1, m)
+    node_p = np.broadcast_to(np.arange(w)[:, None], (w, w))
     best = 0.0
-    pos = 0
-    while pos < order.size and bound[order[pos]] > best:
-        take = order[pos : pos + batch]
-        take = take[bound[take] > best]
-        pos += batch
-        # node indices of each block pair; short blocks repeat their last node
-        j = np.minimum(starts[bi[take], None] + offs, last[bi[take], None])
-        k = np.minimum(starts[bj[take], None] + offs, last[bj[take], None])
-        j, k = j[:, :, None], k[:, None, :]
-        gap = k - j
-        ok = (gap >= 1) & (gap <= max_gap)
-        dn = _row_norms((u[k] - u[j]).reshape(-1, m)).reshape(gap.shape)
-        q = (a[j] * b[k]) * dn / c[np.where(ok, gap, 1)]
-        best = max(best, float(q[ok].max()))
+    i0 = 0
+    while i0 < nb:
+        cols = min(n_off, nb - i0)
+        i1 = min(nb, i0 + max(1, _CHUNK // cols))
+        wc = win[:, i0:i1, :cols]
+        bound = np.zeros((i1 - i0, cols))
+        # the centre distance, g modes at a time: at most _CHUNK differences
+        g = min(m, max(1, _CHUNK // bound.size))
+        d = np.empty((g,) + bound.shape)
+        for k in range(0, m, g):
+            dk = d[: min(g, m - k)]
+            np.copyto(dk, wc[k : k + len(dk)])
+            dk -= box[k : k + len(dk), i0:i1, None]
+            bound += np.einsum("kij,kij->ij", dk, dk)
+        del d, dk
+        np.sqrt(bound, out=bound)
+        bound += wc[m]
+        bound += box[m, i0:i1, None] + centre_err
+        bound *= wc[m + 1]
+        bound *= a_top[i0:i1, None] * slack
+        bound /= c_min[:cols]
+        flat = bound.ravel()
+        while True:
+            live = np.flatnonzero(flat > best)
+            if live.size == 0:
+                break
+            if live.size > batch:
+                live = live[np.argpartition(flat[live], -batch)[-batch:]]
+            flat[live] = 0.0
+            bi, off = np.divmod(live, cols)
+            bi += i0
+            bj = bi + off
+            # diff[:, p, q] = u[k] - u[j] for node j = p of block bi and
+            # node k = q of block bj
+            diff = flat_u.take((bi * w)[:, None, None] + node_p, 0)
+            np.subtract(ub.take(bj, 0)[:, None], diff, out=diff)
+            dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
+            del diff
+            terms = ab[bi][:, :, None] * bb[bj][:, None, :]
+            terms *= dn
+            terms /= table[off]
+            best = max(best, float(terms.max()))
+        i0 = i1
     return best
 
 
