@@ -128,13 +128,15 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     """Upper bound on the bytes a run holds: affine in N, and in n once a
     path outgrows one node block.  Per stage, in float64s, rounded up from
     tracemalloc peaks of every command (N <= 64, m_phys <= 256, n <= 1024)
-    and summed: the fBm sampler, 14 per mode and step; the diffusion's
+    and summed: the fBm sampler, 11 per mode and step; the diffusion's
     three node-block fields, at most 3 max(m_phys, min((n+1) m_phys, 2^14));
     ten (n+1) x N paths (driver, probes, images, temporaries) and one kept
-    solution per start."""
+    solution per start; and the Hölder pair search's bounded working set,
+    16 of its chunks (1 MiB) whatever n and N."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
     block = max(M, min((n + 1) * M, heat._BLOCK_FLOATS))
-    return 8 * (14 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N)
+    pair_search = 16 * paths._CHUNK
+    return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + pair_search)
 
 
 def _parse_value(sec: str, key: str, raw: str):

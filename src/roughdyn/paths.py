@@ -182,9 +182,14 @@ def _fbm_from_normals(sqrt_eigs: np.ndarray, z: np.ndarray) -> np.ndarray:
     the 2n circulant eigenvalues."""
     m = sqrt_eigs.size
     n = m // 2
-    noise = np.fft.fft(sqrt_eigs * (z[..., :m] + 1j * z[..., m:]), axis=-1)
+    # one complex array, filled and transformed in place
+    w = np.empty(z.shape[:-1] + (m,), dtype=complex)
+    w.real = z[..., :m]
+    w.imag = z[..., m:]
+    w *= sqrt_eigs
+    np.fft.fft(w, axis=-1, out=w)
     out = np.zeros(z.shape[:-1] + (n + 1,))
-    np.cumsum(noise[..., :n].real, axis=-1, out=out[..., 1:])
+    np.cumsum(w[..., :n].real, axis=-1, out=out[..., 1:])
     return out
 
 

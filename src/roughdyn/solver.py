@@ -177,15 +177,24 @@ def kummer_decay(
         ]
     )
     v, w = _gauss_jacobi(a, b)
-    # e^{-rho t (1-v)} in place: one (t.size, nodes) table, not two
-    table = np.outer(t, v - 1.0)
-    vals = t**d * (np.exp(np.multiply(table, rho, out=table), out=table) @ w)
-    return float(np.max(vals))
+    # e^{-rho t (1-v)} in row blocks of at most _TABLE_FLOATS, each reduced
+    # row by row by einsum, which gives the same bits however the rows are
+    # blocked (a blocked BLAS product does not)
+    rows = max(1, _TABLE_FLOATS // v.size)
+    inner = np.empty(t.size)
+    for i in range(0, t.size, rows):
+        table = np.outer(t[i : i + rows], v - 1.0)
+        table *= rho
+        np.exp(table, out=table)
+        inner[i : i + rows] = np.einsum("ij,j->i", table, w)
+    return float(np.max(t**d * inner))
 
 
 # kummer_decay's sup sits at rho*t of order one, where 32, 64 or 128 nodes
-# all give the closed form to ~1e-15 relative
+# all give the closed form to ~1e-15 relative; its (t, nodes) table is built
+# in row blocks of at most 2^14 floats (128 KiB)
 _JACOBI_NODES = 64
+_TABLE_FLOATS = 2**14
 
 
 def _gauss_jacobi(a: float, b: float):

@@ -437,8 +437,9 @@ def test_pair_search_exact_on_heat_residual():
 
 
 def test_pair_search_exact_on_long_driver():
-    # n = 4097 nodes: 256 blocks, so most block pairs are pruned; the modulus
-    # windows end mid-block
+    # n = 4097 nodes: 456 blocks of 9 nodes, the last one padded, with the
+    # bounds in row chunks of 17 block rows, so most block pairs are pruned;
+    # the modulus windows end mid-block
     n = 4096
     op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
     om = paths.sample_qfbm(op, 0.75, n, 1.0 / n, 3)
@@ -479,37 +480,45 @@ def test_pair_search_exact_under_large_offset(offset):
     _assert_sups_exact(vals + offset, dt, 0.65, max_gaps=(np.inf, 64.5 * dt))
 
 
+def _first_chunk_nodes(n):
+    # nodes of the block rows in the first row chunk of block-pair bounds,
+    # for n a multiple of the block size and the full gap range
+    n_blocks = n // paths._MIN_BLOCK
+    return paths._MIN_BLOCK * (paths._CHUNK // n_blocks)
+
+
 def _tight_box_path(offset, n=2048, beta=0.6, step=0.1):
     # A path on which the box bound of the block pair holding the max is
-    # tight, and a near tie is found first.  Blocks hold 16 nodes here.
-    # - Block 2 is flat at the offset; block 3 steps up by `step` at its
-    #   first node and comes back down in small steps.  The max is that
-    #   gap-1 step, and its block-pair bound equals it up to the rounding
-    #   of block 3's box centre.
-    # - Block 0 is a 12-gap ramp whose rise is the largest increment at
-    #   this offset with a quotient below the max, and its bound is the
-    #   largest of all.
-    # - A triangle wave from block 5 on gives about 240 block pairs with
-    #   bounds between the two and small values, so the max is evaluated in
-    #   a later batch than the near tie, after pruning has started.
+    # tight, and a near tie lies in an earlier row chunk, so it is the best
+    # term when the max's chunk is searched.  Blocks hold 8 nodes, and the
+    # first row chunk holds the pairs of blocks 0-31 (nodes 0-255).
+    # - Block 40 is flat at the offset; block 41 steps up by `step` at its
+    #   first node and comes back down in eighths.  The max is that gap-1
+    #   step, and its block-pair bound equals it up to the rounding of
+    #   block 41's box centre: centre distance 9/16 step, radius 7/16 step.
+    # - Nodes 0-12 are a 12-gap ramp whose rise is the largest increment at
+    #   this offset with a quotient below the max: the near tie.  The last
+    #   13 nodes mirror it, so the reversed path has the same near tie, and
+    #   its max leaves the block with the radius for the flat one.
     dt = 1.0 / (n - 1)
     c = (dt * np.arange(n)) ** beta
     u = np.full(n, offset)
-    u[48:56] = offset + step
-    u[56:64] = offset + step * np.arange(7, -1, -1) / 8
-    top = (u[48] - u[47]) / c[1]
-    u[80:] = offset + 1.2 * step * np.abs((np.arange(n - 80) + 16) % 32 - 15.5) / 15.5
+    s = 8 * 41
+    assert s - 8 >= _first_chunk_nodes(n)
+    u[s : s + 8] = offset + step * np.arange(8, 0, -1) / 8
+    top = (u[s] - u[s - 1]) / c[1]
     ulp = np.spacing(offset)
     rise = np.floor(top * c[12] / ulp) * ulp
     while (offset + rise) - offset != rise or rise / c[12] >= top:
         rise -= ulp
     u[:13] = offset + rise * np.arange(12, -1, -1) / 12
+    u[n - 13 :] = u[12::-1]
     return u[:, None], dt, beta, top
 
 
 def test_pair_search_exact_on_tight_box_bounds():
-    # dropping a radius, the gap of adjacent blocks or the absolute term
-    # for the rounding of the box centres prunes the max here
+    # dropping either radius, the gap of adjacent blocks or the absolute
+    # term for the rounding of the box centres prunes the max here
     for k in range(6):
         vals, dt, beta, top = _tight_box_path(1e4 + k / 7)
         for v in (vals, vals[::-1]):
@@ -518,37 +527,31 @@ def test_pair_search_exact_on_tight_box_bounds():
 
 
 def _tight_weighted_path(n=2048, m=16, beta=0.6, rho=16.0):
-    # The weighted analogue of _tight_box_path, without an offset.  Blocks
-    # hold 16 nodes, and a batch holds 8 block pairs at 16 modes.
-    # - A unit step at node 144, the first of block 9, after the flat block
-    #   8: its term is the max, and the bound of block pair (8, 9) equals
-    #   it, because the largest (j dt)^beta of block 8 and the largest
-    #   e^{-rho k dt} of block 9 sit at the two nodes of the step.
-    # - A step at node 80 whose term is 0.95 of the max; block 5 then rises
-    #   by a fifth, so its bound is the largest of all.
-    # - Four tents over blocks 16-23 give eight block pairs with bounds of
-    #   1.07 times the max and small values, so the max is evaluated in a
-    #   later batch than the near tie.
+    # The weighted analogue of _tight_box_path, without an offset.
+    # - A unit step at node 320, the first of block 40, after the flat
+    #   block 39, coming back down in eighths: its term is the max, and the
+    #   bound of block pair (39, 40) equals it, because the largest
+    #   (j dt)^beta of block 39 and the largest e^{-rho k dt} of block 40
+    #   sit at the two nodes of the step.  The smallest weights of the two
+    #   blocks are 1.3% and 5.3% lower.
+    # - A step at node 80, in the first row chunk, whose term is 0.99 of the
+    #   max: the near tie.
     dt = 1.0 / (n - 1)
     a = (dt * np.arange(n)) ** beta
     b = np.exp(-rho * dt * np.arange(n))
     u = np.zeros((n, m))
-    u[144:160, 0] = 1.0
-    u[160:224, 0] = np.linspace(1.0, 0.0, 64)
-    top = a[143] * b[144] / a[1]
-    rise = 0.95 * top * a[1] / (a[79] * b[80])
-    u[80:96, 0] = rise * np.linspace(1.0, 1.2, 16)
-    u[96:128, 0] = rise * np.linspace(1.2, 0.0, 32)
-    for s0 in range(256, 384, 32):
-        tent = 1.07 * top * a[1] / (a[s0 + 31] * b[s0])
-        u[s0 : s0 + 16, 0] = tent * np.linspace(0.0, 1.0, 16)
-        u[s0 + 16 : s0 + 32, 0] = tent * np.linspace(1.0, 0.0, 16)
+    s = 320
+    assert 80 < _first_chunk_nodes(n) <= s - 8
+    u[s : s + 8, 0] = np.arange(8, 0, -1) / 8
+    tie = 0.99 * a[s - 1] * b[s] / (a[79] * b[80])
+    u[80:88, 0] = tie
+    u[88:120, 0] = tie * np.linspace(1.0, 0.0, 32)
     return u, dt, beta, rho
 
 
 def test_weighted_pair_search_exact_on_tight_bounds():
     # bounding a block's weights by their smallest values instead of their
-    # largest prunes the max here
+    # largest, on either side, or dropping the radius prunes the max here
     vals, dt, beta, rho = _tight_weighted_path()
     got = _weighted_norm(vals, dt, beta, rho)
     assert got == _per_gap_weighted_sup(vals, dt, beta, rho)
@@ -557,7 +560,7 @@ def test_weighted_pair_search_exact_on_tight_bounds():
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     st.integers(2, 300),
-    st.sampled_from([1, 3]),
+    st.sampled_from([1, 3, 16]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 1.0, -1e3, 1e6]),
     st.floats(0.0, 1.2),
@@ -567,6 +570,44 @@ def test_property_pair_search_matches_per_gap_pass(n, m, seed, offset, gap_frac)
     vals = np.cumsum(rng.standard_normal((n, m)), axis=0) * 1e-2 + offset
     dt = 1.0 / (n - 1)
     _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf, gap_frac), rhos=(0.0, 64.0))
+
+
+@pytest.mark.parametrize("n, m", [(4097, 16), (4609, 3), (5001, 1)])
+def test_pair_search_exact_above_the_block_cap(n, m):
+    # past _MIN_BLOCK * _MAX_BLOCKS nodes the blocks widen (9, 10 and 10
+    # nodes here) and the last one is ragged; the modulus windows end
+    # mid-block
+    w = -(-n // paths._MAX_BLOCKS)
+    assert n > paths._MIN_BLOCK * paths._MAX_BLOCKS and w > paths._MIN_BLOCK
+    assert n % w != 0
+    rng = np.random.default_rng(n)
+    vals = np.cumsum(rng.standard_normal((n, m)), axis=0) * 1e-2 + 3.0
+    dt = 1.0 / (n - 1)
+    gaps = (2 * w + 3.5, 7 * w + 1.5)
+    assert all(int(g) % w != 0 for g in gaps)
+    _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf,) + tuple(g * dt for g in gaps), rhos=(4.0,))
+
+
+@pytest.mark.parametrize("n", [4097, 16385])
+def test_pair_search_memory_is_affine_in_grid_size(n):
+    # past a padded copy of the path, its weights and the divisor table
+    # (under 6 floats per node at one mode) the search holds a fixed number
+    # of chunks, whatever n: its block-pair arrays grew as (n/16)^2 / 2
+    # before the bounds were streamed (2.7 MB at 4097 nodes, 6.1 MB at 16385)
+    rng = np.random.default_rng(5)
+    u = np.cumsum(rng.standard_normal((n, 1)), axis=0)
+    dt = 1.0 / (n - 1)
+    span_pow = (dt * np.arange(n)) ** 0.55
+    decay = np.exp(-4.0 * dt * np.arange(n))
+    for a, b in ((np.ones(n), np.ones(n)), (span_pow, decay)):
+        paths._pair_sup(u, a, b, span_pow, n - 1)
+        tracemalloc.start()
+        try:
+            paths._pair_sup(u, a, b, span_pow, n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (6 * n + 16 * paths._CHUNK)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
