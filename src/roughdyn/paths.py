@@ -249,8 +249,9 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
 # blocks of _MIN_BLOCK nodes (wider only where that would make more than
 # _MAX_BLOCKS blocks), the last block padded by repeating the last node with
 # weight 0.  A row chunk holds at most _CHUNK block-pair bounds and an exact
-# batch at most 2 * _CHUNK pair differences, so the working set is a padded
-# copy of the path plus O(_CHUNK) floats, whatever n.
+# batch at most 2 * _CHUNK pair differences (one block pair, if that alone
+# holds more: past 2^14 nodes at 16 modes), so the working set is the
+# padded path, its weights and divisors plus a fixed number of chunks.
 _MIN_BLOCK = 8
 _MAX_BLOCKS = 512
 _CHUNK = 2**13
