@@ -320,7 +320,7 @@ def _pair_sup(u, a, b, c, max_gap):
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
-    centre_err = 4 * _EPS * float(np.abs(u).max()) * np.sqrt(m)
+    centre_err = 4 * _EPS * max(float(u.max()), -float(u.min())) * np.sqrt(m)
     slack = 1.0 + 1e-12 + 4 * m * _EPS
     batch = max(1, 2 * _CHUNK // (w * w * m))
     flat_u = ub.reshape(-1, m)
