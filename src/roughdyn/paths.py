@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "HolderParams",
@@ -263,6 +263,15 @@ def _row_norms(d):
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
+def _windows(x, k):
+    """Read-only view out[..., i, j] = x[..., i + j] of the length-k windows
+    along the last axis of a C-contiguous x: sliding_window_view without its
+    argument checks, which cost as much as a small search's bounds."""
+    s = x.strides[-1]
+    shape = x.shape[:-1] + (x.shape[-1] - k + 1, k)
+    return as_strided(x, shape, x.strides + (s,), writeable=False)
+
+
 def _pair_sup(u, a, b, c, max_gap):
     """Exact max over node pairs j < k with k - j <= max_gap of
     (a[j]*b[k]) * ||u[k]-u[j]|| / c[k-j], Euclidean norm across modes; 0.0
@@ -307,7 +316,7 @@ def _pair_sup(u, a, b, c, max_gap):
     box[m, :nb] = _row_norms(0.5 * (hi - lo))
     box[m + 1, :nb] = bb.max(axis=1)
     del lo, hi
-    win = sliding_window_view(box, n_off, axis=1)
+    win = _windows(box, n_off)
     a_top = ab.max(axis=1)
     c_min = c[np.maximum(np.arange(n_off) * w - (w - 1), 1)]
     # divisors: cg[g + w - 1] = c[g] on 1 <= g <= max_gap, inf elsewhere,
@@ -316,7 +325,7 @@ def _pair_sup(u, a, b, c, max_gap):
     cg = np.full(n_off * w + w - 1, np.inf)
     top = min(max_gap, n_off * w - 1)
     cg[w : w + top] = c[1 : top + 1]
-    table = sliding_window_view(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
+    table = _windows(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
@@ -324,7 +333,7 @@ def _pair_sup(u, a, b, c, max_gap):
     slack = 1.0 + 1e-12 + 4 * m * _EPS
     batch = max(1, 2 * _CHUNK // (w * w * m))
     flat_u = ub.reshape(-1, m)
-    node_p = np.broadcast_to(np.arange(w)[:, None], (w, w))
+    node_p = np.arange(w).repeat(w).reshape(w, w)
     best = 0.0
     i0 = 0
     while i0 < nb:
