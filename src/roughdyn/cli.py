@@ -131,8 +131,9 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     and summed: the fBm sampler, 11 per mode and step; the diffusion's
     three node-block fields, at most 3 max(m_phys, min((n+1) m_phys, 2^14));
     ten (n+1) x N paths (driver, probes, images, temporaries) and one kept
-    solution per start; and the Hölder pair search's bounded working set,
-    16 of its chunks (1 MiB) whatever n and N."""
+    solution per start; and the Hölder pair search's fixed working set, 16
+    of its chunks (1 MiB), which holds while one of its block pairs fits a
+    batch (n <= 2^14 at N = 16; past that the path terms cover it)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
     block = max(M, min((n + 1) * M, heat._BLOCK_FLOATS))
     pair_search = 16 * paths._CHUNK
