@@ -132,10 +132,10 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     three node-block fields, at most 3 max(m_phys, min((n+1) m_phys, 2^14));
     ten (n+1) x N paths (driver, probes, images, temporaries) and one kept
     solution per start; and the Hölder pair search's fixed working set, 16
-    of its chunks (1 MiB), which holds while one of its block pairs fits a
-    batch (n <= 2^14 at N = 16; past that the path terms cover it)."""
+    of its chunks (1 MiB), whatever n and N (its weights and divisors, 3
+    per node, sit under the path terms)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
-    block = max(M, min((n + 1) * M, heat._BLOCK_FLOATS))
+    block = max(M, min((n + 1) * M, spectral._BLOCK_FLOATS))
     pair_search = 16 * paths._CHUNK
     return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + pair_search)
 

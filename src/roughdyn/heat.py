@@ -29,7 +29,7 @@ import numpy as np
 
 from .paths import HolderParams
 from .solver import ProblemSpec
-from .spectral import laplacian_1d
+from .spectral import _BLOCK_FLOATS, laplacian_1d
 
 __all__ = [
     "SineBasis",
@@ -82,13 +82,6 @@ def project(basis: SineBasis, values: np.ndarray) -> np.ndarray:
     """Coefficients c_i = w sum_a u(x_a) e_i(x_a); exact inverse of
     synthesize for fields in the first N modes.  Acts along the last axis."""
     return basis.weight * (np.asarray(values, dtype=float) @ basis.synth_matrix)
-
-
-# Physical-node fields are built in blocks of at most this many float64s,
-# 128 KiB: glibc's default mmap threshold.  Larger arrays come as fresh
-# zero-filled mappings, so whole (n+1) x m_phys fields paid page faults on
-# every Picard step; blocks below it reuse heap memory that stays in cache.
-_BLOCK_FLOATS = 1 << 14
 
 
 def _through_nodes(basis: SineBasis, g, coeffs: np.ndarray) -> np.ndarray:

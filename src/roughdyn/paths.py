@@ -249,9 +249,9 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
 # blocks of _MIN_BLOCK nodes (wider only where that would make more than
 # _MAX_BLOCKS blocks), the last block padded by repeating the last node with
 # weight 0.  A row chunk holds at most _CHUNK block-pair bounds and an exact
-# batch at most 2 * _CHUNK pair differences (one block pair, if that alone
-# holds more: past 2^14 nodes at 16 modes), so the working set is the
-# padded path, its weights and divisors plus a fixed number of chunks.
+# batch at most 2 * _CHUNK pair differences (a block pair that alone holds
+# more is split by rows), so the working set is the weights and divisors
+# (O(n)) plus a fixed number of chunks.
 _MIN_BLOCK = 8
 _MAX_BLOCKS = 512
 _CHUNK = 2**13
@@ -302,7 +302,7 @@ def _pair_sup(u, a, b, c, max_gap):
     w = max(_MIN_BLOCK, -(-n // _MAX_BLOCKS))
     nb = -(-n // w)
     pad = nb * w - n
-    ub = np.concatenate([u, np.broadcast_to(u[-1], (pad, m))]).reshape(nb, w, m)
+    # only the weights are padded (with 0); a padded node reads u[n - 1]
     ab = np.concatenate([a, np.zeros(pad)]).reshape(nb, w)
     bb = np.concatenate([b, np.zeros(pad)]).reshape(nb, w)
     # block offsets D = J - I whose smallest gap is at most max_gap
@@ -310,7 +310,8 @@ def _pair_sup(u, a, b, c, max_gap):
     # per block: box centre (rows :m), radius (row m) and largest b (row
     # m + 1); n_off - 1 empty blocks past the end (b = 0, so bound 0) give
     # every block a full window win[:, I, D] = box[:, I + D]
-    lo, hi = ub.min(axis=1), ub.max(axis=1)
+    starts = np.arange(nb) * w
+    lo, hi = np.minimum.reduceat(u, starts), np.maximum.reduceat(u, starts)
     box = np.zeros((m + 2, nb + n_off - 1))
     box[:m, :nb] = (0.5 * (lo + hi)).T
     box[m, :nb] = _row_norms(0.5 * (hi - lo))
@@ -331,9 +332,11 @@ def _pair_sup(u, a, b, c, max_gap):
     # to |u| and so not to the increments when u carries a large offset
     centre_err = 4 * _EPS * max(float(u.max()), -float(u.min())) * np.sqrt(m)
     slack = 1.0 + 1e-12 + 4 * m * _EPS
-    batch = max(1, 2 * _CHUNK // (w * w * m))
-    flat_u = ub.reshape(-1, m)
-    node_p = np.arange(w).repeat(w).reshape(w, w)
+    # an exact batch: `batch` block pairs, `rows` nodes p of block I at a time
+    rows = min(w, max(1, 2 * _CHUNK // (w * m)))
+    batch = max(1, 2 * _CHUNK // (rows * w * m))
+    node = np.arange(w)
+    node_p = node[:rows].repeat(w).reshape(rows, w)
     best = 0.0
     i0 = 0
     while i0 < nb:
@@ -367,16 +370,20 @@ def _pair_sup(u, a, b, c, max_gap):
             bi, off = np.divmod(live, cols)
             bi += i0
             bj = bi + off
-            # diff[:, p, q] = u[k] - u[j] for node j = p of block bi and
-            # node k = q of block bj
-            diff = flat_u.take((bi * w)[:, None, None] + node_p, 0)
-            np.subtract(ub.take(bj, 0)[:, None], diff, out=diff)
-            dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
-            del diff
-            terms = ab[bi][:, :, None] * bb[bj][:, None, :]
-            terms *= dn
-            terms /= table[off]
-            best = max(best, float(terms.max()))
+            u_k = u.take((bj * w)[:, None] + node, 0, mode="clip")[:, None]
+            b_k = bb[bj][:, None, :]
+            for p in range(0, w, rows):
+                # diff[:, p, q] = u[k] - u[j] for node j = p of block bi and
+                # node k = q of block bj; a padded node reads u[n - 1]
+                j = (bi * w + p)[:, None, None]
+                diff = u.take(j + node_p[: w - p], 0, mode="clip")
+                np.subtract(u_k, diff, out=diff)
+                dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
+                del diff
+                terms = ab[bi, p : p + rows, None] * b_k
+                terms *= dn
+                terms /= table[off, p : p + rows]
+                best = max(best, float(terms.max()))
         i0 = i1
     return best
 

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracint import beta_fn
 from .paths import HolderParams, SampledPath, weighted_holder_norm, wiener_shift
-from .spectral import SpectralOperator, semigroup_apply
+from .spectral import _BLOCK_FLOATS, SpectralOperator, semigroup_apply
 
 __all__ = [
     "ProblemSpec",
@@ -177,10 +177,10 @@ def kummer_decay(
         ]
     )
     v, w = _gauss_jacobi(a, b)
-    # e^{-rho t (1-v)} in row blocks of at most _TABLE_FLOATS, each reduced
+    # e^{-rho t (1-v)} in row blocks of at most _BLOCK_FLOATS, each reduced
     # row by row by einsum, which gives the same bits however the rows are
     # blocked (a blocked BLAS product does not)
-    rows = max(1, _TABLE_FLOATS // v.size)
+    rows = max(1, _BLOCK_FLOATS // v.size)
     inner = np.empty(t.size)
     for i in range(0, t.size, rows):
         table = np.outer(t[i : i + rows], v - 1.0)
@@ -191,10 +191,8 @@ def kummer_decay(
 
 
 # kummer_decay's sup sits at rho*t of order one, where 32, 64 or 128 nodes
-# all give the closed form to ~1e-15 relative; its (t, nodes) table is built
-# in row blocks of at most 2^14 floats (128 KiB)
+# all give the closed form to ~1e-15 relative
 _JACOBI_NODES = 64
-_TABLE_FLOATS = 2**14
 
 
 def _gauss_jacobi(a: float, b: float):

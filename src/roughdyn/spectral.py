@@ -18,6 +18,13 @@ __all__ = [
     "frac_power_norm",
 ]
 
+# Arrays built in pieces (heat's physical-node fields, kummer_decay's
+# table) hold at most this many float64s per piece, 128 KiB: glibc's
+# default mmap threshold.  Larger arrays come as fresh zero-filled
+# mappings, so whole (n+1) x m_phys fields paid page faults on every Picard
+# step; pieces below it reuse heap memory that stays in cache.
+_BLOCK_FLOATS = 1 << 14
+
 
 @dataclass(frozen=True)
 class SpectralOperator:

@@ -588,14 +588,30 @@ def test_pair_search_exact_above_the_block_cap(n, m):
     _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf,) + tuple(g * dt for g in gaps), rhos=(4.0,))
 
 
-@pytest.mark.parametrize("n", [4097, 16385])
-def test_pair_search_memory_is_affine_in_grid_size(n):
-    # past a padded copy of the path, its weights and the divisor table
-    # (under 6 floats per node at one mode) the search holds a fixed number
-    # of chunks, whatever n: its block-pair arrays grew as (n/16)^2 / 2
-    # before the bounds were streamed (2.7 MB at 4097 nodes, 6.1 MB at 16385)
+@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("chunk", [12, 16, 192])
+def test_pair_search_exact_in_split_block_pairs(monkeypatch, m, chunk):
+    # a small _CHUNK makes one block pair hold more differences than a batch,
+    # as past 2^14 nodes at 16 modes: it is evaluated a few rows of block I
+    # at a time (1 to 8 rows here, the last slab short where they do not
+    # divide 8), and the bounds stream in many row chunks
+    monkeypatch.setattr(paths, "_CHUNK", chunk)
+    w = paths._MIN_BLOCK
+    rng = np.random.default_rng(chunk + m)
+    vals = np.cumsum(rng.standard_normal((301, m)), axis=0) * 1e-2 + 2.0
+    _assert_sups_exact(vals, 1.0 / 300, 0.6, max_gaps=(np.inf, (2 * w + 3.5) / 300), rhos=(0.0, 64.0))
+
+
+@pytest.mark.parametrize("n, m", [(4097, 1), (16385, 1), (16385, 16)])
+def test_pair_search_memory_is_affine_in_grid_size(n, m):
+    # past the padded weights and the divisor table (3 floats per node) the
+    # search holds a fixed number of chunks, whatever n and m: its
+    # block-pair arrays grew as (n/16)^2 / 2 before the bounds were
+    # streamed (2.7 MB at 4097 nodes, 6.1 MB at 16385), and one block pair
+    # of 33 x 33 nodes at 16 modes went into a batch whole before it was
+    # split by rows (2.9 MB)
     rng = np.random.default_rng(5)
-    u = np.cumsum(rng.standard_normal((n, 1)), axis=0)
+    u = np.cumsum(rng.standard_normal((n, m)), axis=0)
     dt = 1.0 / (n - 1)
     span_pow = (dt * np.arange(n)) ** 0.55
     decay = np.exp(-4.0 * dt * np.arange(n))
