@@ -332,11 +332,13 @@ def _pair_sup(u, a, b, c, max_gap):
     # to |u| and so not to the increments when u carries a large offset
     centre_err = 4 * _EPS * max(float(u.max()), -float(u.min())) * np.sqrt(m)
     slack = 1.0 + 1e-12 + 4 * m * _EPS
-    # an exact batch: `batch` block pairs, `rows` nodes p of block I at a time
+    # an exact batch: `batch` block pairs, `rows` nodes p of block I at a
+    # time, its differences in one buffer that every batch of the call reuses
     rows = min(w, max(1, 2 * _CHUNK // (w * m)))
     batch = max(1, 2 * _CHUNK // (rows * w * m))
     node = np.arange(w)
     node_p = node[:rows].repeat(w).reshape(rows, w)
+    buf = np.empty(batch * rows * w * m)
     best = 0.0
     i0 = 0
     while i0 < nb:
@@ -375,11 +377,11 @@ def _pair_sup(u, a, b, c, max_gap):
             for p in range(0, w, rows):
                 # diff[:, p, q] = u[k] - u[j] for node j = p of block bi and
                 # node k = q of block bj; a padded node reads u[n - 1]
-                j = (bi * w + p)[:, None, None]
-                diff = u.take(j + node_p[: w - p], 0, mode="clip")
+                j = (bi * w + p)[:, None, None] + node_p[: w - p]
+                diff = buf[: j.size * m].reshape(j.shape + (m,))
+                u.take(j, 0, out=diff, mode="clip")
                 np.subtract(u_k, diff, out=diff)
                 dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
-                del diff
                 terms = ab[bi, p : p + rows, None] * b_k
                 terms *= dn
                 terms /= table[off, p : p + rows]
