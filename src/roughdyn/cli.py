@@ -128,16 +128,16 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     """Upper bound on the bytes a run holds: affine in N, and in n once a
     path outgrows one node block.  Per stage, in float64s, rounded up from
     tracemalloc peaks of every command (N <= 64, m_phys <= 256, n <= 1024)
-    and summed: the fBm sampler, 11 per mode and step; the diffusion's
-    three node-block fields, at most 3 max(m_phys, min((n+1) m_phys, 2^14));
-    ten (n+1) x N paths (driver, probes, images, temporaries) and one kept
-    solution per start; and the Hölder pair search's fixed working set, 16
-    of its chunks (1 MiB), whatever n and N (its weights and divisors, 3
-    per node, sit under the path terms)."""
+    and summed, with P = spectral._BLOCK_FLOATS the piece size: the fBm
+    sampler, 11 per mode and step; the diffusion's three node-block fields,
+    at most 3 max(m_phys, min((n+1) m_phys, P)); ten (n+1) x N paths (driver,
+    probes, images, temporaries) and one kept solution per start; and the
+    Hölder pair search's fixed working set, 8 P (1 MiB), whatever n and N
+    (its weights and divisors, 3 per node, sit under the path terms)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
-    block = max(M, min((n + 1) * M, spectral._BLOCK_FLOATS))
-    pair_search = 16 * paths._CHUNK
-    return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + pair_search)
+    P = spectral._BLOCK_FLOATS
+    block = max(M, min((n + 1) * M, P))
+    return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + 8 * P)
 
 
 def _parse_value(sec: str, key: str, raw: str):

@@ -8,9 +8,9 @@ identity, not an approximation.
 
 Every field operation acts along the last axis, so one call handles a
 single field of shape (N,) or a whole grid path of shape (n+1, N).  The
-drift and the diffusion evaluate a path's physical-node fields in blocks of
-nodes holding at most 2^14 values each (_through_nodes), so the memory they
-hold does not grow with m_phys times the path length.
+drift and the diffusion evaluate a path's physical-node fields one piece
+at a time (_through_nodes, spectral._row_blocks), so the memory they hold
+does not grow with m_phys times the path length.
 
 The diffusion G(u) is the integral operator v -> int g(x, y, u(y)) v(y) dy
 with g(x, y, z) = phi(x) psi(y, z), discretized by the same quadrature and
@@ -29,7 +29,7 @@ import numpy as np
 
 from .paths import HolderParams
 from .solver import ProblemSpec
-from .spectral import _BLOCK_FLOATS, laplacian_1d
+from .spectral import _row_blocks, laplacian_1d
 
 __all__ = [
     "SineBasis",
@@ -85,24 +85,20 @@ def project(basis: SineBasis, values: np.ndarray) -> np.ndarray:
 
 
 def _through_nodes(basis: SineBasis, g, coeffs: np.ndarray) -> np.ndarray:
-    """project(basis, g(synthesize(basis, coeffs))) for coeffs (rows, N), in
-    equal blocks of rows whose node fields hold at most _BLOCK_FLOATS values
-    (one row at least); the last block may be shorter."""
-    rows = coeffs.shape[0]
-    most = max(1, _BLOCK_FLOATS // basis.m_phys)
-    n_blocks = max(1, -(-rows // most))
-    size = max(1, -(-rows // n_blocks))
-    out = np.empty(coeffs.shape)
-    for a in range(0, rows, size):
-        out[a : a + size] = project(basis, g(synthesize(basis, coeffs[a : a + size])))
-    return out
+    """project(basis, g(synthesize(basis, coeffs))) over the fields of
+    coeffs (..., N), one piece of their node fields at a time (_row_blocks)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    flat = coeffs.reshape(-1, coeffs.shape[-1])
+    out = np.empty(flat.shape)
+    for rows in _row_blocks(len(flat), basis.m_phys):
+        out[rows] = project(basis, g(synthesize(basis, flat[rows])))
+    return out.reshape(coeffs.shape)
 
 
 def nemytskii_apply(f, u: np.ndarray, basis: SineBasis) -> np.ndarray:
     """Coefficients of x -> f(u(x)): synthesize, compose, project, over the
     fields of u (..., N) in node blocks."""
-    u = np.asarray(u, dtype=float)
-    return _through_nodes(basis, f, u.reshape(-1, u.shape[-1])).reshape(u.shape)
+    return _through_nodes(basis, f, u)
 
 
 @dataclass
@@ -147,11 +143,8 @@ def kernel_apply(
     fields is ever held.  On the unit vectors, kernel_apply(k, u, np.eye(N),
     basis) is G(u)^T.
     """
-    u = np.asarray(u, dtype=float)
     left = project(basis, kspec.phi(basis.nodes))
-    right = _through_nodes(
-        basis, lambda z: kspec.psi(basis.nodes, z), u.reshape(-1, u.shape[-1])
-    ).reshape(u.shape)
+    right = _through_nodes(basis, lambda z: kspec.psi(basis.nodes, z), u)
     return left * np.sum(right * v, axis=-1, keepdims=True)
 
 

@@ -13,11 +13,9 @@ import os
 
 import numpy as np
 
-__all__ = ["canonical_json", "config_hash", "write_report", "write_series"]
+from .spectral import _row_blocks
 
-# write_series formats its table this many values at a time: the whole
-# table as Python floats would hold five times the path it writes
-_SERIES_BLOCK = 1 << 12
+__all__ = ["canonical_json", "config_hash", "write_report", "write_series"]
 
 
 def canonical_json(payload) -> str:
@@ -47,10 +45,11 @@ def write_series(path: str, u, config: dict) -> None:
     names = ["t"] + [f"mode_{i + 1}" for i in range(u.n_modes)]
     row = ",".join(["%.17g"] * len(names)) + "\r\n"
     times = u.times
-    step = max(1, _SERIES_BLOCK // len(names))
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash: {config_hash(config)}\n")
         fh.write(",".join(names) + "\r\n")
-        for a in range(0, u.n_nodes, step):
-            block = np.column_stack([times[a : a + step], u.values[a : a + step]])
+        # one piece of rows at a time: a listed Python float costs four
+        # float64s, so the whole table would hold five times the path
+        for rows in _row_blocks(u.n_nodes, 4 * len(names)):
+            block = np.column_stack([times[rows], u.values[rows]])
             fh.writelines(row % tuple(r) for r in block.tolist())

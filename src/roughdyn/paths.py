@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .spectral import _BLOCK_FLOATS
+
 __all__ = [
     "HolderParams",
     "GridPath",
@@ -249,12 +251,12 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
 # blocks of _MIN_BLOCK nodes (wider only where that would make more than
 # _MAX_BLOCKS blocks), the last block padded by repeating the last node with
 # weight 0.  A row chunk holds at most _CHUNK block-pair bounds and an exact
-# batch at most 2 * _CHUNK pair differences (a block pair that alone holds
-# more is split by rows), so the working set is the weights and divisors
-# (O(n)) plus a fixed number of chunks.
+# batch at most 2 * _CHUNK pair differences, one piece (a block pair that
+# alone holds more is split by rows), so the working set is the weights and
+# divisors (O(n)) plus a fixed number of pieces.
 _MIN_BLOCK = 8
 _MAX_BLOCKS = 512
-_CHUNK = 2**13
+_CHUNK = _BLOCK_FLOATS // 2
 _EPS = np.finfo(float).eps
 
 
@@ -265,8 +267,8 @@ def _row_norms(d):
 
 def _windows(x, k):
     """Read-only view out[..., i, j] = x[..., i + j] of the length-k windows
-    along the last axis of a C-contiguous x: sliding_window_view without its
-    argument checks, which cost as much as a small search's bounds."""
+    along the last axis of any strided x, a transpose too: sliding_window_view
+    without its argument checks, which cost as much as a small search's bounds."""
     s = x.strides[-1]
     shape = x.shape[:-1] + (x.shape[-1] - k + 1, k)
     return as_strided(x, shape, x.strides + (s,), writeable=False)

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracint import beta_fn
-from .paths import HolderParams, SampledPath, weighted_holder_norm, wiener_shift
-from .spectral import _BLOCK_FLOATS, SpectralOperator, semigroup_apply
+from .paths import (
+    HolderParams, SampledPath, _windows, weighted_holder_norm, wiener_shift
+)
+from .spectral import SpectralOperator, _row_blocks, semigroup_apply
 
 __all__ = [
     "ProblemSpec",
@@ -177,16 +178,14 @@ def kummer_decay(
         ]
     )
     v, w = _gauss_jacobi(a, b)
-    # e^{-rho t (1-v)} in row blocks of at most _BLOCK_FLOATS, each reduced
-    # row by row by einsum, which gives the same bits however the rows are
-    # blocked (a blocked BLAS product does not)
-    rows = max(1, _BLOCK_FLOATS // v.size)
+    # e^{-rho t (1-v)} in pieces reduced row by row by einsum, which gives the
+    # same bits however the rows are blocked (a blocked BLAS product does not)
     inner = np.empty(t.size)
-    for i in range(0, t.size, rows):
-        table = np.outer(t[i : i + rows], v - 1.0)
+    for rows in _row_blocks(t.size, v.size):
+        table = np.outer(t[rows], v - 1.0)
         table *= rho
         np.exp(table, out=table)
-        inner[i : i + rows] = np.einsum("ij,j->i", table, w)
+        inner[rows] = np.einsum("ij,j->i", table, w)
     return float(np.max(t**d * inner))
 
 
@@ -289,7 +288,7 @@ def apply_mild(
     # both its cells: gv[k] = (G(u_k)dw[k-1], G(u_k)dw[k]) on the padded dw.
     # It runs before the drift: its temporaries are freed before fvals
     # exists (drift first holds one more path at the solve's peak)
-    pairs = sliding_window_view(dw, 2, axis=0).swapaxes(-1, -2)
+    pairs = _windows(dw.T, 2).transpose(1, 2, 0)
     gv = spec.diffusion(u.values[:, None, :], pairs)
     g_lo, g_hi = gv[:-1, 1], gv[1:, 0]  # cell m: G(u_m)dw[m], G(u_{m+1})dw[m]
     fvals = spec.drift(u.values)

@@ -18,12 +18,21 @@ __all__ = [
     "frac_power_norm",
 ]
 
-# Arrays built in pieces (heat's physical-node fields, kummer_decay's
-# table) hold at most this many float64s per piece, 128 KiB: glibc's
-# default mmap threshold.  Larger arrays come as fresh zero-filled
-# mappings, so whole (n+1) x m_phys fields paid page faults on every Picard
-# step; pieces below it reuse heap memory that stays in cache.
+# The one piece size: arrays built in pieces (heat's node fields, kummer_decay's
+# table, write_series' rows, the pair search's chunks) hold at most this many
+# float64s per piece, 128 KiB: glibc's default mmap threshold.  Larger arrays
+# come as fresh zero-filled mappings, so whole (n+1) x m_phys fields paid page
+# faults on every Picard step; pieces below it reuse heap memory in cache.
 _BLOCK_FLOATS = 1 << 14
+
+
+def _row_blocks(rows: int, width: int):
+    """Row slices of a (rows, width) array in equal pieces of at most
+    _BLOCK_FLOATS // width rows (one at least); the last may be shorter."""
+    most = max(1, _BLOCK_FLOATS // width)
+    n_blocks = max(1, -(-rows // most))
+    size = max(1, -(-rows // n_blocks))
+    return (slice(a, a + size) for a in range(0, rows, size))
 
 
 @dataclass(frozen=True)

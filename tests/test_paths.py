@@ -626,6 +626,18 @@ def test_pair_search_memory_is_affine_in_grid_size(n, m):
         assert peak <= 8 * (6 * n + 16 * paths._CHUNK)
 
 
+@pytest.mark.parametrize("n", [1, 64, 1024])
+def test_windows_of_a_transpose_are_sliding_windows(n):
+    # apply_mild's increment pairs pair[k] = (dw[k], dw[k + 1]) over the
+    # rows of a C-contiguous (n + 2, M) array, built on its transpose
+    dw = np.random.default_rng(n).standard_normal((n + 2, 3))
+    got = paths._windows(dw.T, 2).transpose(1, 2, 0)
+    ref = np.lib.stride_tricks.sliding_window_view(dw, 2, axis=0).swapaxes(-1, -2)
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert np.array_equal(got, ref)
+    assert not got.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_node_gives_nan(bad):
     vals = np.linspace(0.0, 1.0, 65)

@@ -104,3 +104,29 @@ def test_contraction_limit():
     for t in (0.1, 1.0):
         out = spectral.semigroup_apply(op, t, u)
         assert np.all(np.abs(out) <= np.abs(u))
+
+
+@pytest.mark.parametrize(
+    "rows, width, n_blocks, size",
+    [
+        (5121, 64, 21, 244),  # kummer_decay's table
+        (4097, 68, 18, 228),  # write_series at 16 modes
+        (1025, 256, 17, 61),  # heat's node fields at m_phys = 256
+        (7, 1 << 20, 7, 1),  # a row wider than a piece is a block of its own
+        (1, 1, 1, 1),
+        (0, 64, 0, None),
+    ],
+)
+def test_row_blocks_are_equal_pieces(rows, width, n_blocks, size):
+    # equal blocks of at most one piece, the last one possibly shorter, and
+    # no more of them than pieces need
+    blocks = list(spectral._row_blocks(rows, width))
+    assert len(blocks) == n_blocks
+    sizes = [len(range(rows)[b]) for b in blocks]
+    assert sum(sizes) == rows
+    assert all(b.start == sum(sizes[:i]) for i, b in enumerate(blocks))
+    assert all(s == size for s in sizes[:-1])
+    assert all(s <= size for s in sizes[-1:])
+    most = max(1, spectral._BLOCK_FLOATS // width)
+    assert all(s <= most for s in sizes)
+    assert (n_blocks - 1) * most < rows
