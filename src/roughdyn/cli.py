@@ -131,13 +131,15 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     and summed, with P = spectral._BLOCK_FLOATS the piece size: the fBm
     sampler, 11 per mode and step; the diffusion's three node-block fields,
     at most 3 max(m_phys, min((n+1) m_phys, P)); ten (n+1) x N paths (driver,
-    probes, images, temporaries) and one kept solution per start; and the
-    Hölder pair search's fixed working set, 8 P (1 MiB), whatever n and N
-    (its weights and divisors, 3 per node, sit under the path terms)."""
+    probes, images, temporaries) and one kept solution per start; and 10 P
+    whatever n and N, the larger of two working sets never held at once:
+    verify-all's battery (9.2 P, mostly its sampler check's 256 x 256
+    identity and FFT buffer) and the Hölder pair search (8 P; its weights
+    and divisors, 3 per node, sit under the path terms)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
     P = spectral._BLOCK_FLOATS
     block = max(M, min((n + 1) * M, P))
-    return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + 8 * P)
+    return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + 10 * P)
 
 
 def _parse_value(sec: str, key: str, raw: str):

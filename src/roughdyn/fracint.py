@@ -34,7 +34,9 @@ from math import exp, gamma, lgamma
 
 import numpy as np
 
-from .paths import GridPath, HolderParams, SampledPath
+from .paths import (
+    GridPath, HolderParams, SampledPath, holder_seminorm, weighted_holder_norm
+)
 
 __all__ = [
     "IntegrandPath",
@@ -209,8 +211,6 @@ def integral_norm_bound(
     c * ||g||_{beta,beta;[s,t]} * |||omega|||_{beta';[s,t]} * (t-s)^{beta'},
     with c the product of the two Gamma prefactors and the Beta moment of
     the endpoint kernels (verify-all checks measured <= bound)."""
-    from .paths import holder_seminorm, weighted_holder_norm
-
     s = omega.t0 if s is None else s
     t = omega.t_end if t is None else t
     val = pathwise_integral(g, omega, params, s, t)

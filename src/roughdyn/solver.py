@@ -319,13 +319,13 @@ def _start_family(u0, omega, spec, cfg):
     """Contraction probes u0, S(t)u0 and S(t)u0 + 0.3 sqrt(t) xi (xi from
     default_rng(seed)), and an iterator over the n_starts Picard starts: the
     first two probes themselves, then S(t)u0 + s t^beta xi (s, xi from
-    SeedSequence([seed, 7])), each built when it is reached."""
-    n, dt = omega.n_steps, omega.dt
+    SeedSequence([seed, 7])), each built when it is reached, on omega's grid."""
+    t0, n, dt = omega.t0, omega.n_steps, omega.dt
     tt = dt * np.arange(n + 1)
     base = semigroup_apply(spec.operator, tt, u0)
     xi = np.random.default_rng(cfg.seed).standard_normal(spec.operator.n_modes)
     probe = base + 0.3 * np.sqrt(tt)[:, None] * xi
-    probes = [SampledPath(0.0, dt, p) for p in (np.tile(u0, (n + 1, 1)), base, probe)]
+    probes = [SampledPath(t0, dt, p) for p in (np.tile(u0, (n + 1, 1)), base, probe)]
     plain = probes[: min(2, cfg.n_starts)]
     rough = (tt**spec.params.beta)[:, None]
 
@@ -335,7 +335,7 @@ def _start_family(u0, omega, spec, cfg):
         for _ in range(cfg.n_starts - 2):
             bump = rng.standard_normal(spec.operator.n_modes)
             scale = rng.uniform(0.05, 0.5)
-            yield SampledPath(0.0, dt, base + scale * rough * bump)
+            yield SampledPath(t0, dt, base + scale * rough * bump)
 
     return probes, starts()
 

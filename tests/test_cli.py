@@ -360,8 +360,11 @@ def test_peak_memory_within_budget(tmp_path, command):
         # the CLI's default N = 16: kummer_decay's whole (5121, 64) table
         # took verify-all to 2.99 MB against 1.44 MB
         ("verify-all", "", 8),
+        # the battery's own working set, 1.20 MB at any N, took verify-all
+        # at one mode to 1.20 MB against 1.11 MB while the budget left it out
+        ("verify-all", "[problem]\nn_modes = 1\nm_phys = 1\n", 8),
     ],
-    ids=["solve-one-mode", "verify-all-default-modes"],
+    ids=["solve-one-mode", "verify-all-default-modes", "verify-all-one-mode"],
 )
 def test_peak_memory_within_budget_at_few_modes(tmp_path, command, config, grid_pow):
     peak, budget = _peak_and_budget(tmp_path, command, config, grid_pow)

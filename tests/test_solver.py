@@ -344,6 +344,18 @@ def _solved_example(n=64, seed=8):
     return spec, om, cfg, sols
 
 
+def test_solution_lives_on_the_drivers_grid():
+    # the same driver started at t0 = 0.25 gives the same elements on its
+    # own times: the starts and probes were once labelled from t = 0
+    spec, om, cfg, sols = _solved_example()
+    late = paths.SampledPath(0.25, om.dt, om.values)
+    moved = solver.solve_mild(np.array([1.0, -0.5, 0.25]), late, spec, cfg)
+    assert len(moved) == len(sols)
+    for u, v in zip(moved.elements, sols.elements):
+        assert np.array_equal(u.times, late.times)
+        assert np.array_equal(u.values, v.values)
+
+
 def test_probe_images_are_the_first_picard_steps(monkeypatch):
     # rho is measured on T's images of u0, S(t)u0 and one bump probe; the
     # first two are also the first Picard steps of starts 0 and 1, so a
