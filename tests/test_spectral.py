@@ -110,7 +110,7 @@ def test_contraction_limit():
     "rows, width, n_blocks, size",
     [
         (5121, 64, 21, 244),  # kummer_decay's table
-        (4097, 68, 18, 228),  # write_series at 16 modes
+        (4097, 136, 35, 118),  # write_series at 16 modes
         (1025, 256, 17, 61),  # heat's node fields at m_phys = 256
         (7, 1 << 20, 7, 1),  # a row wider than a piece is a block of its own
         (1, 1, 1, 1),
