@@ -88,8 +88,8 @@ def _load_config(path: str | None, seed: int, grid_pow: int | None) -> dict:
         if grid_pow < 0:
             raise ValueError("--grid-pow must be nonnegative")
         cfg["problem"]["n_steps"] = 2**grid_pow
-    if seed < 0:
-        raise ValueError("--seed must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ValueError("--seed must lie in [0, 2^64)")
     cfg["seed"] = int(seed)
     # the fBm sampling method fixes the seed -> path map
     cfg["sampler"] = "circulant"
@@ -321,6 +321,8 @@ def _verify_battery(cfg) -> dict:
     seed = cfg["seed"]
     pp = _params(cfg)
     checks = {}
+    # each random check draws from its own stream
+    rngs = [paths.stream(seed, "battery", k) for k in range(7)]
 
     # exact sampling: the sampler's linear map from normals to the grid
     # values, A, satisfies A A^T = grid covariance
@@ -335,7 +337,7 @@ def _verify_battery(cfg) -> dict:
     # constant-integrand identity on fBm drivers
     worst = 0.0
     for k in range(3):
-        om = paths.sample_fbm_1d(H, 256, 1.0 / 256, [seed, 100 + k])
+        om = paths.sample_fbm_1d(H, 256, 1.0 / 256, rngs[k])
         g = fracint.IntegrandPath.constant([[2.5]], om)
         val = fracint.pathwise_integral(g, om, pp)[0]
         ref = 2.5 * (om.values[-1, 0] - om.values[0, 0])
@@ -355,7 +357,7 @@ def _verify_battery(cfg) -> dict:
     }
 
     # additivity and shift of the integral on an fBm driver
-    om = paths.sample_fbm_1d(H, 128, 1.0 / 128, [seed, 200])
+    om = paths.sample_fbm_1d(H, 128, 1.0 / 128, rngs[3])
     g = fracint.IntegrandPath(0.0, om.dt, np.cos(om.times))
     full = fracint.pathwise_integral(g, om, pp, 0.0, 1.0)[0]
     scale = 1.0 + abs(full)
@@ -414,11 +416,10 @@ def _verify_battery(cfg) -> dict:
 
     # heat example: the declared growth and HS-Lipschitz constants, the
     # kernel's Lipschitz profile and the projection round-trip
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 300]))
-    slacks = heat.build_heat_problem(n_modes=8, m_phys=64).spot_check_growth(rng)
-    slacks["profile_slack"] = heat.default_kernel().spot_check_profile(rng)
+    slacks = heat.build_heat_problem(n_modes=8, m_phys=64).spot_check_growth(rngs[4])
+    slacks["profile_slack"] = heat.default_kernel().spot_check_profile(rngs[5])
     basis = heat.SineBasis(n_modes=8, m_phys=64)
-    rt = rng.standard_normal(8)
+    rt = rngs[6].standard_normal(8)
     rt_err = np.max(np.abs(heat.project(basis, heat.synthesize(basis, rt)) - rt))
     checks["heat_hs_lipschitz"] = {
         **slacks,

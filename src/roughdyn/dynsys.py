@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import SampledPath, wiener_shift
+from .paths import SampledPath, stream, wiener_shift
 from .solver import ProblemSpec, SolverConfig, SolverError, solve_mild
 
 __all__ = [
@@ -104,7 +104,7 @@ def usc_probe(
     """Upper-semicontinuity probe of u0 -> Phi(t, omega, u0).
 
     For each radius r, m initial values at distance exactly r from u0 are
-    sampled, in directions drawn from SeedSequence([cfg.seed, 11]); e(r)
+    sampled, in directions drawn from paths.stream(cfg.seed, "usc"); e(r)
     and e_lsc(r) are the max over samples of the semidistance from the
     perturbed set to the unperturbed one and back.  Solver
     failures (SolverError) are counted, not fatal, and a radius where every
@@ -113,7 +113,7 @@ def usc_probe(
     u0 = np.asarray(u0, dtype=float)
     radii = _checked_radii(radii)
     base = solution_map(t, omega, u0, spec, cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
+    rng = stream(cfg.seed, "usc")
     e_vals, e_lsc, failures = [], [], 0
     for r in radii:
         psets = []

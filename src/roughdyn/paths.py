@@ -27,6 +27,7 @@ __all__ = [
     "fbm_covariance",
     "sample_fbm_1d",
     "sample_qfbm",
+    "stream",
     "wiener_shift",
     "holder_seminorm",
     "weighted_holder_norm",
@@ -206,10 +207,22 @@ def _sqrt_eigs(hurst: float, n_steps: int, dt: float) -> np.ndarray:
     return np.sqrt(np.maximum(eigs, 0.0) / eigs.size)
 
 
+_STREAMS = ("starts", "usc", "battery")  # the consumers of stream()
+
+
+def stream(seed: int, consumer: str, *key: int) -> np.random.Generator:
+    """Child of seed with spawn key (consumer's _STREAMS index, *key): for
+    0 <= seed < 2^64 it has >= 5 entropy words, a driver mode's [seed, i] <= 3."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2^64)")
+    key = (_STREAMS.index(consumer), *key)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def sample_fbm_1d(hurst: float, n_steps: int, dt: float, seed) -> SampledPath:
-    """Scalar fBm on {0, dt, ..., n_steps*dt}, exact in law, zero at zero."""
+    """Scalar fBm on {0, dt, ..., n_steps*dt}, exact in law, from default_rng(seed)."""
     sqrt_eigs = _sqrt_eigs(hurst, n_steps, dt)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(2 * sqrt_eigs.size)
     return SampledPath(t0=0.0, dt=dt, values=_fbm_from_normals(sqrt_eigs, z))
 

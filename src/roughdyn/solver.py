@@ -24,7 +24,7 @@ import numpy as np
 
 from .fracint import beta_fn
 from .paths import (
-    HolderParams, SampledPath, _windows, weighted_holder_norm, wiener_shift
+    HolderParams, SampledPath, _windows, stream, weighted_holder_norm, wiener_shift
 )
 from .spectral import SpectralOperator, _row_blocks, semigroup_apply
 
@@ -167,8 +167,8 @@ def kummer_decay(
         raise ValueError("need a > -1, b > -1, a + b >= -1")
     if not d > 0:
         raise ValueError("need d > 0")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not (rho >= 0 and 0 < horizon < np.inf):
+        raise ValueError("need rho >= 0 and 0 < horizon < inf")
     # linear grid plus a log-spaced refinement near 0: for large rho the
     # sup migrates toward t ~ 1/rho and a uniform grid would miss it
     t = np.concatenate(
@@ -316,14 +316,15 @@ def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
 
 
 def _start_family(u0, omega, spec, cfg):
-    """Contraction probes u0, S(t)u0 and S(t)u0 + 0.3 sqrt(t) xi (xi from
-    default_rng(seed)), and an iterator over the n_starts Picard starts: the
-    first two probes themselves, then S(t)u0 + s t^beta xi (s, xi from
-    SeedSequence([seed, 7])), each built when it is reached, on omega's grid."""
+    """Contraction probes u0, S(t)u0 and S(t)u0 + 0.3 sqrt(t) xi, and an
+    iterator over the n_starts Picard starts: the first two probes, then
+    S(t)u0 + s t^beta xi_i, each built when reached, on omega's grid.  xi,
+    then each xi_i and s, are drawn in turn from stream(seed, "starts")."""
     t0, n, dt = omega.t0, omega.n_steps, omega.dt
     tt = dt * np.arange(n + 1)
     base = semigroup_apply(spec.operator, tt, u0)
-    xi = np.random.default_rng(cfg.seed).standard_normal(spec.operator.n_modes)
+    rng = stream(cfg.seed, "starts")
+    xi = rng.standard_normal(spec.operator.n_modes)
     probe = base + 0.3 * np.sqrt(tt)[:, None] * xi
     probes = [SampledPath(t0, dt, p) for p in (np.tile(u0, (n + 1, 1)), base, probe)]
     plain = probes[: min(2, cfg.n_starts)]
@@ -331,7 +332,6 @@ def _start_family(u0, omega, spec, cfg):
 
     def starts():
         yield from plain
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
         for _ in range(cfg.n_starts - 2):
             bump = rng.standard_normal(spec.operator.n_modes)
             scale = rng.uniform(0.05, 0.5)

@@ -395,9 +395,11 @@ def _assert_rejected_before_running(capsys, out):
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_negative_seed_is_config_error(tmp_path, capsys, command):
-    out = tmp_path / "out"
-    assert cli.main([command, "--seed", "-1", "--out", str(out)]) == 2
-    _assert_rejected_before_running(capsys, out)
+    # and a seed past the documented 64 bits
+    for seed in ("-1", str(2**64)):
+        out = tmp_path / "out"
+        assert cli.main([command, "--seed", seed, "--out", str(out)]) == 2
+        _assert_rejected_before_running(capsys, out)
 
 
 @pytest.mark.parametrize(

@@ -133,6 +133,35 @@ def test_qfbm_mode_seeds_stable_under_mode_count():
     assert np.array_equal(p3.values, p5.values[:, :3])
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**64 - 1])
+def test_streams_reuse_no_driver_modes_normals(seed):
+    # driver mode i draws default_rng([seed, i]), as sample_fbm_1d does
+    op = SpectralOperator(np.ones(3), np.ones(3))
+    qfbm = paths.sample_qfbm(op, 0.75, 8, 0.125, seed).values
+    for i in range(3):
+        mode = paths.sample_fbm_1d(0.75, 8, 0.125, [seed, i]).values[:, 0]
+        assert np.array_equal(qfbm[:, i], mode)
+    # every consumer key, with and without sub-keys, against driver modes
+    # 0..4095 and against each other
+    seen = {
+        np.random.default_rng([seed, i]).standard_normal(64).tobytes()
+        for i in range(4096)
+    }
+    assert len(seen) == 4096
+    subs = [()] + [(k,) for k in range(8)]
+    keys = [(c, *sub) for c in paths._STREAMS for sub in subs]
+    for key in keys:
+        seen.add(paths.stream(seed, *key).standard_normal(64).tobytes())
+    assert len(seen) == 4096 + len(keys)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**100 + 12345])
+def test_stream_rejects_seeds_outside_64_bits(seed):
+    # past 2^96 a child's entropy can equal a driver mode's list
+    with pytest.raises(ValueError):
+        paths.stream(seed, "starts")
+
+
 def test_qfbm_zero_trace_warns():
     op = SpectralOperator(np.array([1.0]), np.array([0.0]))
     with pytest.warns(UserWarning):

@@ -61,6 +61,15 @@ def test_kummer_matches_hypergeometric_oracle():
             assert got == pytest.approx(ref, rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "rho, horizon",
+    [(1.0, 0.0), (1.0, -1.0), (1.0, np.inf), (1.0, np.nan), (np.nan, 1.0), (-1.0, 1.0)],
+)
+def test_kummer_rejects_bad_rho_and_horizon(rho, horizon):
+    with pytest.raises(ValueError):
+        solver.kummer_decay(rho, -0.5, -0.5, 0.1, horizon)
+
+
 def test_kummer_monotone_decreasing():
     vals = [
         solver.kummer_decay(r, -0.5, -0.5, 0.1, 1.0)
@@ -356,6 +365,26 @@ def test_solution_lives_on_the_drivers_grid():
         assert np.array_equal(u.values, v.values)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**64 - 1])
+def test_start_directions_are_no_driver_modes_normals(seed):
+    # the probe's xi and the bump directions come from the solver's own
+    # stream, not from the normals of driver mode i, default_rng([seed, i])
+    n_modes, n = 16, 16
+    spec = solver.ProblemSpec(laplacian_1d(n_modes), _zero_drift, _zero_diffusion, PP)
+    om = paths.SampledPath(0.0, 1.0 / n, np.zeros((n + 1, n_modes)))
+    cfg = solver.SolverConfig(n_starts=6, seed=seed)
+    probes, starts = solver._start_family(np.ones(n_modes), om, spec, cfg)
+    tips = [probes[2].values[-1]] + [s.values[-1] for s in list(starts)[2:]]
+    dirs = np.array(tips) - probes[1].values[-1]
+    modes = np.array([
+        np.random.default_rng([seed, i]).standard_normal(n_modes) for i in range(4096)
+    ])
+    modes /= np.linalg.norm(modes, axis=1, keepdims=True)
+    for d in dirs:
+        d = d / np.linalg.norm(d)
+        assert np.min(np.max(np.abs(modes - d), axis=1)) > 1e-6
+
+
 def test_probe_images_are_the_first_picard_steps(monkeypatch):
     # rho is measured on T's images of u0, S(t)u0 and one bump probe; the
     # first two are also the first Picard steps of starts 0 and 1, so a
@@ -378,8 +407,9 @@ def test_probe_images_are_the_first_picard_steps(monkeypatch):
         assert len(sols.residual_traces) == n_starts
         steps = sum(len(t) for t in sols.residual_traces)
         assert len(seen) == steps + probe_calls
-        # frozen from the solver that applied T to u0 and S(t)u0 twice
-        assert (sols.rho, sols.contraction_factor) == (1.0, 0.3137927758675681)
+        # frozen from the solver that applied T to u0 and S(t)u0 twice, with
+        # the bump probe's xi from the solver's own stream
+        assert (sols.rho, sols.contraction_factor) == (1.0, 0.26284275996138656)
 
     # _choose_rho measures on the images it is given and applies T to nothing
     probes, starts = solver._start_family(u0, om, spec, cfg)
@@ -388,7 +418,7 @@ def test_probe_images_are_the_first_picard_steps(monkeypatch):
     assert starts[0] is probes[0] and starts[1] is probes[1]
     images = [real(p, om, u0, spec) for p in probes]
     seen.clear()
-    assert solver._choose_rho(probes, images, PP.beta) == (1.0, 0.3137927758675681)
+    assert solver._choose_rho(probes, images, PP.beta) == (1.0, 0.26284275996138656)
     assert seen == []
 
 
