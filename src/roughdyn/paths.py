@@ -12,11 +12,12 @@ with direct differences, and returns the all-pairs max bit for bit.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .spectral import _BLOCK_FLOATS
 
@@ -265,11 +266,13 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
 # _MAX_BLOCKS blocks), the last block padded by repeating the last node with
 # weight 0.  A row chunk holds at most _CHUNK block-pair bounds and an exact
 # batch at most 2 * _CHUNK pair differences, one piece (a block pair that
-# alone holds more is split by rows), so the working set is the weights and
-# divisors (O(n)) plus a fixed number of pieces.
+# alone holds more is split by rows), so the working set is the plan (O(n),
+# see _Plan) plus a fixed number of pieces.  The weighted norm keeps the
+# plans of its last _PLANS grids.
 _MIN_BLOCK = 8
 _MAX_BLOCKS = 512
 _CHUNK = _BLOCK_FLOATS // 2
+_PLANS = 8
 _EPS = np.finfo(float).eps
 
 
@@ -280,11 +283,68 @@ def _row_norms(d):
 
 def _windows(x, k):
     """Read-only view out[..., i, j] = x[..., i + j] of the length-k windows
-    along the last axis of any strided x, a transpose too: sliding_window_view
-    without its argument checks, which cost as much as a small search's bounds."""
+    along the last axis of a C- or F-contiguous x, a transpose too:
+    sliding_window_view without its argument checks and as_strided's view
+    machinery, which cost as much as a small search's bounds."""
     s = x.strides[-1]
     shape = x.shape[:-1] + (x.shape[-1] - k + 1, k)
-    return as_strided(x, shape, x.strides + (s,), writeable=False)
+    out = np.ndarray(shape, x.dtype, x, strides=x.strides + (s,))
+    out.flags.writeable = False
+    return out
+
+
+class _Plan(NamedTuple):
+    """Everything a pair search reads besides u, as read-only arrays: the
+    block width w, the block count nb and the number n_off of block offsets
+    D = J - I whose smallest gap is at most max_gap; the weights a and b
+    zero-padded to nb blocks of w nodes (ab, bb) and their block maxima,
+    b's followed by n_off - 1 zeros (empty blocks past the end, bound 0);
+    the smallest divisor c_min[D] of a block pair at offset D; the divisor
+    table table[D, p, q] = c[D*w + q - p] between node p of block I and node
+    q of block I + D, inf outside 1 <= gap <= max_gap; and the first node
+    starts[I] and all node indices nodes[I] of each block, a padded node
+    past n - 1.  About 4 floats per node: ab, bb, the divisors behind table,
+    and nodes."""
+
+    w: int
+    nb: int
+    n_off: int
+    ab: np.ndarray
+    bb: np.ndarray
+    a_top: np.ndarray
+    b_top: np.ndarray
+    c_min: np.ndarray
+    table: np.ndarray
+    starts: np.ndarray
+    nodes: np.ndarray
+
+
+def _plan(a, b, c, max_gap):
+    """The _Plan of node weights a, b (n nodes) and gap divisors c for the
+    pairs with gap at most max_gap, 1 <= max_gap <= n - 1."""
+    n = a.size
+    w = max(_MIN_BLOCK, -(-n // _MAX_BLOCKS))
+    nb = -(-n // w)
+    pad = nb * w - n
+    ab = np.concatenate([a, np.zeros(pad)]).reshape(nb, w)
+    bb = np.concatenate([b, np.zeros(pad)]).reshape(nb, w)
+    n_off = min(nb, (max_gap - 1) // w + 2)
+    b_top = np.zeros(nb + n_off - 1)
+    b_top[:nb] = bb.max(axis=1)
+    c_min = c[np.maximum(np.arange(n_off) * w - (w - 1), 1)]
+    # cg[g + w - 1] = c[g] on 1 <= g <= max_gap, inf elsewhere, read as
+    # table[D, p, q] = cg[D*w + q - p + w - 1]
+    cg = np.full(n_off * w + w - 1, np.inf)
+    top = min(max_gap, n_off * w - 1)
+    cg[w : w + top] = c[1 : top + 1]
+    table = _windows(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
+    nodes = np.arange(nb * w).reshape(nb, w)
+    plan = _Plan(
+        w, nb, n_off, ab, bb, ab.max(axis=1), b_top, c_min, table, nodes[:, 0].copy(), nodes
+    )
+    for x in plan[3:] + (cg,):
+        x.flags.writeable = False
+    return plan
 
 
 def _pair_sup(u, a, b, c, max_gap):
@@ -307,52 +367,42 @@ def _pair_sup(u, a, b, c, max_gap):
     block pair outside that range, and those of the padding, are exactly 0.
     Every term is the expression a per-gap pass over direct differences
     u[k]-u[j] computes, so the max is that pass's bit for bit.
+
+    The plan is built for this call; weighted_holder_norm reuses its plans
+    through the same search.
     """
-    n, m = u.shape
     if not np.isfinite(u).all():
         return np.nan
-    max_gap = int(min(max_gap, n - 1))
+    max_gap = int(min(max_gap, u.shape[0] - 1))
     if max_gap < 1:
         return 0.0
-    w = max(_MIN_BLOCK, -(-n // _MAX_BLOCKS))
-    nb = -(-n // w)
-    pad = nb * w - n
-    # only the weights are padded (with 0); a padded node reads u[n - 1]
-    ab = np.concatenate([a, np.zeros(pad)]).reshape(nb, w)
-    bb = np.concatenate([b, np.zeros(pad)]).reshape(nb, w)
-    # block offsets D = J - I whose smallest gap is at most max_gap
-    n_off = min(nb, (max_gap - 1) // w + 2)
+    return _search(u, _plan(a, b, c, max_gap))
+
+
+def _search(u, plan):
+    """The pair sup of _pair_sup over a finite u (n, m) under plan."""
+    m = u.shape[1]
+    w, nb, n_off = plan.w, plan.nb, plan.n_off
     # per block: box centre (rows :m), radius (row m) and largest b (row
-    # m + 1); n_off - 1 empty blocks past the end (b = 0, so bound 0) give
-    # every block a full window win[:, I, D] = box[:, I + D]
-    starts = np.arange(nb) * w
-    lo, hi = np.minimum.reduceat(u, starts), np.maximum.reduceat(u, starts)
+    # m + 1); the empty blocks past the end give every block a full window
+    # win[:, I, D] = box[:, I + D]
+    lo = np.minimum.reduceat(u, plan.starts)
+    hi = np.maximum.reduceat(u, plan.starts)
     box = np.zeros((m + 2, nb + n_off - 1))
     box[:m, :nb] = (0.5 * (lo + hi)).T
     box[m, :nb] = _row_norms(0.5 * (hi - lo))
-    box[m + 1, :nb] = bb.max(axis=1)
-    del lo, hi
+    box[m + 1] = plan.b_top
     win = _windows(box, n_off)
-    a_top = ab.max(axis=1)
-    c_min = c[np.maximum(np.arange(n_off) * w - (w - 1), 1)]
-    # divisors: cg[g + w - 1] = c[g] on 1 <= g <= max_gap, inf elsewhere,
-    # read as table[D, p, q] = c[D*w + q - p] for node p of block I and
-    # node q of block I + D
-    cg = np.full(n_off * w + w - 1, np.inf)
-    top = min(max_gap, n_off * w - 1)
-    cg[w : w + top] = c[1 : top + 1]
-    table = _windows(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
-    centre_err = 4 * _EPS * max(float(u.max()), -float(u.min())) * np.sqrt(m)
+    centre_err = 4 * _EPS * max(float(hi.max()), -float(lo.min())) * np.sqrt(m)
+    del lo, hi
     slack = 1.0 + 1e-12 + 4 * m * _EPS
     # an exact batch: `batch` block pairs, `rows` nodes p of block I at a
     # time, its differences in one buffer that every batch of the call reuses
     rows = min(w, max(1, 2 * _CHUNK // (w * m)))
     batch = max(1, 2 * _CHUNK // (rows * w * m))
-    node = np.arange(w)
-    node_p = node[:rows].repeat(w).reshape(rows, w)
     buf = np.empty(batch * rows * w * m)
     best = 0.0
     i0 = 0
@@ -374,8 +424,8 @@ def _pair_sup(u, a, b, c, max_gap):
         bound += wc[m]
         bound += box[m, i0:i1, None] + centre_err
         bound *= wc[m + 1]
-        bound *= a_top[i0:i1, None] * slack
-        bound /= c_min[:cols]
+        bound *= plan.a_top[i0:i1, None] * slack
+        bound /= plan.c_min[:cols]
         flat = bound.ravel()
         while True:
             live = np.flatnonzero(flat > best)
@@ -387,22 +437,31 @@ def _pair_sup(u, a, b, c, max_gap):
             bi, off = np.divmod(live, cols)
             bi += i0
             bj = bi + off
-            u_k = u.take((bj * w)[:, None] + node, 0, mode="clip")[:, None]
-            b_k = bb[bj][:, None, :]
+            # a padded node reads u[n - 1]
+            u_k = u.take(plan.nodes[bj], 0, mode="clip")[:, None]
+            b_k = plan.bb[bj][:, None, :]
             for p in range(0, w, rows):
-                # diff[:, p, q] = u[k] - u[j] for node j = p of block bi and
-                # node k = q of block bj; a padded node reads u[n - 1]
-                j = (bi * w + p)[:, None, None] + node_p[: w - p]
-                diff = buf[: j.size * m].reshape(j.shape + (m,))
-                u.take(j, 0, out=diff, mode="clip")
-                np.subtract(u_k, diff, out=diff)
+                # diff[:, r, q] = u[k] - u[j] for node j = p + r of block bi
+                # and node k = q of block bj
+                u_j = u.take(plan.nodes[bi, p : p + rows], 0, mode="clip")
+                diff = buf[: u_j.size * w].reshape(u_j.shape[:2] + (w, m))
+                np.subtract(u_k, u_j[:, :, None], out=diff)
                 dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
-                terms = ab[bi, p : p + rows, None] * b_k
+                terms = plan.ab[bi, p : p + rows, None] * b_k
                 terms *= dn
-                terms /= table[off, p : p + rows]
+                terms /= plan.table[off, p : p + rows]
                 best = max(best, float(terms.max()))
         i0 = i1
     return best
+
+
+def _check_exponents(beta, rho=0.0):
+    """Reject a Hölder exponent or weight that is negative or not finite:
+    (dt k)^beta and e^{-rho dt k} would warn, or give 0 or NaN norms."""
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    if not 0.0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
 
 
 def _holder_pair_sup(u, dt, beta, max_gap):
@@ -421,17 +480,30 @@ def holder_seminorm(u: SampledPath, beta: float, s=None, t=None) -> float:
     ||u(t_k)-u(t_j)|| / (t_k-t_j)^beta.  A lower bound of the continuum
     seminorm, nondecreasing under grid refinement; NaN when a node value in
     [s, t] is not finite."""
+    _check_exponents(beta)
     return _holder_pair_sup(u.window(s, t).values, u.dt, beta, max_gap=np.inf)
 
 
 def wiener_modulus(u: SampledPath, beta: float, delta: float) -> float:
     """Small-gap Hölder quotient sup over pairs with t - s < delta; NaN
     when a node value is not finite."""
+    _check_exponents(beta)
     if not (0.0 < delta <= u.n_steps * u.dt + 1e-12):
         raise ValueError("delta must lie in (0, window length]")
     if delta <= u.dt:
         warnings.warn("delta below grid resolution; modulus degenerates to 0")
     return _holder_pair_sup(u.values, u.dt, beta, max_gap=delta)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _weighted_plan(n, dt, beta, rho):
+    """The decay weights e^{-rho dt k} and the pair-search plan of the
+    weighted norm on n nodes of step dt: built once per grid and exponents,
+    not on every call.  The decay is a view of the plan's padded bb."""
+    k = np.arange(n)
+    span_pow = (dt * k) ** beta
+    plan = _plan(span_pow, np.exp(-rho * dt * k), span_pow, n - 1)
+    return plan.bb.reshape(-1)[:n], plan
 
 
 def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
@@ -441,10 +513,9 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     rho = 0 recovers the plain (beta, beta)-norm.  NaN when a node value is
     not finite.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    n, dt = u.n_nodes, u.dt
-    span_pow = (dt * np.arange(n)) ** beta
-    decay = np.exp(-rho * dt * np.arange(n))
+    _check_exponents(beta, rho)
+    if not np.isfinite(u.values).all():
+        return np.nan
+    decay, plan = _weighted_plan(u.n_nodes, float(u.dt), float(beta), float(rho))
     sup_val = float(np.max(decay * _row_norms(u.values)))
-    return sup_val + _pair_sup(u.values, span_pow, decay, span_pow, n - 1)
+    return sup_val + _search(u.values, plan)

@@ -18,6 +18,7 @@ factor measured on probe pairs drops below 1/2, only scales the report.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -103,6 +104,8 @@ class ProblemSpec:
 
 # cap of the doubling search for a contractive weight rho
 _RHO_MAX = 2.0**16
+# apply_mild keeps the cell moments of its last _GRIDS grids
+_GRIDS = 8
 
 
 @dataclass
@@ -256,6 +259,23 @@ def _phi_weights(z: np.ndarray):
     return phi0, phi1
 
 
+@functools.lru_cache(maxsize=_GRIDS)
+def _cell_moments(lam_bytes: bytes, dt: float, n: int):
+    """phi0 and phi1 of z = lambda*dt for the eigenvalues in lam_bytes, and
+    the decay ladder e^{-lambda dt s} for s = 1, 2, 4, ... < n, one row per
+    pass of apply_mild's doubling scan: read-only, built once per grid."""
+    z = np.frombuffer(lam_bytes) * dt
+    phi0, phi1 = _phi_weights(z)
+    ladder = np.empty(((n - 1).bit_length(), z.size))
+    decay = np.exp(-z)
+    for row in ladder:
+        row[:] = decay
+        decay = decay * decay
+    for x in (phi0, phi1, ladder):
+        x.flags.writeable = False
+    return phi0, phi1, ladder
+
+
 def apply_mild(
     u: SampledPath, omega: SampledPath, u0: np.ndarray, spec: ProblemSpec
 ) -> SampledPath:
@@ -279,8 +299,7 @@ def apply_mild(
     u0 = np.asarray(u0, dtype=float)
     n = u.n_steps
     dt = u.dt
-    z = lam * dt
-    phi0, phi1 = _phi_weights(z)
+    phi0, phi1, ladder = _cell_moments(lam.tobytes(), dt, n)
 
     dw = np.zeros((n + 2, omega.n_modes))
     np.subtract(omega.values[1:], omega.values[:-1], out=dw[1:-1])
@@ -296,23 +315,20 @@ def apply_mild(
     acc[1:] = (
         dt * (phi0 * fvals[:-1] + phi1 * fvals[1:]) + phi0 * g_lo + phi1 * g_hi
     )
-    decay = np.exp(-z)
-    s = 1
-    while s < n:
+    for i, decay in enumerate(ladder):
+        s = 1 << i
         acc[s + 1 :] += decay * acc[1 : n + 1 - s]
-        decay = decay * decay
-        s *= 2
     acc += semigroup_apply(spec.operator, dt * np.arange(n + 1), u0)
     return SampledPath(t0=u.t0, dt=dt, values=acc)
 
 
 def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
-    """Weighted norm of a - b; NaN, as weighted_holder_norm gives for a
-    non-finite path, when either path is not finite (inf - inf would warn)."""
-    if not (np.isfinite(a.values).all() and np.isfinite(b.values).all()):
-        return np.nan
-    diff = SampledPath(t0=a.t0, dt=a.dt, values=a.values - b.values)
-    return weighted_holder_norm(diff, beta, rho)
+    """Weighted norm of a - b; NaN when either path is not finite, as a - b
+    is then (its inf - inf is not warned of) and weighted_holder_norm gives
+    NaN for a non-finite path, checked in its one pass over a - b."""
+    with np.errstate(invalid="ignore"):
+        diff = a.values - b.values
+    return weighted_holder_norm(SampledPath(a.t0, a.dt, diff), beta, rho)
 
 
 def _start_family(u0, omega, spec, cfg):

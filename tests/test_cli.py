@@ -73,6 +73,36 @@ def test_report_determinism(tmp_path, small_cfg, command):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
+def test_artifacts_identical_with_warm_and_cleared_caches(tmp_path):
+    # solve (3 starts at 2^8 steps) and cocycle twice in one process, the
+    # second time on the plans and cell moments the first cached, then once
+    # more after clearing both caches: byte-identical artifacts all three times
+    runs = {
+        "solve": ("[solver]\nn_starts = 3\nfp_tol = 1e-8\n", ["--grid-pow", "8"]),
+        "cocycle": ("[solver]\nn_starts = 2\n", []),
+    }
+
+    def artifacts(k):
+        found = {}
+        for command, (text, extra) in runs.items():
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(text)
+            out = tmp_path / f"run{k}" / command
+            argv = [command, "--config", str(cfg), "--seed", "1", "--out", str(out)]
+            assert cli.main(argv + extra) == 0
+            found.update({(command, p.name): p.read_bytes() for p in out.iterdir()})
+        return found
+
+    first = artifacts(1)
+    assert paths._weighted_plan.cache_info().currsize > 0
+    assert solver._cell_moments.cache_info().currsize > 0
+    second = artifacts(2)
+    paths._weighted_plan.cache_clear()
+    solver._cell_moments.cache_clear()
+    third = artifacts(3)
+    assert len(first) > 2 and first == second == third
+
+
 def test_grid_pow_override(tmp_path, small_cfg):
     cli.main(
         [

@@ -655,6 +655,107 @@ def test_pair_search_memory_is_affine_in_grid_size(n, m):
         assert peak <= 8 * (6 * n + 16 * paths._CHUNK)
 
 
+# ------------------------------- the weighted norm's cached plans
+
+
+def _random_walk(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.standard_normal((n, m)), axis=0) * 1e-2 + 2.0
+
+
+def test_cached_plans_match_the_per_gap_pass_cold_and_warm():
+    # grids that differ from the first in one of nodes, step, beta, rho and
+    # mode count, interleaved: after the first round every lookup is warm.
+    # The plan reads no mode count, so the last grid shares the first's plan
+    grids = [
+        (129, 3, 1 / 128, 0.6, 1.0),
+        (193, 3, 1 / 128, 0.6, 1.0),
+        (129, 3, 1 / 64, 0.6, 1.0),
+        (129, 3, 1 / 128, 0.55, 1.0),
+        (129, 3, 1 / 128, 0.6, 0.0),
+        (129, 16, 1 / 128, 0.6, 1.0),
+    ]
+    paths._weighted_plan.cache_clear()
+    for r in range(3):
+        for i, (n, m, dt, beta, rho) in enumerate(grids):
+            vals = _random_walk(n, m, 10 * r + i)
+            got = _weighted_norm(vals, dt, beta, rho)
+            assert got == _per_gap_weighted_sup(vals, dt, beta, rho), (r, i)
+    info = paths._weighted_plan.cache_info()
+    assert (info.misses, info.hits) == (5, 13)
+
+
+def test_cached_plan_is_read_only():
+    decay, plan = paths._weighted_plan(65, 1 / 64, 0.6, 1.0)
+    arrays = [decay] + [x for x in plan if isinstance(x, np.ndarray)]
+    assert len(arrays) == 9
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1.0
+
+
+def test_plan_cache_stays_bounded():
+    for n in range(17, 37):
+        u = paths.SampledPath(0.0, 1.0 / (n - 1), _random_walk(n, 2, n))
+        paths.weighted_holder_norm(u, 0.6, 1.0)
+    info = paths._weighted_plan.cache_info()
+    assert info.maxsize == paths._PLANS
+    assert 0 < info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("chunk", [12, 16, 192])
+def test_cached_plan_follows_a_patched_chunk(monkeypatch, m, chunk):
+    # plans are cached by grid and exponents alone, so the batch geometry
+    # comes from _CHUNK at each call: under a small _CHUNK a plan cached at
+    # the default one must make the batches a cold plan makes, a few rows
+    # of a block pair at a time where one block pair is too large.  The
+    # _row_norms calls on a multiple of w rows are the exact batches (301
+    # nodes and 38 blocks are not multiples of w)
+    w = paths._MIN_BLOCK
+    vals = _random_walk(301, m, chunk + m)
+    dt, beta, rho = 1.0 / 300, 0.6, 64.0
+    u = paths.SampledPath(0.0, dt, vals)
+    calls = []
+    row_norms = paths._row_norms
+    monkeypatch.setattr(paths, "_row_norms", lambda d: calls.append(len(d)) or row_norms(d))
+
+    def norm_and_batches():
+        calls.clear()
+        got = paths.weighted_holder_norm(u, beta, rho)
+        return got, [k for k in calls if k % w == 0]
+
+    ref, default = norm_and_batches()
+    monkeypatch.setattr(paths, "_CHUNK", chunk)
+    warm = norm_and_batches()
+    paths._weighted_plan.cache_clear()
+    cold = norm_and_batches()
+    assert warm == cold
+    assert warm[0] == ref == _per_gap_weighted_sup(vals, dt, beta, rho)
+    # at most 2 * _CHUNK differences per batch, or one row of a block pair
+    most = max(2 * chunk // m, w)
+    assert max(warm[1]) <= most < max(default)
+    if 2 * chunk // (w * m) < w:
+        assert min(warm[1]) < w * w
+
+
+@pytest.mark.parametrize(
+    "beta, rho",
+    [(np.nan, 0.0), (np.inf, 0.0), (-1.0, 0.0), (0.6, np.nan), (0.6, np.inf), (0.6, -1.0)],
+)
+def test_bad_exponents_are_rejected(beta, rho):
+    # a NaN beta read as a 0.0 seminorm, or as the sup term alone in the
+    # weighted norm; beta = -1 and rho = inf warned; rho = NaN gave NaN
+    u = paths.SampledPath(0.0, 1.0 / 64, np.linspace(0.0, 1.0, 65) ** 2)
+    with pytest.raises(ValueError):
+        paths.weighted_holder_norm(u, beta, rho)
+    if rho == 0.0:
+        with pytest.raises(ValueError):
+            paths.holder_seminorm(u, beta)
+        with pytest.raises(ValueError):
+            paths.wiener_modulus(u, beta, 0.25)
+
+
 @pytest.mark.parametrize("n", [1, 64, 1024])
 def test_windows_of_a_transpose_are_sliding_windows(n):
     # apply_mild's increment pairs pair[k] = (dw[k], dw[k + 1]) over the
@@ -679,6 +780,15 @@ def test_non_finite_node_gives_nan(bad):
         assert np.isnan(paths.wiener_modulus(u, 0.6, 0.5 / 64))
     # outside the window the seminorm does not look
     assert np.isfinite(paths.holder_seminorm(u, 0.6, 0.0, 0.5))
+
+
+def test_non_finite_node_under_an_underflowed_weight_gives_nan():
+    # e^{-rho t} is 0 at node 40 for rho = 2^16: the sup term's 0 * inf
+    # warned (an error under -W error) before the path was checked
+    vals = np.linspace(0.0, 1.0, 65)
+    vals[40] = np.inf
+    u = paths.SampledPath(0.0, 1.0 / 64, vals)
+    assert np.isnan(paths.weighted_holder_norm(u, 0.6, 2.0**16))
 
 
 def _csv_writer_reference(u, config):

@@ -566,6 +566,35 @@ def test_one_diffusion_call_per_apply_on_the_grid_nodes(monkeypatch):
     assert len(calls) == len(applied) > 2
 
 
+def test_cell_moments_are_cached_read_only_and_bounded():
+    # apply_mild reads phi0, phi1 and the decay ladder e^{-lambda dt 2^i}
+    # of its doubling scan from a cache keyed by eigenvalues, step and step
+    # count: a warm call gives a cold call's bits
+    op = laplacian_1d(3)
+    spec = solver.ProblemSpec(op, np.sin, _zero_diffusion, PP)
+    om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 2)
+    u0 = np.array([1.0, -0.5, 0.25])
+    cand = paths.SampledPath(0.0, om.dt, np.cos(om.values))
+    solver._cell_moments.cache_clear()
+    cold = solver.apply_mild(cand, om, u0, spec).values
+    assert np.array_equal(solver.apply_mild(cand, om, u0, spec).values, cold)
+    info = solver._cell_moments.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    phi0, phi1, ladder = solver._cell_moments(op.eigenvalues.tobytes(), om.dt, 64)
+    z = op.eigenvalues * om.dt
+    assert all(np.array_equal(x, y) for x, y in zip((phi0, phi1), solver._phi_weights(z)))
+    assert ladder.shape == (6, 3) and np.array_equal(ladder[0], np.exp(-z))
+    assert np.array_equal(ladder[1:], ladder[:-1] * ladder[:-1])
+    for x in (phi0, phi1, ladder):
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1.0
+    for n in range(1, 21):
+        grid = paths.SampledPath(0.0, 1.0 / n, np.zeros((n + 1, 3)))
+        solver.apply_mild(grid, grid, u0, spec)
+    info = solver._cell_moments.cache_info()
+    assert info.maxsize == solver._GRIDS and 0 < info.currsize <= info.maxsize
+
+
 @pytest.mark.parametrize("zdt", [1e-6, 1.0, 64.0, 800.0])
 def test_apply_mild_scan_matches_sequential_recursion(zdt):
     # the doubling scan against the one-cell-at-a-time recursion
