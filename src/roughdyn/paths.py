@@ -302,8 +302,8 @@ class _Plan(NamedTuple):
     the smallest divisor c_min[D] of a block pair at offset D; the divisor
     table table[D, p, q] = c[D*w + q - p] between node p of block I and node
     q of block I + D, inf outside 1 <= gap <= max_gap; and the first node
-    starts[I] and all node indices nodes[I] of each block, a padded node
-    past n - 1.  About 4 floats per node: ab, bb, the divisors behind table,
+    starts[I] (contiguous: reduceat copies a strided index on every call)
+    and all node indices nodes[I] of each block, a padded node past n - 1.  About 4 floats per node: ab, bb, the divisors behind table,
     and nodes."""
 
     w: int
