@@ -13,6 +13,7 @@ with direct differences, and returns the all-pairs max bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -274,6 +275,29 @@ _MAX_BLOCKS = 512
 _CHUNK = _BLOCK_FLOATS // 2
 _PLANS = 8
 _EPS = np.finfo(float).eps
+# the squares behind a Euclidean norm overflow past about 2^511, so a path
+# with a larger node value is searched scaled by an exact power of two
+_BIG = 2.0**500
+
+
+def _scale_down(u):
+    """(u, 0) when max|u| <= _BIG, else (u * 2^-e, e) with max|u * 2^-e| < 1;
+    (None, 0) when a node value is not finite."""
+    top = max(float(u.max()), -float(u.min()))
+    if not top < np.inf:  # NaN or inf
+        return None, 0
+    if top <= _BIG:
+        return u, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(u, -e), e
+
+
+def _scale_up(x, e):
+    """x * 2^e: inf where the true value exceeds the largest double."""
+    if not e:
+        return x
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
 
 
 def _row_norms(d):
@@ -366,17 +390,20 @@ def _pair_sup(u, a, b, c, max_gap):
     c[k-j] for 1 <= k-j <= max_gap and inf elsewhere, so the pairs of a
     block pair outside that range, and those of the padding, are exactly 0.
     Every term is the expression a per-gap pass over direct differences
-    u[k]-u[j] computes, so the max is that pass's bit for bit.
+    u[k]-u[j] computes, so the max is that pass's bit for bit.  A u with
+    max|u| > _BIG is searched scaled by a power of two and the max scaled
+    back, so its squares cannot overflow.
 
     The plan is built for this call; weighted_holder_norm reuses its plans
     through the same search.
     """
-    if not np.isfinite(u).all():
+    u, e = _scale_down(u)
+    if u is None:
         return np.nan
     max_gap = int(min(max_gap, u.shape[0] - 1))
     if max_gap < 1:
         return 0.0
-    return _search(u, _plan(a, b, c, max_gap))
+    return _scale_up(_search(u, _plan(a, b, c, max_gap)), e)
 
 
 def _search(u, plan):
@@ -511,11 +538,12 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     + sup_{s<t} (s-t0)^beta e^{-rho(t-t0)} ||u(t)-u(s)||/(t-s)^beta.
 
     rho = 0 recovers the plain (beta, beta)-norm.  NaN when a node value is
-    not finite.
+    not finite; a path above _BIG is measured as _pair_sup measures it.
     """
     _check_exponents(beta, rho)
-    if not np.isfinite(u.values).all():
+    values, e = _scale_down(u.values)
+    if values is None:
         return np.nan
     decay, plan = _weighted_plan(u.n_nodes, float(u.dt), float(beta), float(rho))
-    sup_val = float(np.max(decay * _row_norms(u.values)))
-    return sup_val + _search(u.values, plan)
+    sup_val = float(np.max(decay * _row_norms(values)))
+    return _scale_up(sup_val + _search(values, plan), e)

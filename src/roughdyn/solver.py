@@ -13,7 +13,8 @@ sum of fracint.pathwise_integral.
 
 Fixed points of T are found by Picard iteration and accepted in the
 unweighted Hölder norm; the weight rho, doubled until the contraction
-factor measured on probe pairs drops below 1/2, only scales the report.
+factor measured on probe pairs drops below 1/2, only scales the report,
+which a caller that needs no rho can skip.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ class SolverConfig:
 
 @dataclass
 class SolutionSet:
-    """Finite approximation of the solution set from one initial value."""
+    """Finite approximation of the solution set from one initial value.
+
+    rho, contraction_factor and ball_ok are the weighted report: NaN, NaN
+    and empty when the solve was run with report=False."""
 
     elements: list
     residuals: list
@@ -325,7 +329,7 @@ def apply_mild(
 def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
     """Weighted norm of a - b; NaN when either path is not finite, as a - b
     is then (its inf - inf is not warned of) and weighted_holder_norm gives
-    NaN for a non-finite path, checked in its one pass over a - b."""
+    NaN for a non-finite path, checked as it takes max|a - b|."""
     with np.errstate(invalid="ignore"):
         diff = a.values - b.values
     return weighted_holder_norm(SampledPath(a.t0, a.dt, diff), beta, rho)
@@ -384,7 +388,12 @@ def _choose_rho(probes, images, beta) -> tuple:
 
 
 def solve_mild(
-    u0: np.ndarray, omega: SampledPath, spec: ProblemSpec, cfg: SolverConfig
+    u0: np.ndarray,
+    omega: SampledPath,
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+    *,
+    report: bool = True,
 ) -> SolutionSet:
     """Picard-iterate T from several starts; collect distinct fixed points.
 
@@ -392,16 +401,25 @@ def solve_mild(
     unweighted norm, which also measures the residual traces and
     distinct_tol.  rho only scales the report: the contraction factor and
     ball invariance ||u||_{beta,beta;rho} <= 1 + 2 c_S ||u0|| (c_S = 1 for
-    this contraction semigroup).
+    this contraction semigroup).  report=False skips it, so a solve with no
+    contractive weight can still succeed: rho and contraction_factor are
+    NaN and ball_ok is empty.  The starts, and so the fixed points found,
+    are the same bits either way.
     """
     u0 = np.asarray(u0, dtype=float)
     beta = spec.params.beta
     probes, starts = _start_family(u0, omega, spec, cfg)
-    images = [apply_mild(p, omega, u0, spec) for p in probes]
-    rho, qfac = _choose_rho(probes, images, beta)
-    # T(u0) and T(S(t)u0) are the first Picard steps of starts 0 and 1
-    firsts = images[: min(2, cfg.n_starts)]
-    del probes, images
+    if report:
+        images = [apply_mild(p, omega, u0, spec) for p in probes]
+        rho, qfac = _choose_rho(probes, images, beta)
+        # T(u0) and T(S(t)u0) are the first Picard steps of starts 0 and 1
+        firsts = images[: min(2, cfg.n_starts)]
+        del probes, images
+    else:
+        # starts 0 and 1 are the probes u0 and S(t)u0: the loop applies T
+        rho = qfac = np.nan
+        firsts = []
+        del probes
     radius = 1.0 + 2.0 * np.linalg.norm(u0)
     elements, residuals, traces, ball_ok = [], [], [], []
     for u in starts:
@@ -427,8 +445,9 @@ def solve_mild(
         if is_new:
             elements.append(u)
             residuals.append(trace[-1])
-            unorm = weighted_holder_norm(u, beta, rho)
-            ball_ok.append(bool(unorm <= radius * (1.0 + 1e-6)))
+            if report:
+                unorm = weighted_holder_norm(u, beta, rho)
+                ball_ok.append(bool(unorm <= radius * (1.0 + 1e-6)))
     if not elements:
         raise SolverError(
             "no start converged within max_iters", residual_traces=traces

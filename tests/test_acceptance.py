@@ -231,8 +231,7 @@ def test_criterion_08_strict_cocycle():
         om = _heat_driver(spec, n_steps=n, seed=42)
         cfg = solver.SolverConfig(n_starts=3, seed=42, fp_tol=fp_tol)
         worst = 0.0
-        for t, s in ((0.25, 0.25), (0.5, 0.25)):
-            rep = dynsys.check_cocycle(t, s, om, u0, spec, cfg)
+        for rep in dynsys.check_cocycle((0.25, 0.5), 0.25, om, u0, spec, cfg):
             worst = max(worst, rep["d1_lhs_to_rhs"], rep["d2_rhs_to_lhs"])
         dists[n] = worst
     tol_ok = dists[256] <= 5e-3

@@ -513,6 +513,19 @@ def test_huge_step_solver_failure_is_one_stderr_line(tmp_path, capsys):
     assert err.startswith("solver failed:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["cocycle", "usc"])
+def test_huge_step_needs_a_contractive_weight_only_to_solve(tmp_path, command):
+    # the grid of test_huge_step_solver_failure_is_one_stderr_line, where
+    # solve finds no contractive weight and exits 3; Phi is the set of fixed
+    # points, which converge, so the commands that need no rho succeed
+    cfg_path = tmp_path / "huge.ini"
+    cfg_path.write_text("[problem]\nhorizon = 1e150\n[experiment]\nm_per_radius = 1\n")
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--grid-pow", "4"]) == 0
+
+
 def test_tiny_horizon_solves_to_u0(tmp_path):
     # at horizon 1e-300 both probe differences are far below 1e-12, so an
     # absolute floor skipped every pair and no weight was ever informative;

@@ -66,7 +66,7 @@ def test_cocycle_pure_semigroup_machine_precision():
     spec, om = _pure_semigroup_problem()
     u0 = np.array([1.0, -0.5, 0.25])
     cfg = solver.SolverConfig(n_starts=2, seed=2)
-    rep = dynsys.check_cocycle(0.25, 0.25, om, u0, spec, cfg)
+    (rep,) = dynsys.check_cocycle((0.25,), 0.25, om, u0, spec, cfg)
     assert rep["d1_lhs_to_rhs"] < 1e-12
     assert rep["d2_rhs_to_lhs"] < 1e-12
 
@@ -77,8 +77,69 @@ def test_cocycle_heat_example_small():
     u0 = np.zeros(4)
     u0[0] = 1.0
     cfg = solver.SolverConfig(n_starts=2, seed=3)
-    rep = dynsys.check_cocycle(0.125, 0.125, om, u0, spec, cfg)
+    (rep,) = dynsys.check_cocycle((0.125,), 0.125, om, u0, spec, cfg)
     assert max(rep["d1_lhs_to_rhs"], rep["d2_rhs_to_lhs"]) < 5e-3
+
+
+def _heat_example(n=64, seed=3):
+    spec = heat.build_heat_problem(params=PP, n_modes=4, m_phys=32)
+    om = paths.sample_qfbm(spec.operator, PP.hurst, n, 0.5 / n, seed)
+    u0 = np.zeros(4)
+    u0[0] = 1.0
+    return spec, om, u0
+
+
+def _spy(monkeypatch, module, name):
+    """Rebind module.name to a wrapper and return its call log: one
+    [args, result] per call, result None while the call runs or if it raised."""
+    real = getattr(module, name)
+    log = []
+
+    def spy(*args, **kwargs):
+        log.append([args, None])
+        log[-1][1] = real(*args, **kwargs)
+        return log[-1][1]
+
+    monkeypatch.setattr(module, name, spy)
+    return log
+
+
+def test_solution_map_skips_the_rho_report(monkeypatch):
+    # Phi is the fixed points' end values, the same bits as solve_mild's
+    # reported solve, found with no rho search, no probe image and no ball
+    # norm: T is applied once per Picard step and every norm is unweighted
+    spec, om, u0 = _heat_example()
+    cfg = solver.SolverConfig(n_starts=3, seed=3)
+    full = solver.solve_mild(u0, om.window(t=0.25), spec, cfg)
+    assert full.rho == 1.0 and len(full.ball_ok) == len(full)
+    choose = _spy(monkeypatch, solver, "_choose_rho")
+    applies = _spy(monkeypatch, solver, "apply_mild")
+    norms = _spy(monkeypatch, solver, "weighted_holder_norm")
+    solves = _spy(monkeypatch, dynsys, "solve_mild")
+    got = dynsys.solution_map(0.25, om, u0, spec, cfg)
+    assert len(got) == len(full)
+    for x, u in zip(got, full.elements):
+        assert np.array_equal(x, u.values[-1])
+    ((_, sols),) = solves
+    assert sols.residual_traces == full.residual_traces
+    assert choose == []
+    assert len(applies) == sum(len(t) for t in sols.residual_traces)
+    assert {args[2] for args, _ in norms} == {0.0}
+    assert np.isnan(sols.rho) and np.isnan(sols.contraction_factor)
+    assert sols.ball_ok == []
+
+
+def test_cocycle_shares_one_solve_of_phi_s(monkeypatch):
+    # two t values at one s: Phi(s) once, then Phi(t+s) and Phi(t) from each
+    # element of Phi(s) per t, 5 solves where two single-t checks make 6
+    spec, om, u0 = _heat_example()
+    cfg = solver.SolverConfig(n_starts=2, seed=3)
+    singles = [dynsys.check_cocycle((t,), 0.125, om, u0, spec, cfg)[0] for t in (0.125, 0.25)]
+    solves = _spy(monkeypatch, dynsys, "solve_mild")
+    reps = dynsys.check_cocycle((0.125, 0.25), 0.125, om, u0, spec, cfg)
+    assert all(rep["n_lhs"] == rep["n_rhs"] == 1 for rep in reps)
+    assert [args[1].n_steps for args, _ in solves] == [16, 32, 16, 48, 32]
+    assert reps == singles
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -97,7 +158,7 @@ def test_property_cocycle_identity(n, seed, split, u0):
     spec = heat.build_heat_problem(params=PP, n_modes=4, m_phys=32)
     om = paths.sample_qfbm(spec.operator, PP.hurst, n, 1.0 / n, seed)
     cfg = solver.SolverConfig(n_starts=2, seed=seed)
-    rep = dynsys.check_cocycle(k_t / n, k_s / n, om, np.array(u0), spec, cfg)
+    (rep,) = dynsys.check_cocycle((k_t / n,), k_s / n, om, np.array(u0), spec, cfg)
     floor = 20.0 * cfg.fp_tol
     assert rep["d1_lhs_to_rhs"] <= floor
     assert rep["d2_rhs_to_lhs"] <= floor
@@ -169,9 +230,9 @@ def _armed_problem(u0, bad_drift=None, bad_diffusion=None):
 
 
 def test_usc_counts_solver_failures():
-    # absurd drift growth from perturbed starts: SolverError, counted
+    # a non-finite drift off u0: every perturbed solve fails, counted
     u0 = np.array([1.0, 0.0, 0.0])
-    spec, om = _armed_problem(u0, bad_drift=lambda u: 1e8 * u)
+    spec, om = _armed_problem(u0, bad_drift=lambda u: np.full_like(u, np.nan))
     cfg = solver.SolverConfig(n_starts=1, seed=5)
     rep = dynsys.usc_probe(
         0.5, om, u0, spec, cfg, radii=(0.1,), m_per_radius=2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from roughdyn import fracint, heat, paths, solver
 from roughdyn import io as rdio
-from roughdyn.spectral import SpectralOperator
+from roughdyn.spectral import SpectralOperator, laplacian_1d
 
 
 def test_holder_params_chain_enforced():
@@ -789,6 +789,38 @@ def test_non_finite_node_under_an_underflowed_weight_gives_nan():
     vals[40] = np.inf
     u = paths.SampledPath(0.0, 1.0 / 64, vals)
     assert np.isnan(paths.weighted_holder_norm(u, 0.6, 2.0**16))
+
+
+def test_huge_step_path_does_not_overflow():
+    # a 3-mode step of 1e200 at node 40: its squared norm overflows, and the
+    # search read 0.0 (inf * 0 in a bound) and the weighted norm inf.  Only
+    # the gap-1 pair at the step matters: |||u|||_beta = |du| / dt^beta,
+    # and at rho = 0 the weighted pair term peaks at j = 39, k = 40
+    dt, beta = 1.0 / 64, 0.6
+    vals = np.zeros((65, 3))
+    vals[40:] = 1e200
+    u = paths.SampledPath(0.0, dt, vals)
+    jump = np.sqrt(3.0) * 1e200
+    assert paths.holder_seminorm(u, beta) == pytest.approx(jump / dt**beta, rel=1e-12)
+    assert paths.wiener_modulus(u, beta, 0.25) == pytest.approx(jump / dt**beta, rel=1e-12)
+    assert paths.weighted_holder_norm(u, beta, 0.0) == pytest.approx(
+        jump * (1.0 + 39.0**beta), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_huge_path_norms_scale_exactly_by_powers_of_two(rho):
+    # past 2^500 a path is searched scaled by a power of two, which commutes
+    # with every rounding: the norms of u * 2^600 are those of u times 2^600
+    u = paths.sample_qfbm(laplacian_1d(4), 0.75, 128, 1.0 / 128, 3)
+    big = paths.SampledPath(0.0, u.dt, u.values * 2.0**600)
+    assert paths.holder_seminorm(big, 0.6) == paths.holder_seminorm(u, 0.6) * 2.0**600
+    assert paths.wiener_modulus(big, 0.6, 0.25) == (
+        paths.wiener_modulus(u, 0.6, 0.25) * 2.0**600
+    )
+    assert paths.weighted_holder_norm(big, 0.6, rho) == (
+        paths.weighted_holder_norm(u, 0.6, rho) * 2.0**600
+    )
 
 
 def _csv_writer_reference(u, config):
