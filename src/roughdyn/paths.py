@@ -533,6 +533,28 @@ def _weighted_plan(n, dt, beta, rho):
     return plan.bb.reshape(-1)[:n], plan
 
 
+def _norm_terms(u: SampledPath, beta: float, rho: float):
+    """(values, e, sup, plan): u's values as _scale_down scales them, by
+    2^-e, the sup term sup_s e^{-rho(s-t0)}||u(s)|| over those values, and
+    the plan of the pair search; (None, 0, NaN, None) when a node value is
+    not finite.  The one place weighted_holder_norm and _sup_term read them."""
+    _check_exponents(beta, rho)
+    values, e = _scale_down(u.values)
+    if values is None:
+        return None, 0, np.nan, None
+    decay, plan = _weighted_plan(u.n_nodes, float(u.dt), float(beta), float(rho))
+    return values, e, float(np.max(decay * _row_norms(values))), plan
+
+
+def _sup_term(u: SampledPath, beta: float, rho: float) -> float:
+    """The sup term of weighted_holder_norm(u, beta, rho), the bits the norm
+    adds, scaled back: a lower bound of the norm, NaN exactly when the norm
+    is.  The pair term is nonnegative, so a sup term at or above a tolerance
+    puts the norm there too, with no pair search."""
+    _, e, sup, _ = _norm_terms(u, beta, rho)
+    return _scale_up(sup, e)
+
+
 def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     """Weighted norm on the grid nodes: sup_s e^{-rho(s-t0)}||u(s)||
     + sup_{s<t} (s-t0)^beta e^{-rho(t-t0)} ||u(t)-u(s)||/(t-s)^beta.
@@ -540,10 +562,7 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     rho = 0 recovers the plain (beta, beta)-norm.  NaN when a node value is
     not finite; a path above _BIG is measured as _pair_sup measures it.
     """
-    _check_exponents(beta, rho)
-    values, e = _scale_down(u.values)
+    values, e, sup, plan = _norm_terms(u, beta, rho)
     if values is None:
         return np.nan
-    decay, plan = _weighted_plan(u.n_nodes, float(u.dt), float(beta), float(rho))
-    sup_val = float(np.max(decay * _row_norms(values)))
-    return _scale_up(sup_val + _search(values, plan), e)
+    return _scale_up(sup + _search(values, plan), e)

@@ -14,7 +14,10 @@ sum of fracint.pathwise_integral.
 Fixed points of T are found by Picard iteration and accepted in the
 unweighted Hölder norm; the weight rho, doubled until the contraction
 factor measured on probe pairs drops below 1/2, only scales the report,
-which a caller that needs no rho can skip.
+which a caller that needs no rho can skip.  Without the report a step is
+first measured by the norm's sup term max_t ||T(u)(t) - u(t)||, a lower
+bound: at or above fp_tol it rejects the step with no Hölder pair search,
+and the residual trace holds that bound in place of the residual.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ import numpy as np
 
 from .fracint import beta_fn
 from .paths import (
-    HolderParams, SampledPath, _windows, stream, weighted_holder_norm, wiener_shift
+    _BIG,
+    HolderParams,
+    SampledPath,
+    _sup_term,
+    _windows,
+    stream,
+    weighted_holder_norm,
+    wiener_shift,
 )
 from .spectral import SpectralOperator, _row_blocks, semigroup_apply
 
@@ -133,7 +143,10 @@ class SolutionSet:
     """Finite approximation of the solution set from one initial value.
 
     rho, contraction_factor and ball_ok are the weighted report: NaN, NaN
-    and empty when the solve was run with report=False."""
+    and empty when the solve was run with report=False.  Then an entry of
+    residual_traces at or above fp_tol may be the step's sup term, a lower
+    bound of its residual; an entry below fp_tol, every residual and each
+    trace's length are those of the reported solve."""
 
     elements: list
     residuals: list
@@ -326,32 +339,41 @@ def apply_mild(
     return SampledPath(t0=u.t0, dt=dt, values=acc)
 
 
-def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
-    """Weighted norm of a - b; NaN when either path is not finite, as a - b
-    is then (its inf - inf is not warned of) and weighted_holder_norm gives
-    NaN for a non-finite path, checked as it takes max|a - b|."""
+def _difference(a: SampledPath, b: SampledPath) -> SampledPath:
+    """a - b on a's grid; not finite where either path is not (its
+    inf - inf is not warned of)."""
     with np.errstate(invalid="ignore"):
-        diff = a.values - b.values
-    return weighted_holder_norm(SampledPath(a.t0, a.dt, diff), beta, rho)
+        return SampledPath(a.t0, a.dt, a.values - b.values)
+
+
+def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
+    """Weighted norm of a - b; NaN when either path is not finite, as
+    weighted_holder_norm gives NaN for a non-finite path, checked as it
+    takes max|a - b|."""
+    return weighted_holder_norm(_difference(a, b), beta, rho)
 
 
 def _start_family(u0, omega, spec, cfg):
-    """Contraction probes u0, S(t)u0 and S(t)u0 + 0.3 sqrt(t) xi, and an
+    """A function that builds the contraction probes u0, S(t)u0 and
+    S(t)u0 + 0.3 sqrt(t) xi, which only the rho report calls, and an
     iterator over the n_starts Picard starts: the first two probes, then
     S(t)u0 + s t^beta xi_i, each built when reached, on omega's grid.  xi,
-    then each xi_i and s, are drawn in turn from stream(seed, "starts")."""
+    then each xi_i and s, are drawn in turn from stream(seed, "starts"),
+    xi whether or not the probes are built."""
     t0, n, dt = omega.t0, omega.n_steps, omega.dt
     tt = dt * np.arange(n + 1)
     base = semigroup_apply(spec.operator, tt, u0)
     rng = stream(cfg.seed, "starts")
     xi = rng.standard_normal(spec.operator.n_modes)
-    probe = base + 0.3 * np.sqrt(tt)[:, None] * xi
-    probes = [SampledPath(t0, dt, p) for p in (np.tile(u0, (n + 1, 1)), base, probe)]
-    plain = probes[: min(2, cfg.n_starts)]
+    plain = [SampledPath(t0, dt, p) for p in (np.tile(u0, (n + 1, 1)), base)]
     rough = (tt**spec.params.beta)[:, None]
 
+    def probes():
+        probe = base + 0.3 * np.sqrt(tt)[:, None] * xi
+        return plain + [SampledPath(t0, dt, probe)]
+
     def starts():
-        yield from plain
+        yield from plain[: cfg.n_starts]
         for _ in range(cfg.n_starts - 2):
             bump = rng.standard_normal(spec.operator.n_modes)
             scale = rng.uniform(0.05, 0.5)
@@ -403,13 +425,20 @@ def solve_mild(
     ball invariance ||u||_{beta,beta;rho} <= 1 + 2 c_S ||u0|| (c_S = 1 for
     this contraction semigroup).  report=False skips it, so a solve with no
     contractive weight can still succeed: rho and contraction_factor are
-    NaN and ball_ok is empty.  The starts, and so the fixed points found,
-    are the same bits either way.
+    NaN and ball_ok is empty.  It also measures each step by the sup term
+    of ||T(u) - u|| first and runs the pair search only when that term is
+    below fp_tol (or above paths._BIG, where the norm may overflow): a
+    rejected step's trace entry is then its sup term, itself at or above
+    fp_tol.  The starts, every accept and stop decision, and so the fixed
+    points, their residuals and the trace lengths, are the same bits either
+    way.  Every solve decides distinctness by the sup term when it already
+    exceeds distinct_tol.
     """
     u0 = np.asarray(u0, dtype=float)
     beta = spec.params.beta
-    probes, starts = _start_family(u0, omega, spec, cfg)
+    make_probes, starts = _start_family(u0, omega, spec, cfg)
     if report:
+        probes = make_probes()
         images = [apply_mild(p, omega, u0, spec) for p in probes]
         rho, qfac = _choose_rho(probes, images, beta)
         # T(u0) and T(S(t)u0) are the first Picard steps of starts 0 and 1
@@ -419,7 +448,7 @@ def solve_mild(
         # starts 0 and 1 are the probes u0 and S(t)u0: the loop applies T
         rho = qfac = np.nan
         firsts = []
-        del probes
+    del make_probes  # and the time grid it holds
     radius = 1.0 + 2.0 * np.linalg.norm(u0)
     elements, residuals, traces, ball_ok = [], [], [], []
     for u in starts:
@@ -427,7 +456,18 @@ def solve_mild(
         converged = False
         for k in range(cfg.max_iters):
             tu = apply_mild(u, omega, u0, spec) if k or not firsts else firsts.pop(0)
-            res = _residual_norm(tu, u, beta, 0.0)
+            if report:
+                res = _residual_norm(tu, u, beta, 0.0)
+            else:
+                # the sup term is a lower bound of the norm: at or above
+                # fp_tol it rejects the step with no pair search.  At most
+                # _BIG the difference was not scaled, so the norm, which
+                # can overflow only on a scaled path, is finite as well
+                diff = _difference(tu, u)
+                res = _sup_term(diff, beta, 0.0)
+                if res < cfg.fp_tol or res > _BIG:
+                    res = weighted_holder_norm(diff, beta, 0.0)
+                del diff  # not held through the next application of T
             trace.append(res)
             u = tu
             if not np.isfinite(res):  # NaN whenever T(u) is not finite
@@ -438,8 +478,10 @@ def solve_mild(
         traces.append(trace)
         if not converged:
             continue
+        # a sup term above distinct_tol puts the norm above it too
         is_new = all(
-            _residual_norm(u, v, beta, 0.0) > cfg.distinct_tol
+            _sup_term(_difference(u, v), beta, 0.0) > cfg.distinct_tol
+            or _residual_norm(u, v, beta, 0.0) > cfg.distinct_tol
             for v in elements
         )
         if is_new:

@@ -543,7 +543,14 @@ def test_tiny_horizon_solves_to_u0(tmp_path):
 
 @pytest.mark.parametrize(
     "command, scale",
-    [("solve", 1e150), ("solve", -1e150), ("cocycle", 1e150), ("usc", 1e150)],
+    [
+        ("solve", 1e150),
+        ("solve", -1e150),
+        ("cocycle", 1e150),
+        ("usc", 1e150),
+        ("cocycle", -1e150),
+        ("usc", -1e150),
+    ],
 )
 def test_u0_scale_at_the_bound_runs_without_warnings(tmp_path, command, scale):
     # the largest accepted size: a finite ball radius and no numpy warning,

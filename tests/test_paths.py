@@ -867,3 +867,36 @@ def test_write_series_holds_less_than_its_path(tmp_path):
     assert peak <= 1.5 * vals.nbytes
     with open(tmp_path / "u.csv", newline="") as fh:
         assert fh.read() == _csv_writer_reference(u, config)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_sup_term_is_the_norms_own_sup_part(monkeypatch, rho):
+    # with the pair search read as 0 the weighted norm is its sup term
+    # alone, which _sup_term gives bit for bit: on a 1e200 step, past _BIG,
+    # with no overflow, and on a sampled path and its 2^600 multiple
+    dt = 1.0 / 64
+    step = np.zeros((65, 3))
+    step[40:] = 1e200
+    u = paths.sample_qfbm(laplacian_1d(4), 0.75, 128, 1.0 / 128, 3)
+    cases = [
+        paths.SampledPath(0.0, dt, step),
+        u,
+        paths.SampledPath(0.0, u.dt, u.values * 2.0**600),
+    ]
+    with np.errstate(over="raise", invalid="raise"):
+        sups = [paths._sup_term(v, 0.6, rho) for v in cases]
+        monkeypatch.setattr(paths, "_search", lambda values, plan: 0.0)
+        assert sups == [paths.weighted_holder_norm(v, 0.6, rho) for v in cases]
+    assert sups[2] == sups[1] * 2.0**600
+    if rho == 0.0:
+        assert sups[0] == np.sqrt(3.0) * 1e200
+        assert sups[1] == pytest.approx(np.max(np.linalg.norm(u.values, axis=1)), rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sup_term_of_a_non_finite_path_is_nan(bad):
+    vals = np.zeros((17, 2))
+    vals[5, 1] = bad
+    u = paths.SampledPath(0.0, 1.0 / 16, vals)
+    assert np.isnan(paths._sup_term(u, 0.6, 0.0))
+    assert np.isnan(paths.weighted_holder_norm(u, 0.6, 0.0))

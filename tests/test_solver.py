@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import betaln, hyp1f1
 
-from roughdyn import paths, solver
+from roughdyn import heat, paths, solver
 from roughdyn.spectral import SpectralOperator, laplacian_1d, semigroup_apply
 
 PP = paths.HolderParams()
@@ -220,7 +220,7 @@ def _drift_off_the_probes(op, om, u0, cfg, on, off):
     probes of (u0, om, cfg) and `off` on every other path; returns it with
     the probes."""
     clean = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
-    probes, _ = solver._start_family(u0, om, clean, cfg)
+    probes = solver._start_family(u0, om, clean, cfg)[0]()
 
     def drift(u):
         hit = any(np.array_equal(u, p.values) for p in probes)
@@ -279,7 +279,7 @@ def test_choose_rho_rejects_a_non_finite_image(bad):
     u0 = np.array([1.0, 0.0])
     cfg = solver.SolverConfig(n_starts=3, seed=0)
     clean = solver.ProblemSpec(op, _zero_drift, _zero_diffusion, PP)
-    probes, _ = solver._start_family(u0, om, clean, cfg)
+    probes = solver._start_family(u0, om, clean, cfg)[0]()
 
     def drift(u):
         return np.full_like(u, 0.0 if np.array_equal(u, probes[0].values) else bad)
@@ -335,6 +335,136 @@ def test_spot_check_growth_needs_the_operators_mode_count():
         spec.spot_check_growth(rng=0)
 
 
+# -------------------------------------------------- solves without the report
+
+
+def _peano_spec():
+    # one mode, u' = -u + 2 sqrt|u|: not Lipschitz at 0, so from u0 = 0 both
+    # 0 and 4(1 - e^{-t/2})^2 solve it
+    return solver.ProblemSpec(
+        laplacian_1d(1),
+        lambda u: 2.0 * np.sqrt(np.abs(u)),
+        _zero_diffusion,
+        PP,
+        c_F=1.0,
+        L_F=1.0,
+    )
+
+
+def _assert_same_fixed_points(got, ref, fp_tol):
+    """got (report=False) and ref (report=True) hold the same elements and
+    residuals bit for bit and traces of the same lengths, equal wherever
+    either entry accepts; a rejected step may hold its sup term, a lower
+    bound at or above fp_tol."""
+    assert len(got) == len(ref) and got.residuals == ref.residuals
+    for u, v in zip(got.elements, ref.elements):
+        assert np.array_equal(u.values, v.values)
+    assert [len(t) for t in got.residual_traces] == [len(t) for t in ref.residual_traces]
+    for t, r in zip(got.residual_traces, ref.residual_traces):
+        for x, y in zip(t, r):
+            if x < fp_tol or y < fp_tol:
+                assert x == y
+            elif np.isnan(y):
+                assert np.isnan(x)
+            else:
+                assert fp_tol <= x <= y
+
+
+def test_distinctness_prefilter_keeps_the_elements(monkeypatch):
+    # Peano from 0 with 8 starts: a sup term above distinct_tol settles
+    # "distinct" with no pair search; with the prefilter off (a sup term of
+    # 0 decides nothing) every pair is searched and the elements are the same
+    spec = _peano_spec()
+    om = paths.SampledPath(0.0, 1.0 / 256, np.zeros((257, 1)))
+    cfg = solver.SolverConfig(n_starts=8)
+    u0 = np.zeros(1)
+    real, searches = paths._search, [0]
+
+    def counted(*args):
+        searches[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(paths, "_search", counted)
+    sols = solver.solve_mild(u0, om, spec, cfg)
+    prefiltered = searches[0]
+    monkeypatch.setattr(solver, "_sup_term", lambda u, beta, rho: 0.0)
+    searches[0] = 0
+    every = solver.solve_mild(u0, om, spec, cfg)
+    assert searches[0] > prefiltered
+    assert len(sols) == len(every) == 2 and sols.residuals == every.residuals
+    for u, v in zip(sols.elements, every.elements):
+        assert np.array_equal(u.values, v.values)
+    assert sols.residual_traces == every.residual_traces
+    for i, u in enumerate(sols.elements):
+        for v in sols.elements[:i]:
+            diff = paths.SampledPath(0.0, om.dt, u.values - v.values)
+            assert paths.weighted_holder_norm(diff, PP.beta, 0.0) > cfg.distinct_tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_step_stops_without_the_report(bad):
+    # the non-finite start of test_non_finite_start_stops_and_is_never_accepted,
+    # solved with report=False: its sup term is NaN, the trace holds NaN
+    # and the start stops, as with the report
+    op = laplacian_1d(3)
+    om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 4)
+    u0 = np.array([1.0, 0.5, 0.0])
+    cfg = solver.SolverConfig(n_starts=3, seed=4)
+    spec, _ = _drift_off_the_probes(op, om, u0, cfg, 0.0, bad)
+    got = solver.solve_mild(u0, om, spec, cfg, report=False)
+    assert [len(t) for t in got.residual_traces] == [2, 1, 1]
+    assert np.isnan(got.residual_traces[2][0])
+    _assert_same_fixed_points(got, solver.solve_mild(u0, om, spec, cfg), cfg.fp_tol)
+
+
+def test_overflowing_residual_stops_the_start_without_the_report():
+    # F = 1.5e308 on a slow mode: T(u) is finite for every u, and T(u) - u
+    # has the finite sup term 1.4993e308 but a norm that overflows to inf.
+    # A sup term above paths._BIG comes from a scaled path, whose norm can
+    # overflow, so that step is searched: its trace reads inf and the start
+    # stops, with or without the report.  Were the sup term kept, the next
+    # step, T(u) again, would converge
+    op = SpectralOperator(np.array([1e-3]), np.array([1.0]))
+    spec = solver.ProblemSpec(op, lambda u: np.full_like(u, 1.5e308), _zero_diffusion, PP)
+    om = paths.SampledPath(0.0, 1.0 / 16, np.zeros((17, 1)))
+    u0 = np.array([1.0])
+    cfg = solver.SolverConfig(n_starts=3, seed=0)
+    traces = []
+    for report in (False, True):
+        with pytest.raises(solver.SolverError) as info:
+            solver.solve_mild(u0, om, spec, cfg, report=report)
+        traces.append(info.value.residual_traces)
+    assert traces[0] == traces[1] == [[np.inf]] * 3
+
+
+def _additive_problem(n, seed):
+    # criterion 7's linear additive-noise problem, lambda = 1, sigma = 0.5
+    op = SpectralOperator(np.array([1.0]), np.array([1.0]))
+    spec = solver.ProblemSpec(op, _zero_drift, lambda u, v: 0.5 * v, PP)
+    return spec, paths.sample_fbm_1d(PP.hurst, n, 1.0 / n, seed), np.array([1.0])
+
+
+def _heat_problem(n, seed):
+    spec = heat.build_heat_problem(params=PP, n_modes=4, m_phys=32)
+    om = paths.sample_qfbm(spec.operator, PP.hurst, n, 0.5 / n, seed)
+    return spec, om, np.array([1.0, 0.0, -0.5, 0.25])
+
+
+def _peano_problem(n, seed):
+    return _peano_spec(), paths.SampledPath(0.0, 1.0 / n, np.zeros((n + 1, 1))), np.zeros(1)
+
+
+@pytest.mark.parametrize("problem", [_heat_problem, _peano_problem, _additive_problem])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_report_changes_no_fixed_point(problem, seed):
+    # the sup-first step rejects only steps the full norm rejects: without
+    # the report the same starts reach the same elements in the same steps
+    spec, om, u0 = problem(64, seed)
+    cfg = solver.SolverConfig(n_starts=4, seed=seed)
+    got = solver.solve_mild(u0, om, spec, cfg, report=False)
+    _assert_same_fixed_points(got, solver.solve_mild(u0, om, spec, cfg), cfg.fp_tol)
+
+
 # ------------------------------------------------- concatenation/translation
 
 
@@ -373,7 +503,8 @@ def test_start_directions_are_no_driver_modes_normals(seed):
     spec = solver.ProblemSpec(laplacian_1d(n_modes), _zero_drift, _zero_diffusion, PP)
     om = paths.SampledPath(0.0, 1.0 / n, np.zeros((n + 1, n_modes)))
     cfg = solver.SolverConfig(n_starts=6, seed=seed)
-    probes, starts = solver._start_family(np.ones(n_modes), om, spec, cfg)
+    make_probes, starts = solver._start_family(np.ones(n_modes), om, spec, cfg)
+    probes = make_probes()
     tips = [probes[2].values[-1]] + [s.values[-1] for s in list(starts)[2:]]
     dirs = np.array(tips) - probes[1].values[-1]
     modes = np.array([
@@ -412,8 +543,8 @@ def test_probe_images_are_the_first_picard_steps(monkeypatch):
         assert (sols.rho, sols.contraction_factor) == (1.0, 0.26284275996138656)
 
     # _choose_rho measures on the images it is given and applies T to nothing
-    probes, starts = solver._start_family(u0, om, spec, cfg)
-    starts = list(starts)
+    make_probes, starts = solver._start_family(u0, om, spec, cfg)
+    probes, starts = make_probes(), list(starts)
     assert len(probes) == 3 and len(starts) == cfg.n_starts == 2
     assert starts[0] is probes[0] and starts[1] is probes[1]
     images = [real(p, om, u0, spec) for p in probes]
