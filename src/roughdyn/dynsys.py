@@ -12,10 +12,8 @@ independently, so they are reported separately, never merged).
 
 Phi is the set of fixed points itself: the weight rho of the existence
 proof plays no part in it, so the solves here skip the solver's rho report
-and fail only when no start converges.  Such a solve rejects a Picard step
-by the sup term of its residual when that term reaches fp_tol, so an entry
-of its residual traces at or above fp_tol may be that lower bound, not the
-residual; the fixed points, and so Phi, are the same bits.
+and fail only when no start converges; the fixed points, and so Phi, are
+the same bits as with the report.
 """
 
 from __future__ import annotations

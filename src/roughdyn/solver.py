@@ -14,10 +14,7 @@ sum of fracint.pathwise_integral.
 Fixed points of T are found by Picard iteration and accepted in the
 unweighted Hölder norm; the weight rho, doubled until the contraction
 factor measured on probe pairs drops below 1/2, only scales the report,
-which a caller that needs no rho can skip.  Without the report a step is
-first measured by the norm's sup term max_t ||T(u)(t) - u(t)||, a lower
-bound: at or above fp_tol it rejects the step with no Hölder pair search,
-and the residual trace holds that bound in place of the residual.
+which a caller that needs no rho can skip.
 """
 
 from __future__ import annotations
@@ -54,7 +51,8 @@ __all__ = [
 
 class SolverError(RuntimeError):
     """Fixed-point iteration failed from every start; carries the residual
-    traces for diagnosis (too-coarse grid or too-wild driver)."""
+    traces for diagnosis (too-coarse grid or too-wild driver), whose entries
+    follow solve_mild's trace rule."""
 
     def __init__(self, message, residual_traces=None):
         super().__init__(message)
@@ -143,10 +141,8 @@ class SolutionSet:
     """Finite approximation of the solution set from one initial value.
 
     rho, contraction_factor and ball_ok are the weighted report: NaN, NaN
-    and empty when the solve was run with report=False.  Then an entry of
-    residual_traces at or above fp_tol may be the step's sup term, a lower
-    bound of its residual; an entry below fp_tol, every residual and each
-    trace's length are those of the reported solve."""
+    and empty when the solve was run with report=False.  residual_traces
+    hold one entry per Picard step, as solve_mild describes."""
 
     elements: list
     residuals: list
@@ -353,6 +349,19 @@ def _residual_norm(a: SampledPath, b: SampledPath, beta: float, rho: float):
     return weighted_holder_norm(_difference(a, b), beta, rho)
 
 
+def _gap(a: SampledPath, b: SampledPath, beta: float, tol: float):
+    """Unweighted norm of a - b, or its sup term max_t ||a(t) - b(t)|| when
+    that lower bound alone is above tol, so "above tol" costs no pair
+    search.  Above paths._BIG the difference was scaled and its norm, unlike
+    the sup term, may overflow, so it is searched; NaN when either path is
+    not finite."""
+    diff = _difference(a, b)
+    sup = _sup_term(diff, beta, 0.0)
+    if tol < sup <= _BIG:
+        return sup
+    return weighted_holder_norm(diff, beta, 0.0)
+
+
 def _start_family(u0, omega, spec, cfg):
     """A function that builds the contraction probes u0, S(t)u0 and
     S(t)u0 + 0.3 sqrt(t) xi, which only the rho report calls, and an
@@ -420,19 +429,17 @@ def solve_mild(
     """Picard-iterate T from several starts; collect distinct fixed points.
 
     A path u is accepted when ||T(u) - u||_{beta,beta} < fp_tol in the
-    unweighted norm, which also measures the residual traces and
-    distinct_tol.  rho only scales the report: the contraction factor and
-    ball invariance ||u||_{beta,beta;rho} <= 1 + 2 c_S ||u0|| (c_S = 1 for
-    this contraction semigroup).  report=False skips it, so a solve with no
+    unweighted norm, which also compares elements against distinct_tol.
+    Each residual trace holds one entry per Picard step: below fp_tol it is
+    the residual of an accepted step; at or above fp_tol it may be the
+    step's sup term max_t ||T(u)(t) - u(t)||, a lower bound of the residual
+    that already rejects the step with no Hölder pair search; a non-finite
+    entry stops the start.  rho only scales the report: the contraction factor and ball
+    invariance ||u||_{beta,beta;rho} <= 1 + 2 c_S ||u0|| (c_S = 1 for this
+    contraction semigroup).  report=False skips it, so a solve with no
     contractive weight can still succeed: rho and contraction_factor are
-    NaN and ball_ok is empty.  It also measures each step by the sup term
-    of ||T(u) - u|| first and runs the pair search only when that term is
-    below fp_tol (or above paths._BIG, where the norm may overflow): a
-    rejected step's trace entry is then its sup term, itself at or above
-    fp_tol.  The starts, every accept and stop decision, and so the fixed
-    points, their residuals and the trace lengths, are the same bits either
-    way.  Every solve decides distinctness by the sup term when it already
-    exceeds distinct_tol.
+    NaN and ball_ok is empty, and the fixed points, residuals and traces
+    are the same bits.
     """
     u0 = np.asarray(u0, dtype=float)
     beta = spec.params.beta
@@ -456,18 +463,7 @@ def solve_mild(
         converged = False
         for k in range(cfg.max_iters):
             tu = apply_mild(u, omega, u0, spec) if k or not firsts else firsts.pop(0)
-            if report:
-                res = _residual_norm(tu, u, beta, 0.0)
-            else:
-                # the sup term is a lower bound of the norm: at or above
-                # fp_tol it rejects the step with no pair search.  At most
-                # _BIG the difference was not scaled, so the norm, which
-                # can overflow only on a scaled path, is finite as well
-                diff = _difference(tu, u)
-                res = _sup_term(diff, beta, 0.0)
-                if res < cfg.fp_tol or res > _BIG:
-                    res = weighted_holder_norm(diff, beta, 0.0)
-                del diff  # not held through the next application of T
+            res = _gap(tu, u, beta, cfg.fp_tol)
             trace.append(res)
             u = tu
             if not np.isfinite(res):  # NaN whenever T(u) is not finite
@@ -478,11 +474,8 @@ def solve_mild(
         traces.append(trace)
         if not converged:
             continue
-        # a sup term above distinct_tol puts the norm above it too
         is_new = all(
-            _sup_term(_difference(u, v), beta, 0.0) > cfg.distinct_tol
-            or _residual_norm(u, v, beta, 0.0) > cfg.distinct_tol
-            for v in elements
+            _gap(u, v, beta, cfg.distinct_tol) > cfg.distinct_tol for v in elements
         )
         if is_new:
             elements.append(u)

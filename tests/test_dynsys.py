@@ -126,8 +126,8 @@ def test_solution_map_skips_the_rho_report(monkeypatch):
     # Phi is the fixed points' end values, the same bits as solve_mild's
     # reported solve, found with no rho search, no probe image and no ball
     # norm: T is applied once per Picard step and every norm is unweighted.
-    # A step whose sup term max_t ||T(u)(t) - u(t)|| reaches fp_tol is
-    # rejected with no pair search, and its trace holds that lower bound
+    # A step whose sup term max_t ||T(u)(t) - u(t)|| is above fp_tol is
+    # rejected with no pair search, as in the reported solve
     spec, om, u0 = _heat_example()
     cfg = solver.SolverConfig(n_starts=3, seed=3)
     full = solver.solve_mild(u0, om.window(t=0.25), spec, cfg)
@@ -157,32 +157,24 @@ def test_solution_map_skips_the_rho_report(monkeypatch):
     assert sols.residuals == full.residuals
     for u, v in zip(sols.elements, full.elements):
         assert np.array_equal(u.values, v.values)
-    assert [len(t) for t in sols.residual_traces] == [len(t) for t in full.residual_traces]
+    assert sols.residual_traces == full.residual_traces
     assert choose == []
     assert built == []  # the probes, the bump probe among them, are never built
     assert {args[2] for name, args, _ in log if name != "apply_mild"} == {0.0}
     assert np.isnan(sols.rho) and np.isnan(sols.contraction_factor)
     assert sols.ball_ok == []
     # each step: T(u), then the sup term of T(u) - u, then the full norm of
-    # that same difference when the pair search runs
+    # that same difference exactly when the sup term is not above fp_tol
     steps = [i for i, (name, _, _) in enumerate(log) if name == "apply_mild"]
-    got_entries = [x for t in sols.residual_traces for x in t]
-    full_entries = [x for t in full.residual_traces for x in t]
-    assert len(steps) == len(got_entries)
+    assert len(steps) == sum(len(t) for t in sols.residual_traces)
     searched = 0
-    for i, got_x, full_x in zip(steps, got_entries, full_entries):
-        (_, (u, *_), tu), (name, (diff, *_), sup) = log[i], log[i + 1]
+    for i in steps:
+        name, (diff, *_), sup = log[i + 1]
         assert name == "_sup_term"
         nxt = log[i + 2] if i + 2 < len(log) else ("", (None,), None)
         ran = nxt[0] == "weighted_holder_norm" and nxt[1][0] is diff
-        assert ran == (sup < cfg.fp_tol)
+        assert ran == (sup <= cfg.fp_tol)
         searched += ran
-        if ran or got_x < cfg.fp_tol or full_x < cfg.fp_tol:
-            assert got_x == full_x
-        else:
-            direct = np.max(np.linalg.norm(tu.values - u.values, axis=1))
-            assert got_x == pytest.approx(direct, rel=1e-15, abs=0.0)
-            assert cfg.fp_tol <= got_x <= full_x
     # both kinds of step occur
     assert 0 < searched < len(steps)
 

@@ -197,13 +197,26 @@ def test_solve_geometric_decay_and_contraction():
     )
     om = paths.sample_qfbm(op, 0.75, 64, 1 / 64, 6)
     cfg = solver.SolverConfig(n_starts=2, seed=6)
-    sols = solver.solve_mild(np.array([1.0, 0.0, 0.0]), om, spec, cfg)
+    u0 = np.array([1.0, 0.0, 0.0])
+    sols = solver.solve_mild(u0, om, spec, cfg)
     assert max(sols.residuals) < cfg.fp_tol
     assert sols.contraction_factor < 0.5
     trace = sols.residual_traces[0]
+    # start 0 is the constant path u0: iterate T from it and measure each
+    # step's full unweighted norm, of which the trace holds the value or
+    # its sup term
+    u = paths.SampledPath(0.0, om.dt, np.tile(u0, (om.n_nodes, 1)))
+    norms = []
+    for entry in trace:
+        tu = solver.apply_mild(u, om, u0, spec)
+        diff = paths.SampledPath(0.0, om.dt, tu.values - u.values)
+        norms.append(paths.weighted_holder_norm(diff, PP.beta, 0.0))
+        assert entry in (norms[-1], paths._sup_term(diff, PP.beta, 0.0))
+        u = tu
+    assert trace[-1] == norms[-1] == sols.residuals[0]
     # geometric decay with ratio <= q + 0.05 after the first step
     q = sols.contraction_factor + 0.05
-    assert all(b <= q * a + 1e-15 for a, b in zip(trace[1:-1], trace[2:]))
+    assert all(b <= q * a + 1e-15 for a, b in zip(norms[1:-1], norms[2:]))
 
 
 def test_solver_failure_reports_traces():
@@ -351,29 +364,23 @@ def _peano_spec():
     )
 
 
-def _assert_same_fixed_points(got, ref, fp_tol):
-    """got (report=False) and ref (report=True) hold the same elements and
-    residuals bit for bit and traces of the same lengths, equal wherever
-    either entry accepts; a rejected step may hold its sup term, a lower
-    bound at or above fp_tol."""
+def _assert_same_fixed_points(got, ref):
+    """got (report=False) and ref (report=True) hold the same elements,
+    residuals and residual traces bit for bit, NaN where NaN."""
     assert len(got) == len(ref) and got.residuals == ref.residuals
     for u, v in zip(got.elements, ref.elements):
         assert np.array_equal(u.values, v.values)
-    assert [len(t) for t in got.residual_traces] == [len(t) for t in ref.residual_traces]
+    assert len(got.residual_traces) == len(ref.residual_traces)
     for t, r in zip(got.residual_traces, ref.residual_traces):
-        for x, y in zip(t, r):
-            if x < fp_tol or y < fp_tol:
-                assert x == y
-            elif np.isnan(y):
-                assert np.isnan(x)
-            else:
-                assert fp_tol <= x <= y
+        assert np.array_equal(t, r, equal_nan=True)
 
 
 def test_distinctness_prefilter_keeps_the_elements(monkeypatch):
     # Peano from 0 with 8 starts: a sup term above distinct_tol settles
     # "distinct" with no pair search; with the prefilter off (a sup term of
-    # 0 decides nothing) every pair is searched and the elements are the same
+    # 0 decides nothing) every pair and every step is searched, and the
+    # elements are the same.  The step prefilter is off too, so there a
+    # rejected step's trace entry is its residual, not its sup term
     spec = _peano_spec()
     om = paths.SampledPath(0.0, 1.0 / 256, np.zeros((257, 1)))
     cfg = solver.SolverConfig(n_starts=8)
@@ -394,7 +401,10 @@ def test_distinctness_prefilter_keeps_the_elements(monkeypatch):
     assert len(sols) == len(every) == 2 and sols.residuals == every.residuals
     for u, v in zip(sols.elements, every.elements):
         assert np.array_equal(u.values, v.values)
-    assert sols.residual_traces == every.residual_traces
+    assert [len(t) for t in sols.residual_traces] == [len(t) for t in every.residual_traces]
+    for t, r in zip(sols.residual_traces, every.residual_traces):
+        for x, y in zip(t, r):
+            assert x == y if x < cfg.fp_tol or y < cfg.fp_tol else x <= y
     for i, u in enumerate(sols.elements):
         for v in sols.elements[:i]:
             diff = paths.SampledPath(0.0, om.dt, u.values - v.values)
@@ -414,7 +424,7 @@ def test_non_finite_step_stops_without_the_report(bad):
     got = solver.solve_mild(u0, om, spec, cfg, report=False)
     assert [len(t) for t in got.residual_traces] == [2, 1, 1]
     assert np.isnan(got.residual_traces[2][0])
-    _assert_same_fixed_points(got, solver.solve_mild(u0, om, spec, cfg), cfg.fp_tol)
+    _assert_same_fixed_points(got, solver.solve_mild(u0, om, spec, cfg))
 
 
 def test_overflowing_residual_stops_the_start_without_the_report():
@@ -457,12 +467,12 @@ def _peano_problem(n, seed):
 @pytest.mark.parametrize("problem", [_heat_problem, _peano_problem, _additive_problem])
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_report_changes_no_fixed_point(problem, seed):
-    # the sup-first step rejects only steps the full norm rejects: without
-    # the report the same starts reach the same elements in the same steps
+    # the report adds probes, rho and ball norms but no Picard step rule:
+    # without it the same starts reach the same elements in the same steps
     spec, om, u0 = problem(64, seed)
     cfg = solver.SolverConfig(n_starts=4, seed=seed)
     got = solver.solve_mild(u0, om, spec, cfg, report=False)
-    _assert_same_fixed_points(got, solver.solve_mild(u0, om, spec, cfg), cfg.fp_tol)
+    _assert_same_fixed_points(got, solver.solve_mild(u0, om, spec, cfg))
 
 
 # ------------------------------------------------- concatenation/translation
