@@ -24,8 +24,10 @@ provided:
   so all its error lives in the interpolation of the inputs.
 * pathwise_integral_window: evaluates the fractional derivatives
   themselves, at cell midpoints as convolutions of the path increments
-  (O(n log n) by FFT), with the midpoint outer rule.  It shares no
-  formula with the trapezoid sum and is kept as its independent oracle.
+  (O(n log n) by FFT per live integrand column; a column that is zero at
+  every node, like the off-diagonal entries of a diagonal integrand,
+  costs nothing), with the midpoint outer rule.  It shares no formula
+  with the trapezoid sum and is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -192,12 +194,20 @@ def pathwise_integral_window(
     endpoint singularities), with singular inner kernels integrated
     exactly on the piecewise-linear interpolants as convolutions of the
     path increments; the outer integral uses the midpoint rule.
-    O(n log n) in the window length.
+    O(n log n) in the window length per live integrand column: a column
+    of the (J, I) entries that is zero at every node has a zero
+    derivative and costs nothing, so a diagonal integrand pays for I
+    columns, not I^2.
     """
     gv, wv = _window(g, omega, params)
     n1, J, I = gv.shape
     dt = omega.dt
-    dl = frac_deriv_left_mid(gv.reshape(n1, J * I), dt, params.alpha)
+    flat = gv.reshape(n1, J * I)
+    # only live columns (nonzero, or NaN, at some node) are differentiated;
+    # a column zero at every node has a zero derivative
+    live = np.flatnonzero((flat != 0.0).any(axis=0))
+    dl = np.zeros((n1 - 1, J * I))
+    dl[:, live] = frac_deriv_left_mid(flat[:, live], dt, params.alpha)
     dr = frac_deriv_right_mid(wv, dt, params.alpha)
     # Zähle's (-1)^alpha times the (-1)^(1-alpha) of the right Weyl
     # derivative, which frac_deriv_right_mid leaves out, is -1

@@ -276,17 +276,23 @@ _CHUNK = _BLOCK_FLOATS // 2
 _PLANS = 8
 _EPS = np.finfo(float).eps
 # the squares behind a Euclidean norm overflow past about 2^511, so a path
-# with a larger node value is searched scaled by an exact power of two
+# with a larger node value is searched scaled by an exact power of two; they
+# leave the normal range below 2^-511, so a nonzero path whose node values
+# all lie below _TINY is scaled up the same way: from _TINY on, the squares
+# of a node value and of a difference down to one ulp of it (2^-52 of it)
+# stay normal
 _BIG = 2.0**500
+_TINY = 2.0**-459
 
 
 def _scale_down(u):
-    """(u, 0) when max|u| <= _BIG, else (u * 2^-e, e) with max|u * 2^-e| < 1;
-    (None, 0) when a node value is not finite."""
+    """(u, 0) when _TINY <= max|u| <= _BIG or u is all zeros, else
+    (u * 2^-e, e) with 1/2 <= max|u * 2^-e| < 1; (None, 0) when a node value
+    is not finite.  Only a scaled path is copied."""
     top = max(float(u.max()), -float(u.min()))
     if not top < np.inf:  # NaN or inf
         return None, 0
-    if top <= _BIG:
+    if _TINY <= top <= _BIG or top == 0.0:
         return u, 0
     e = math.frexp(top)[1]
     return np.ldexp(u, -e), e
@@ -391,8 +397,9 @@ def _pair_sup(u, a, b, c, max_gap):
     block pair outside that range, and those of the padding, are exactly 0.
     Every term is the expression a per-gap pass over direct differences
     u[k]-u[j] computes, so the max is that pass's bit for bit.  A u with
-    max|u| > _BIG is searched scaled by a power of two and the max scaled
-    back, so its squares cannot overflow.
+    max|u| > _BIG, or nonzero with max|u| < _TINY, is searched scaled by a
+    power of two and the max scaled back, so its squares can neither
+    overflow nor underflow.
 
     The plan is built for this call; weighted_holder_norm reuses its plans
     through the same search.
@@ -560,7 +567,8 @@ def weighted_holder_norm(u: SampledPath, beta: float, rho: float) -> float:
     + sup_{s<t} (s-t0)^beta e^{-rho(t-t0)} ||u(t)-u(s)||/(t-s)^beta.
 
     rho = 0 recovers the plain (beta, beta)-norm.  NaN when a node value is
-    not finite; a path above _BIG is measured as _pair_sup measures it.
+    not finite; a path above _BIG or below _TINY is scaled as _pair_sup
+    scales it.
     """
     values, e, sup, plan = _norm_terms(u, beta, rho)
     if values is None:

@@ -347,6 +347,71 @@ def test_window_scheme_cross_check():
     assert defects[256] < 0.75 * defects[64]
 
 
+def _window_unskipped(g, om, params):
+    # the window quadrature written out on every J*I integrand column
+    n1, J, I = g.values.shape
+    dl = fracint.frac_deriv_left_mid(g.values.reshape(n1, J * I), om.dt, params.alpha)
+    dr = fracint.frac_deriv_right_mid(om.values, om.dt, params.alpha)
+    return -om.dt * np.einsum("pji,pi->j", dl.reshape(n1 - 1, J, I), dr)
+
+
+def _window_integrands(n=128, modes=4):
+    tt = np.linspace(0.0, 1.0, n + 1)
+    waves = np.column_stack([np.cos((i + 1) * tt) for i in range(modes)])
+    signs = np.where(np.arange(modes) % 2, -1.0, 1.0)
+    dense = waves[:, :, None] * waves[:, None, :] + np.eye(modes)
+    part = dense.copy()
+    part[:, ::2, 1::2] = 0.0
+    nan_entry = np.zeros((n + 1, modes, modes))
+    nan_entry[:, 0, 0] = waves[:, 0]
+    nan_entry[7, 0, 1] = np.nan
+    return {
+        "diagonal-positive": 1.5 + waves,
+        "diagonal-negative": -1.5 - waves,
+        "diagonal-mixed-sign": signs * (1.5 + waves),
+        "dense": dense,
+        "partly-zero": part,
+        "all-zero": np.zeros((n + 1, modes, modes)),
+        "nan-off-diagonal": nan_entry,
+    }
+
+
+_WINDOW_INTEGRANDS = _window_integrands()
+
+
+@pytest.mark.parametrize("kind", sorted(_WINDOW_INTEGRANDS))
+def test_window_skips_zero_columns_bit_for_bit(kind):
+    # a column zero at every node is not differentiated; every other column
+    # goes through the same derivative and the same einsum, so the integral
+    # is the unskipped formula's bit for bit, NaN included
+    om = paths.sample_qfbm(laplacian_1d(4), 0.75, 128, 1.0 / 128, 5)
+    g = fracint.IntegrandPath(0.0, om.dt, _WINDOW_INTEGRANDS[kind])
+    got = fracint.pathwise_integral_window(g, om, PP)
+    ref = _window_unskipped(g, om, PP)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.isnan(got).any() == (kind == "nan-off-diagonal")
+
+
+def test_window_differentiates_live_columns_only(monkeypatch):
+    # a 16-mode diagonal integrand has 16 live columns of its 256 entries;
+    # the derivative is looked up as a module global, the name a tracer wraps
+    om = paths.sample_qfbm(laplacian_1d(16), 0.75, 64, 1.0 / 64, 2)
+    g = fracint.IntegrandPath(0.0, om.dt, np.cos(om.times)[:, None] + np.arange(16.0))
+    ref = _window_unskipped(g, om, PP)
+    inner = fracint.frac_deriv_left_mid
+    seen = []
+
+    def counting(values, dt, alpha):
+        seen.append(np.array(values))
+        return inner(values, dt, alpha)
+
+    monkeypatch.setattr(fracint, "frac_deriv_left_mid", counting)
+    got = fracint.pathwise_integral_window(g, om, PP)
+    assert len(seen) == 1 and seen[0].shape == (65, 16)
+    assert np.array_equal(seen[0], g.values.reshape(65, 256)[:, ::17])
+    assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize(
     "values", [np.ones(65), np.ones((65, 2))], ids=["scalar", "diagonal-2"]
 )

@@ -823,6 +823,21 @@ def test_huge_path_norms_scale_exactly_by_powers_of_two(rho):
     )
 
 
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_tiny_path_norms_do_not_underflow(rho):
+    # the norms square node differences: at 1e-170 those squares underflow
+    # and both norms read 0.0.  Below 2^-459 a path is searched scaled up by
+    # a power of two, so the norms are 1e-170 times those of the unit path
+    unit = paths.SampledPath(0.0, 1.0 / 64, np.linspace(0.0, 1.0, 65))
+    tiny = paths.SampledPath(0.0, unit.dt, 1e-170 * unit.values)
+    assert paths.holder_seminorm(tiny, 0.6) == pytest.approx(
+        1e-170 * paths.holder_seminorm(unit, 0.6), rel=1e-15, abs=0.0
+    )
+    assert paths.weighted_holder_norm(tiny, 0.6, rho) == pytest.approx(
+        1e-170 * paths.weighted_holder_norm(unit, 0.6, rho), rel=1e-15, abs=0.0
+    )
+
+
 def _csv_writer_reference(u, config):
     digest = hashlib.sha256(json.dumps(config, sort_keys=True, indent=1).encode())
     ref = io.StringIO()
