@@ -134,11 +134,13 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     probes, images, temporaries) and one kept solution per start; and 10 P
     whatever n and N, the larger of two working sets never held at once:
     verify-all's battery (9.2 P, mostly its sampler check's 256 x 256
-    identity and FFT buffer) and the Hölder pair search (8 P).  The search's
-    plans, about 4 floats per node (5.0 at 1025 nodes, 4.2 at 16385), are
-    cached for at most paths._PLANS = 8 (grid, beta, rho) keys; a solve at
-    rho = 1 keeps two per grid, which sit under the path terms (cocycle at
-    N = 1, n = 2^14: 3.25 MB peak against a 4.59 MB budget)."""
+    identity and FFT buffer) and the Hölder pair search (8 P; 5.2 P measured
+    at n <= 65537 and 1 or 16 modes).  The search's plans, 5 to 6 floats per
+    node (5.0 at 1025 nodes; 6.1 at 4097 and 5.3 at 16385, where the
+    three-level search keeps sub-block weights and divisors), are cached
+    for at most paths._PLANS = 8 (grid, beta, rho) keys; a solve at rho = 1
+    keeps two per grid, which sit under the path terms (solve at N = 1, one
+    start, n = 2^14: 3.12 MB peak against a 4.59 MB budget)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
     P = spectral._BLOCK_FLOATS
     block = max(M, min((n + 1) * M, P))

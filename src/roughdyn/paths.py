@@ -5,9 +5,13 @@ embedding of fractional Gaussian noise (Davies-Harte: one 2n-point FFT per
 mode, O(n log n) time and O(n) memory), shifted by the Wiener shift, and
 measured through the Hölder seminorm, the weighted (rho-damped) Hölder norm
 and the small-gap modulus used to detect membership in the little-Hölder
-class.  All three sups over node pairs are exact: a block branch-and-bound
-search evaluates only the block pairs whose bound can beat the best term,
-with direct differences, and returns the all-pairs max bit for bit.
+class.  All three sups over node pairs are exact: a branch-and-bound search
+evaluates only the node pairs whose bound can beat the best term, with
+direct differences, and returns the all-pairs max bit for bit.  It bounds
+pairs of blocks of nodes; past 2048 nodes it bounds pairs of superblocks
+first, then the block pairs of the superblock pairs that survive, then the
+3-node sub-block pairs of the block pairs that survive, which at 4097 nodes
+is about a tenth of the block level's bounds and node pairs.
 """
 
 from __future__ import annotations
@@ -67,6 +71,12 @@ _GRID_RTOL = 1e-9
 _STEP_RTOL = 1e-12
 
 
+def _grid_slack(k):
+    """How far, in grid steps, a time k steps from the first node may lie
+    from a node and still be that node."""
+    return _GRID_RTOL * max(1.0, abs(k)) + 1e-12
+
+
 @dataclass
 class GridPath:
     """Values on the uniform time grid t0 + k*dt, k = 0..n_nodes-1, node k
@@ -107,7 +117,7 @@ class GridPath:
         """Grid index of time t; raises ValueError when t is not a node."""
         k = (t - self.t0) / self.dt
         ki = int(round(k))
-        off_grid = abs(k - ki) > _GRID_RTOL * max(1.0, abs(k)) + 1e-12
+        off_grid = abs(k - ki) > _grid_slack(k)
         if off_grid or not 0 <= ki < self.n_nodes:
             raise ValueError(f"time {t} is not a grid node of this path")
         return ki
@@ -265,13 +275,21 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
 # Block branch and bound behind every pair sup: nodes are cut into equal
 # blocks of _MIN_BLOCK nodes (wider only where that would make more than
 # _MAX_BLOCKS blocks), the last block padded by repeating the last node with
-# weight 0.  A row chunk holds at most _CHUNK block-pair bounds and an exact
-# batch at most 2 * _CHUNK pair differences, one piece (a block pair that
-# alone holds more is split by rows), so the working set is the plan (O(n),
-# see _Plan) plus a fixed number of pieces.  The weighted norm keeps the
-# plans of its last _PLANS grids.
+# weight 0.  A row chunk holds at most _CHUNK pair bounds and an exact batch
+# at most 2 * _CHUNK pair differences, one piece (a unit pair that alone
+# holds more is split by rows), so the working set is the plan (O(n), see
+# _Plan) plus a fixed number of pieces.  Past _LEVELS_FROM blocks the search
+# has three levels: the row chunks bound superblocks of _SUPER blocks, block
+# pairs are bounded only inside superblock pairs that can beat the best
+# term, and such a block pair is split into sub-blocks of _SUB nodes (the
+# block width rounded up to a multiple of _SUB) with their own boxes, of
+# which only the pairs that can beat it are evaluated.  The weighted norm
+# keeps the plans of its last _PLANS grids.
 _MIN_BLOCK = 8
 _MAX_BLOCKS = 512
+_LEVELS_FROM = 256
+_SUPER = 8
+_SUB = 3
 _CHUNK = _BLOCK_FLOATS // 2
 _PLANS = 8
 _EPS = np.finfo(float).eps
@@ -323,6 +341,53 @@ def _windows(x, k):
     return out
 
 
+def _offset_table(cg, w, n_off):
+    """table[D, p, q] = cg[D*w + q - p + w - 1]: a view of the windows of cg,
+    n_off * w + w - 1 entries long."""
+    return _windows(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
+
+
+class _Units(NamedTuple):
+    """Units of w nodes that a search evaluates exactly: the node indices
+    nodes[I] of each unit, the weights ab and bb on them, and the divisor
+    table table[D, p, q] of node p of unit I and node q of unit I + D."""
+
+    nodes: np.ndarray
+    ab: np.ndarray
+    bb: np.ndarray
+    table: np.ndarray
+
+
+class _Levels(NamedTuple):
+    """The outer and inner levels of a three-level search.  Superblocks: s
+    blocks each, their count n_sup, the number n_off of superblock offsets E
+    whose smallest gap is at most max_gap, the first block starts[I] of
+    each, the maxima a_top and b_top of a and b on each (b's followed by
+    n_off - 1 zeros) and the smallest divisor c_min[E] of a superblock pair.
+    Blocks: their maxima a_blk and b_blk zero-padded to n_sup * s blocks and
+    the smallest divisor c_blk[E, p, q] of block p of superblock I and block
+    q of superblock I + E.  Sub-blocks: their maxima a_sub[I, P] and
+    b_sub[I, P] of the weights on sub-block P of block I, the smallest
+    divisor c_sub[D, P, Q] of sub-block P of block I and sub-block Q of block
+    I + D, and the sub-blocks as _Units, views of the plan's blocks.  Every
+    smallest divisor is inf where the pair holds no gap in range."""
+
+    s: int
+    n_sup: int
+    n_off: int
+    starts: np.ndarray
+    a_top: np.ndarray
+    b_top: np.ndarray
+    c_min: np.ndarray
+    a_blk: np.ndarray
+    b_blk: np.ndarray
+    c_blk: np.ndarray
+    a_sub: np.ndarray
+    b_sub: np.ndarray
+    c_sub: np.ndarray
+    subs: _Units
+
+
 class _Plan(NamedTuple):
     """Everything a pair search reads besides u, as read-only arrays: the
     block width w, the block count nb and the number n_off of block offsets
@@ -331,10 +396,13 @@ class _Plan(NamedTuple):
     b's followed by n_off - 1 zeros (empty blocks past the end, bound 0);
     the smallest divisor c_min[D] of a block pair at offset D; the divisor
     table table[D, p, q] = c[D*w + q - p] between node p of block I and node
-    q of block I + D, inf outside 1 <= gap <= max_gap; and the first node
+    q of block I + D, inf outside 1 <= gap <= max_gap; the first node
     starts[I] (contiguous: reduceat copies a strided index on every call)
-    and all node indices nodes[I] of each block, a padded node past n - 1.  About 4 floats per node: ab, bb, the divisors behind table,
-    and nodes."""
+    and all node indices nodes[I] of each block, a padded node past n - 1;
+    and the _Levels of a search past _LEVELS_FROM blocks, else None.  About
+    4 floats per node: ab, bb, the divisors behind table, and nodes; the
+    levels add about 3 per sub-block: its largest a and b, and the smallest
+    divisor of a sub-block offset."""
 
     w: int
     nb: int
@@ -347,6 +415,55 @@ class _Plan(NamedTuple):
     table: np.ndarray
     starts: np.ndarray
     nodes: np.ndarray
+    levels: _Levels | None
+
+
+def _pad(x, size):
+    """x followed by zeros up to size entries."""
+    out = np.zeros(size)
+    out[: x.size] = x
+    return out
+
+
+def _smallest_divisors(c_min, w, n_off):
+    """c_min over the offsets D' = D*w + q - p of unit q of a parent pair at
+    offset D and unit p of its first parent, as _offset_table's view: the
+    smallest divisor at D' >= 0, c_min[D'], and inf at D' < 0 and past
+    c_min."""
+    ext = np.full(n_off * w + w - 1, np.inf)
+    ext[w - 1 : w - 1 + c_min.size] = c_min
+    return _offset_table(ext, w, n_off)
+
+
+def _levels(plan, cg):
+    """The _Levels of a plan whose width w is a multiple of _SUB; cg holds
+    the divisors behind its table."""
+    w, nb, n_off, v, s = plan.w, plan.nb, plan.n_off, _SUB, _SUPER
+    ns = w // v
+    n_sup = -(-nb // s)
+    e_off = min(n_sup, (n_off - 2) // s + 2)
+    starts = np.arange(0, nb, s)
+    # the smallest gap of superblock offset E is that of block offset
+    # E*s - (s - 1), and of sub-block offset D' >= 1 it is D'*v - (v - 1)
+    c_sub = cg[w - 1 + np.maximum(np.arange(n_off * ns) * v - (v - 1), 1)]
+    return _Levels(
+        s, n_sup, e_off, starts,
+        np.maximum.reduceat(plan.a_top, starts),
+        _pad(np.maximum.reduceat(plan.b_top[:nb], starts), n_sup + e_off - 1),
+        plan.c_min[np.maximum(np.arange(e_off) * s - (s - 1), 0)],
+        _pad(plan.a_top, n_sup * s),
+        _pad(plan.b_top[:nb], n_sup * s),
+        _smallest_divisors(plan.c_min, s, e_off),
+        plan.ab.reshape(nb, ns, v).max(axis=2),
+        plan.bb.reshape(nb, ns, v).max(axis=2),
+        _smallest_divisors(c_sub, ns, n_off),
+        _Units(
+            plan.nodes.reshape(-1, v),
+            plan.ab.reshape(-1, v),
+            plan.bb.reshape(-1, v),
+            _offset_table(cg[w - v :], v, n_off * ns),
+        ),
+    )
 
 
 def _plan(a, b, c, max_gap):
@@ -354,6 +471,9 @@ def _plan(a, b, c, max_gap):
     pairs with gap at most max_gap, 1 <= max_gap <= n - 1."""
     n = a.size
     w = max(_MIN_BLOCK, -(-n // _MAX_BLOCKS))
+    deep = -(-n // w) > _LEVELS_FROM
+    if deep:
+        w = -(-w // _SUB) * _SUB
     nb = -(-n // w)
     pad = nb * w - n
     ab = np.concatenate([a, np.zeros(pad)]).reshape(nb, w)
@@ -367,14 +487,25 @@ def _plan(a, b, c, max_gap):
     cg = np.full(n_off * w + w - 1, np.inf)
     top = min(max_gap, n_off * w - 1)
     cg[w : w + top] = c[1 : top + 1]
-    table = _windows(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
     nodes = np.arange(nb * w).reshape(nb, w)
     plan = _Plan(
-        w, nb, n_off, ab, bb, ab.max(axis=1), b_top, c_min, table, nodes[:, 0].copy(), nodes
+        w, nb, n_off, ab, bb, ab.max(axis=1), b_top, c_min,
+        _offset_table(cg, w, n_off), nodes[:, 0].copy(), nodes, None,
     )
-    for x in plan[3:] + (cg,):
+    if deep:
+        plan = plan._replace(levels=_levels(plan, cg))
+    for x in _plan_arrays(plan) + [cg]:
         x.flags.writeable = False
     return plan
+
+
+def _plan_arrays(plan):
+    """Every array of a plan, its levels' included."""
+    out = [x for x in plan if isinstance(x, np.ndarray)]
+    if plan.levels is not None:
+        out += [x for x in plan.levels[:-1] if isinstance(x, np.ndarray)]
+        out += list(plan.levels.subs)
+    return out
 
 
 def _pair_sup(u, a, b, c, max_gap):
@@ -383,23 +514,33 @@ def _pair_sup(u, a, b, c, max_gap):
     when no pair qualifies, NaN when a node value is not finite.
 
     a, b >= 0 are node weights and c[g] > 0 (g >= 1) is nondecreasing in
-    the gap g.  Each block gets a bounding box (centre and half-diagonal),
-    which bounds every pair term of a block pair by the centre distance plus
-    both radii, the largest a and b of the two blocks and the smallest gap
-    between them.  The bounds are built one row chunk of block pairs
-    (I, I + D) at a time; a chunk's block pairs are evaluated exactly, a
-    batch of the largest bounds at a time, until no bound left in it
-    exceeds the best exact term.  The bound is inflated by a relative slack
-    for its own rounding and by an absolute term for the rounding of the box
-    centres, so a pruned pair never holds a larger term.  The divisor of a
-    node pair is read from one table over the block offset D, which holds
-    c[k-j] for 1 <= k-j <= max_gap and inf elsewhere, so the pairs of a
-    block pair outside that range, and those of the padding, are exactly 0.
-    Every term is the expression a per-gap pass over direct differences
-    u[k]-u[j] computes, so the max is that pass's bit for bit.  A u with
-    max|u| > _BIG, or nonzero with max|u| < _TINY, is searched scaled by a
-    power of two and the max scaled back, so its squares can neither
-    overflow nor underflow.
+    the gap g.  Each unit of consecutive nodes (a superblock, block or
+    sub-block) gets a bounding box (centre and half-diagonal), which bounds
+    every pair term of a unit pair by the centre distance plus both radii,
+    the largest a and b of the two units and the smallest gap between them.
+    The top-level bounds are built one row chunk of unit pairs (I, I + D) at
+    a time; a chunk's pairs are refined, a batch of the largest bounds at a
+    time, until no bound left in it exceeds the best exact term, and so on
+    down every level.  Up to _LEVELS_FROM blocks (2048 nodes) the top units
+    are blocks, evaluated exactly: about (n/w)^2 / 2 bounds and 1-2% of the
+    w^2 node pairs of a block pair.  Past it they are superblocks of _SUPER
+    blocks; a superblock pair that can beat the best term is refined into
+    the bounds of its block pairs, and such a block pair into the bounds of
+    its _SUB-node sub-block pairs, whose survivors are evaluated exactly.  At
+    4097 nodes that is 1653 superblock bounds, about 10^4 block and 8 * 10^3
+    sub-block bounds and 4-6 * 10^3 node pairs, where the block level alone
+    made 10^5 bounds and 9 * 10^4 node pairs; at 16385 nodes, about 10^4
+    block and 1.4 * 10^5 sub-block bounds and 10^4 node pairs.  Every bound
+    is inflated by a relative slack for its own rounding and by an absolute
+    term for the rounding of the box centres, so a pruned pair never holds a
+    larger term.  The divisor of a node pair is read from one table over the
+    unit offset D, which holds c[k-j] for 1 <= k-j <= max_gap and inf
+    elsewhere, so the pairs of a unit pair outside that range, and those of
+    the padding, are exactly 0.  Every term is the expression a per-gap pass
+    over direct differences u[k]-u[j] computes, so the max is that pass's
+    bit for bit.  A u with max|u| > _BIG, or nonzero with max|u| < _TINY, is
+    searched scaled by a power of two and the max scaled back, so its
+    squares can neither overflow nor underflow.
 
     The plan is built for this call; weighted_holder_norm reuses its plans
     through the same search.
@@ -413,36 +554,175 @@ def _pair_sup(u, a, b, c, max_gap):
     return _scale_up(_search(u, _plan(a, b, c, max_gap)), e)
 
 
+def _boxes(lo, hi, b_top):
+    """Per unit of nodes with coordinate minima lo and maxima hi (units, m):
+    box centre (rows :m), radius (row m) and b_top (row m + 1), whose zeros
+    past the units give every unit a full window of partners."""
+    m = lo.shape[1]
+    box = np.zeros((m + 2, b_top.size))
+    box[:m, : len(lo)] = (0.5 * (lo + hi)).T
+    box[m, : len(lo)] = _row_norms(0.5 * (hi - lo))
+    box[m + 1] = b_top
+    return box
+
+
+def _batches(flat, best, batch):
+    """Yield the indices of the bounds in flat above best(), the `batch`
+    largest first, each set to 0 in flat, until none is left."""
+    while True:
+        live = np.flatnonzero(flat > best())
+        more = live.size > batch
+        if more:
+            live = live[np.argpartition(flat[live], -batch)[-batch:]]
+        elif not live.size:
+            return
+        flat[live] = 0.0
+        yield live
+        if not more:
+            return
+
+
+def _exact(best, u, units, ui, uj, rows, buf):
+    """The larger of best and every term of the unit pairs (ui, uj), rows
+    nodes of unit ui at a time, their differences in buf."""
+    w, m = units.nodes.shape[1], u.shape[1]
+    off = uj - ui
+    # a padded node reads u[n - 1]
+    u_k = u.take(units.nodes[uj], 0, mode="clip")[:, None]
+    b_k = units.bb[uj][:, None, :]
+    for p in range(0, w, rows):
+        # diff[:, r, q] = u[k] - u[j] for node j = p + r of unit ui and node
+        # k = q of unit uj
+        u_j = u.take(units.nodes[ui, p : p + rows], 0, mode="clip")
+        diff = buf[: u_j.size * w].reshape(u_j.shape[:2] + (w, m))
+        np.subtract(u_k, u_j[:, :, None], out=diff)
+        dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
+        terms = units.ab[ui, p : p + rows, None] * b_k
+        terms *= dn
+        terms /= units.table[off, p : p + rows]
+        best = max(best, float(terms.max()))
+    return best
+
+
+def _exact_geometry(w, m):
+    """(rows, batch) of an exact batch of unit pairs of w nodes: `batch`
+    pairs, `rows` nodes of the first unit at a time, at most 2 * _CHUNK
+    differences, or one row of a unit pair where that alone holds more."""
+    rows = min(w, max(1, 2 * _CHUNK // (w * m)))
+    return rows, max(1, 2 * _CHUNK // (rows * w * m))
+
+
+def _child_bounds(dist, r_i, r_k, a_i, b_k, c, centre_err, slack):
+    """The bounds, in place of the centre distances dist (K, r, r), of the r
+    x r child pairs (p, q) of K unit pairs, from the children's radii r_i,
+    r_k (K, r) and largest weights a_i, b_k and their smallest divisors c."""
+    dist += r_k[:, None, :]
+    dist += r_i[:, :, None] + centre_err
+    dist *= b_k[:, None, :]
+    dist *= a_i[:, :, None] * slack
+    dist /= c
+    return dist
+
+
+def _block_bounds(box, lv, ti, off, centre_err, slack):
+    """(bi, bj, bounds): the blocks bi[k, p] of superblock ti[k], bj[k, q]
+    of superblock ti[k] + off[k], and the bounds (K, s, s) of their block
+    pairs, from the block boxes."""
+    m = box.shape[0] - 2
+    bi = ti[:, None] * lv.s + np.arange(lv.s)
+    bj = bi + off[:, None] * lv.s
+    c_i, c_j = box[:, bi], box[:, bj]
+    d = c_j[:m, :, None, :] - c_i[:m, :, :, None]
+    dist = np.sqrt(np.einsum("ikpq,ikpq->kpq", d, d))
+    del d
+    bounds = _child_bounds(
+        dist, c_i[m], c_j[m], lv.a_blk[bi], c_j[m + 1], lv.c_blk[off], centre_err, slack)
+    return bi, bj, bounds
+
+
+def _sub_bounds(u, plan, pi, pj, centre_err, slack):
+    """The bounds (K, ns, ns) of the sub-block pairs of block pairs (pi, pj),
+    from the sub-blocks' boxes, built node r of every sub-block at a time
+    (a sub-block being short)."""
+    lv, m, ns = plan.levels, u.shape[1], plan.w // _SUB
+    first = plan.nodes[np.concatenate([pi, pj]), ::_SUB]
+    # a padded node reads u[n - 1]
+    lo = u.take(first, 0, mode="clip").reshape(2, pi.size, ns, m)
+    hi = lo.copy()
+    x = np.empty_like(lo)
+    for _ in range(1, _SUB):
+        first += 1
+        u.take(first, 0, out=x.reshape(first.shape + (m,)), mode="clip")
+        np.minimum(lo, x, out=lo)
+        np.maximum(hi, x, out=hi)
+    del x, first
+    rad = 0.5 * (hi - lo)
+    rad = np.sqrt(np.einsum("xkpi,xkpi->xkp", rad, rad))
+    lo += hi
+    lo *= 0.5
+    del hi
+    d = lo[1, :, None, :, :] - lo[0, :, :, None, :]
+    dist = np.sqrt(np.einsum("kpqi,kpqi->kpq", d, d))
+    del d, lo
+    return _child_bounds(
+        dist, rad[0], rad[1], lv.a_sub[pi], lv.b_sub[pj], lv.c_sub[pj - pi], centre_err, slack)
+
+
+def _level_batches(plan, m):
+    """(superblock pairs, block pairs, sub-block pairs) per batch of a
+    three-level search of m modes: each of the first two batches holds at
+    most 4 * _CHUNK floats, m differences and 3 more per child pair, and an
+    exact batch at most 2 * _CHUNK, m differences and 4 more per node pair.
+    None when the plan has one level, or a single pair would not fit."""
+    lv = plan.levels
+    if lv is None:
+        return None
+    ns = plan.w // _SUB
+    sup = min(_CHUNK, 4 * _CHUNK // (m + 3)) // (lv.s * lv.s)
+    blk = min(_CHUNK // (ns * ns), 4 * _CHUNK // (m * (2 * plan.w + ns * ns) + 3 * ns * ns))
+    if not (sup and blk):
+        return None
+    return sup, blk, _exact_geometry(_SUB, m + 4)
+
+
 def _search(u, plan):
     """The pair sup of _pair_sup over a finite u (n, m) under plan."""
     m = u.shape[1]
-    w, nb, n_off = plan.w, plan.nb, plan.n_off
-    # per block: box centre (rows :m), radius (row m) and largest b (row
-    # m + 1); the empty blocks past the end give every block a full window
-    # win[:, I, D] = box[:, I + D]
     lo = np.minimum.reduceat(u, plan.starts)
     hi = np.maximum.reduceat(u, plan.starts)
-    box = np.zeros((m + 2, nb + n_off - 1))
-    box[:m, :nb] = (0.5 * (lo + hi)).T
-    box[m, :nb] = _row_norms(0.5 * (hi - lo))
-    box[m + 1] = plan.b_top
-    win = _windows(box, n_off)
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
     centre_err = 4 * _EPS * max(float(hi.max()), -float(lo.min())) * np.sqrt(m)
-    del lo, hi
     slack = 1.0 + 1e-12 + 4 * m * _EPS
-    # an exact batch: `batch` block pairs, `rows` nodes p of block I at a
-    # time, its differences in one buffer that every batch of the call reuses
-    rows = min(w, max(1, 2 * _CHUNK // (w * m)))
-    batch = max(1, 2 * _CHUNK // (rows * w * m))
-    buf = np.empty(batch * rows * w * m)
+    # the top units' boxes; the empty units past the end give every unit a
+    # full window win[:, I, D] = top[:, I + D]
+    levels = _level_batches(plan, m)
+    if levels is None:
+        top = _boxes(lo, hi, plan.b_top)
+        n_top, n_off, a_top, c_min = plan.nb, plan.n_off, plan.a_top, plan.c_min
+        units = _Units(plan.nodes, plan.ab, plan.bb, plan.table)
+        # an exact batch: `batch` block pairs, `rows` nodes p of block I at
+        # a time
+        rows, batch = _exact_geometry(plan.w, m)
+        buf = np.empty(batch * rows * plan.w * m)
+    else:
+        lv = plan.levels
+        box = _boxes(lo, hi, lv.b_blk)
+        top = _boxes(
+            np.minimum.reduceat(lo, lv.starts), np.maximum.reduceat(hi, lv.starts), lv.b_top)
+        n_top, n_off, a_top, c_min = lv.n_sup, lv.n_off, lv.a_top, lv.c_min
+        units = lv.subs
+        batch, block_batch, (rows, sub_batch) = levels
+        buf = np.empty(sub_batch * rows * _SUB * m)
+        s, ns = lv.s, plan.w // _SUB
+    del lo, hi
+    win = _windows(top, n_off)
     best = 0.0
     i0 = 0
-    while i0 < nb:
-        cols = min(n_off, nb - i0)
-        i1 = min(nb, i0 + max(1, _CHUNK // cols))
+    while i0 < n_top:
+        cols = min(n_off, n_top - i0)
+        i1 = min(n_top, i0 + max(1, _CHUNK // cols))
         wc = win[:, i0:i1, :cols]
         bound = np.zeros((i1 - i0, cols))
         # the centre distance, g modes at a time: at most _CHUNK differences
@@ -451,40 +731,30 @@ def _search(u, plan):
         for k in range(0, m, g):
             dk = d[: min(g, m - k)]
             np.copyto(dk, wc[k : k + len(dk)])
-            dk -= box[k : k + len(dk), i0:i1, None]
+            dk -= top[k : k + len(dk), i0:i1, None]
             bound += np.einsum("kij,kij->ij", dk, dk)
         del d, dk
         np.sqrt(bound, out=bound)
         bound += wc[m]
-        bound += box[m, i0:i1, None] + centre_err
+        bound += top[m, i0:i1, None] + centre_err
         bound *= wc[m + 1]
-        bound *= plan.a_top[i0:i1, None] * slack
-        bound /= plan.c_min[:cols]
-        flat = bound.ravel()
-        while True:
-            live = np.flatnonzero(flat > best)
-            if live.size == 0:
-                break
-            if live.size > batch:
-                live = live[np.argpartition(flat[live], -batch)[-batch:]]
-            flat[live] = 0.0
-            bi, off = np.divmod(live, cols)
-            bi += i0
-            bj = bi + off
-            # a padded node reads u[n - 1]
-            u_k = u.take(plan.nodes[bj], 0, mode="clip")[:, None]
-            b_k = plan.bb[bj][:, None, :]
-            for p in range(0, w, rows):
-                # diff[:, r, q] = u[k] - u[j] for node j = p + r of block bi
-                # and node k = q of block bj
-                u_j = u.take(plan.nodes[bi, p : p + rows], 0, mode="clip")
-                diff = buf[: u_j.size * w].reshape(u_j.shape[:2] + (w, m))
-                np.subtract(u_k, u_j[:, :, None], out=diff)
-                dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
-                terms = plan.ab[bi, p : p + rows, None] * b_k
-                terms *= dn
-                terms /= plan.table[off, p : p + rows]
-                best = max(best, float(terms.max()))
+        bound *= a_top[i0:i1, None] * slack
+        bound /= c_min[:cols]
+        for live in _batches(bound.ravel(), lambda: best, batch):
+            ti, off = np.divmod(live, cols)
+            ti += i0
+            if levels is None:
+                best = _exact(best, u, units, ti, ti + off, rows, buf)
+                continue
+            bi, bj, blk = _block_bounds(box, lv, ti, off, centre_err, slack)
+            for pick in _batches(blk.ravel(), lambda: best, block_batch):
+                k, pq = np.divmod(pick, s * s)
+                pi, pj = bi[k, pq // s], bj[k, pq % s]
+                sub = _sub_bounds(u, plan, pi, pj, centre_err, slack)
+                for hit in _batches(sub.ravel(), lambda: best, sub_batch):
+                    k, pq = np.divmod(hit, ns * ns)
+                    ui, uj = pi[k] * ns + pq // ns, pj[k] * ns + pq % ns
+                    best = _exact(best, u, units, ui, uj, rows, buf)
         i0 = i1
     return best
 
@@ -522,7 +792,9 @@ def wiener_modulus(u: SampledPath, beta: float, delta: float) -> float:
     """Small-gap Hölder quotient sup over pairs with t - s < delta; NaN
     when a node value is not finite."""
     _check_exponents(beta)
-    if not (0.0 < delta <= u.n_steps * u.dt + 1e-12):
+    # delta in grid steps, so that the grid rule's tolerance scales with dt
+    steps = float(delta) / float(u.dt)
+    if not (0.0 < delta and steps <= u.n_steps + _grid_slack(u.n_steps)):
         raise ValueError("delta must lie in (0, window length]")
     if delta <= u.dt:
         warnings.warn("delta below grid resolution; modulus degenerates to 0")

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -6,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roughdyn import fracint, heat, paths, solver
@@ -304,6 +305,22 @@ def test_wiener_modulus_examples():
         assert paths.wiener_modulus(lin, 0.5, tt[1] / 2) == 0.0
 
 
+@pytest.mark.parametrize(
+    "horizon, too_long", [(1e-300, 1e-13), (1e-300, 1.00000001e-300), (1e20, 1.00000001e20)]
+)
+def test_wiener_modulus_range_is_measured_in_grid_steps(horizon, too_long):
+    # the window length was padded by an absolute 1e-12 in time units, so
+    # delta = 1e-13 passed on a window of length 1e-300 (and read 9.05e-19);
+    # in grid steps the grid rule's relative tolerance holds at every scale
+    n = 64
+    u = paths.SampledPath(0.0, horizon / n, np.linspace(0.0, 1.0, n + 1) ** 2)
+    for delta in (horizon, horizon * (1 + 1e-10), horizon / 3):
+        got = paths.wiener_modulus(u, 0.6, delta)
+        assert got == _per_gap_pair_sup(u.values, u.dt, 0.6, delta) > 0.0
+    with pytest.raises(ValueError, match="window length"):
+        paths.wiener_modulus(u, 0.6, too_long)
+
+
 def test_csv_roundtrip(tmp_path):
     om = paths.sample_qfbm(
         SpectralOperator(np.array([1.0, 4.0]), np.array([1.0, 0.5])),
@@ -450,10 +467,10 @@ def _assert_sups_exact(vals, dt, beta, max_gaps=(np.inf,), rhos=(0.0, 1.0, 64.0)
         assert got == _per_gap_weighted_sup(vals, dt, beta, rho), rho
 
 
-def test_pair_search_exact_on_heat_residual():
-    # a Picard residual T(u) - u of the 16-mode heat problem at n = 1025,
+@functools.lru_cache(maxsize=1)
+def _heat_residual(n=1024):
+    # a Picard residual T(u) - u of the 16-mode heat problem at n + 1 nodes,
     # the input the solver's stopping test sees
-    n = 1024
     spec = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16, m_phys=64)
     om = paths.sample_qfbm(spec.operator, 0.75, n, 1.0 / n, 11)
     u0 = np.zeros(16)
@@ -462,16 +479,26 @@ def test_pair_search_exact_on_heat_residual():
     u = solver.apply_mild(start, om, u0, spec)
     res = solver.apply_mild(u, om, u0, spec).values - u.values
     assert res.shape == (n + 1, 16) and np.abs(res).max() > 0.0
-    _assert_sups_exact(res, om.dt, 0.55, max_gaps=(np.inf, 100.5 / n))
+    res.flags.writeable = False
+    return res, om.dt
 
 
-def test_pair_search_exact_on_long_driver():
-    # n = 4097 nodes: 456 blocks of 9 nodes, the last one padded, with the
-    # bounds in row chunks of 17 block rows, so most block pairs are pruned;
-    # the modulus windows end mid-block
+def test_pair_search_exact_on_heat_residual():
+    res, dt = _heat_residual()
+    _assert_sups_exact(res, dt, 0.55, max_gaps=(np.inf, 100.5 * dt))
+
+
+@pytest.mark.parametrize("seed", [3, 103])
+def test_pair_search_exact_on_long_driver(seed):
+    # n = 4097 nodes, the drivers workload's grid at its default and held-out
+    # seeds: 456 blocks of 9 nodes, the last one padded, in 57 superblocks
+    # of 8 blocks whose bounds fill one row chunk; the block pairs of the
+    # surviving superblock pairs are bounded and those that survive are
+    # split into 3-node sub-blocks, so most pairs are pruned at every
+    # level; the modulus windows end mid-block
     n = 4096
     op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
-    om = paths.sample_qfbm(op, 0.75, n, 1.0 / n, 3)
+    om = paths.sample_qfbm(op, 0.75, n, 1.0 / n, seed)
     assert paths.holder_seminorm(om, 0.65) == _per_gap_pair_sup(om.values, om.dt, 0.65)
     for delta in (40.5 / n, 200.0 / n):
         got = paths.wiener_modulus(om, 0.65, delta)
@@ -603,10 +630,12 @@ def test_property_pair_search_matches_per_gap_pass(n, m, seed, offset, gap_frac)
 
 @pytest.mark.parametrize("n, m", [(4097, 16), (4609, 3), (5001, 1)])
 def test_pair_search_exact_above_the_block_cap(n, m):
-    # past _MIN_BLOCK * _MAX_BLOCKS nodes the blocks widen (9, 10 and 10
-    # nodes here) and the last one is ragged; the modulus windows end
-    # mid-block
-    w = -(-n // paths._MAX_BLOCKS)
+    # past _MIN_BLOCK * _MAX_BLOCKS nodes the blocks widen (9, 12 and 12
+    # nodes here: n / _MAX_BLOCKS rounded up to a multiple of _SUB, as these
+    # searches have three levels) and the last one is ragged; the modulus
+    # windows end mid-block
+    ones = np.ones(n)
+    w = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1).w
     assert n > paths._MIN_BLOCK * paths._MAX_BLOCKS and w > paths._MIN_BLOCK
     assert n % w != 0
     rng = np.random.default_rng(n)
@@ -653,6 +682,247 @@ def test_pair_search_memory_is_affine_in_grid_size(n, m):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (6 * n + 16 * paths._CHUNK)
+
+
+# ------------------------------- the multilevel search
+
+# level geometries under which paths of a few hundred nodes take every level
+# of the search: blocks of 4 nodes with 2-node sub-blocks and superblocks of
+# 2 blocks, or blocks of 5 nodes rounded up to 6 with 3-node sub-blocks and
+# superblocks of 3 blocks, the superblock bounds in row chunks of one to a
+# few superblock rows
+_SMALL_LEVELS = {
+    "4-2-2": dict(_MIN_BLOCK=4, _SUB=2, _SUPER=2, _LEVELS_FROM=3, _CHUNK=128),
+    "5-3-3": dict(_MIN_BLOCK=5, _SUB=3, _SUPER=3, _LEVELS_FROM=4, _CHUNK=192),
+}
+
+
+def _patch_geometry(monkeypatch, geometry):
+    # plans are cached by grid and exponents alone, so those built under
+    # another geometry are dropped; the caller clears the cache again after
+    paths._weighted_plan.cache_clear()
+    for name, value in geometry.items():
+        monkeypatch.setattr(paths, name, value)
+
+
+@pytest.fixture
+def clean_plans():
+    yield
+    paths._weighted_plan.cache_clear()
+
+
+@pytest.fixture(params=list(_SMALL_LEVELS))
+def small_levels(request, monkeypatch, clean_plans):
+    _patch_geometry(monkeypatch, _SMALL_LEVELS[request.param])
+    return request.param
+
+
+def _count_levels(monkeypatch):
+    # calls of the block-pair and sub-block-pair bounds, which run only on
+    # the inner levels of a search
+    counts = {"_block_bounds": 0, "_sub_bounds": 0}
+    for name in counts:
+
+        def counted(*args, real=getattr(paths, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(paths, name, counted)
+    return counts
+
+
+def test_every_level_runs_on_the_drivers_grid(monkeypatch):
+    # the default geometry: a search on more than _LEVELS_FROM blocks (past
+    # 2048 nodes) takes every level, one on at most 1025 nodes, as every
+    # solve and dynamics search, keeps the single block level
+    op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
+    for n, deep in ((257, False), (1025, False), (2048, False), (2049, True), (4097, True)):
+        ones = np.ones(n)
+        plan = paths._plan(ones, ones, np.arange(n) ** 0.65, n - 1)
+        assert (plan.levels is not None) == deep, n
+        assert (paths._level_batches(plan, 16) is not None) == deep, n
+    counts = _count_levels(monkeypatch)
+    om = paths.sample_qfbm(op, 0.75, 4096, 1.0 / 4096, 3)
+    assert paths.holder_seminorm(om, 0.65) == _per_gap_pair_sup(om.values, om.dt, 0.65)
+    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+    counts.update(_block_bounds=0, _sub_bounds=0)
+    om = paths.sample_qfbm(op, 0.75, 1024, 1.0 / 1024, 3)
+    assert paths.holder_seminorm(om, 0.65) == _per_gap_pair_sup(om.values, om.dt, 0.65)
+    assert counts == {"_block_bounds": 0, "_sub_bounds": 0}
+
+
+def test_levels_exact_on_ramps_offsets_and_ragged_grids(small_levels, monkeypatch):
+    counts = _count_levels(monkeypatch)
+    n = 301
+    vals = 3.0 + np.outer(np.arange(n), [1e-3, -2e-3, 5e-4])
+    _assert_sups_exact(vals, 1.0 / (n - 1), 0.6, max_gaps=(np.inf, 0.5, 0.0301))
+    vals = _dyadic_smooth_path(n=256, m=2)
+    for offset in (0.0, 1e4):
+        _assert_sups_exact(vals + offset, 1.0 / 256, 0.65, max_gaps=(np.inf, 16.5 / 256))
+    for n in (2, 13, 17, 31, 33, 97):
+        rng = np.random.default_rng(n)
+        vals = np.cumsum(rng.standard_normal((n, 3)), axis=0) - 7.0
+        dt = 1.0 / (n - 1)
+        _assert_sups_exact(vals, dt, 0.55, max_gaps=(np.inf, 1.5 * dt, 16.5 * dt, 0.4))
+    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+
+
+def test_levels_exact_on_heat_residual(small_levels, monkeypatch):
+    counts = _count_levels(monkeypatch)
+    res, dt = _heat_residual()
+    _assert_sups_exact(res, dt, 0.55, max_gaps=(np.inf, 100.5 * dt))
+    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.integers(2, 300),
+    st.sampled_from([1, 3, 16]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+    st.floats(0.0, 1.2),
+)
+def test_property_levels_match_per_gap_pass(small_levels, n, m, seed, offset, gap_frac):
+    # the property test under a small level geometry, which is the same for
+    # every example
+    rng = np.random.default_rng(seed)
+    vals = np.cumsum(rng.standard_normal((n, m)), axis=0) * 1e-2 + offset
+    dt = 1.0 / (n - 1)
+    _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf, gap_frac), rhos=(0.0, 64.0))
+
+
+def test_levels_give_way_to_one_level_for_many_modes(monkeypatch, clean_plans):
+    # a superblock pair's or a block pair's batch would outgrow its budget
+    # past about 2 * _CHUNK / (2w + (w/_SUB)^2) modes, so such a path is
+    # searched on the block level alone, rows of a block pair at a time
+    _patch_geometry(monkeypatch, _SMALL_LEVELS["4-2-2"])
+    counts = _count_levels(monkeypatch)
+    n = 97
+    ones = np.ones(n)
+    plan = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1)
+    assert paths._level_batches(plan, 40) is not None
+    assert paths._level_batches(plan, 50) is None
+    rng = np.random.default_rng(50)
+    vals = np.cumsum(rng.standard_normal((n, 50)), axis=0) * 1e-2
+    _assert_sups_exact(vals, 1.0 / (n - 1), 0.6, max_gaps=(np.inf, 0.3), rhos=(4.0,))
+    assert counts == {"_block_bounds": 0, "_sub_bounds": 0}
+
+
+# a geometry for the tight fixtures below: blocks of 6 nodes, 3-node
+# sub-blocks and superblocks of 18 nodes; 720 nodes make 40 superblocks,
+# whose bounds stream in row chunks of 4 superblock rows (72 nodes)
+_TIGHT_LEVELS = dict(_MIN_BLOCK=6, _SUB=3, _SUPER=3, _LEVELS_FROM=4, _CHUNK=160)
+
+
+def _assert_tight_geometry(n):
+    ones = np.ones(n)
+    plan = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1)
+    assert (plan.w, plan.levels.s, plan.levels.n_sup) == (6, 3, 40)
+    assert paths._CHUNK // plan.levels.n_off == 4
+
+
+def _tight_levels_path(offset, n=720, beta=0.6, step=0.1):
+    # _tight_box_path for three levels: the box bound of the superblock
+    # pair, of the block pair and of the sub-block pair that hold the max is
+    # tight at each level, and a near tie lies in the first row chunk.
+    # - Superblock 19 (nodes 342-359) is flat at the offset; node 360, the
+    #   first of superblock 20, steps up by `step`, and the block from it
+    #   comes back down in sixths; the rest of superblock 20 is flat.  At
+    #   every level the unit on the right runs from its top, offset + step,
+    #   down to at least the offset and the unit on the left is the point
+    #   at the offset, so centre distance plus radii is the step up to the
+    #   rounding of the centres, and the smallest gap is 1.
+    # - Nodes 0-12 are the 12-gap ramp of _tight_box_path, the near tie, and
+    #   the last 13 nodes mirror it; n is a multiple of 18, so the reversed
+    #   path has the same levels with the flat unit on the right.
+    # - The box centres must round at every level, or dropping the absolute
+    #   term would change nothing: lo + hi is inexact exactly when lo and hi
+    #   lie an odd number of ulps apart, so the step is an odd number of
+    #   ulps above the offset and the lowest node of its sub-block an even
+    #   number (the assert checks every level).
+    dt = 1.0 / (n - 1)
+    c = (dt * np.arange(n)) ** beta
+    u = np.full(n, offset)
+    s = 360
+    ulp = np.spacing(offset)
+    u[s : s + 6] = offset + step * np.arange(6, 0, -1) / 6
+    u[s + 2] = offset + 2 * np.round(step * 4 / 12 / ulp) * ulp
+    for k in (s + 18, s + 6, s + 3):  # the superblock, block and sub-block
+        lo, hi = u[s:k].min(), u[s:k].max()
+        assert (lo + hi) - lo != hi
+    top = (u[s] - u[s - 1]) / c[1]
+    rise = np.floor(top * c[12] / ulp) * ulp
+    while (offset + rise) - offset != rise or rise / c[12] >= top:
+        rise -= ulp
+    u[:13] = offset + rise * np.arange(12, -1, -1) / 12
+    u[n - 13 :] = u[12::-1]
+    return u[:, None], dt, beta, top
+
+
+def test_levels_exact_on_tight_box_bounds(monkeypatch, clean_plans):
+    # dropping a radius, the absolute term for the rounding of the box
+    # centres, or taking the largest gap of a unit pair for its smallest, on
+    # any level, prunes the max here
+    _patch_geometry(monkeypatch, _TIGHT_LEVELS)
+    _assert_tight_geometry(720)
+    counts = _count_levels(monkeypatch)
+    for k in range(6):
+        vals, dt, beta, top = _tight_levels_path(1e4 + k / 7)
+        for v in (vals, vals[::-1]):
+            assert _per_gap_pair_sup(v, dt, beta) == top
+            assert paths._holder_pair_sup(v, dt, beta, np.inf) == top
+    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+
+
+def _tight_weighted_levels_path(n=720, m=16, beta=0.6, rho=16.0):
+    # _tight_weighted_path for three levels: a unit step at node 360, the
+    # first of superblock 20, after the flat superblock 19, coming back down
+    # in sixths.  The largest (j dt)^beta of every unit that ends at node
+    # 359 and the largest e^{-rho k dt} of every unit that starts at node 360
+    # sit at the two nodes of the step, so the bound of the unit pair is its
+    # term at every level; the smallest weights of the two sub-blocks are
+    # 0.33% and 4.4% lower.  A step at node 30, in the first row chunk,
+    # whose term is 0.999 of the max is the near tie.
+    dt = 1.0 / (n - 1)
+    a = (dt * np.arange(n)) ** beta
+    b = np.exp(-rho * dt * np.arange(n))
+    u = np.zeros((n, m))
+    s = 360
+    u[s : s + 6, 0] = np.arange(6, 0, -1) / 6
+    tie = 0.999 * a[s - 1] * b[s] / (a[29] * b[30])
+    u[30:36, 0] = tie
+    u[36:68, 0] = tie * np.linspace(1.0, 0.0, 32)
+    return u, dt, beta, rho
+
+
+def test_levels_weighted_exact_on_tight_bounds(monkeypatch, clean_plans):
+    # bounding a unit's weights by their smallest values instead of their
+    # largest, on either side and on any level, or dropping the radius of
+    # the step's unit prunes the max here
+    _patch_geometry(monkeypatch, _TIGHT_LEVELS)
+    _assert_tight_geometry(720)
+    counts = _count_levels(monkeypatch)
+    vals, dt, beta, rho = _tight_weighted_levels_path()
+    got = _weighted_norm(vals, dt, beta, rho)
+    assert got == _per_gap_weighted_sup(vals, dt, beta, rho)
+    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+
+
+def test_deep_plan_is_read_only():
+    n = 4097
+    decay, plan = paths._weighted_plan(n, 1 / 4096, 0.6, 1.0)
+    assert plan.levels is not None
+    arrays = [decay] + paths._plan_arrays(plan)
+    assert len(arrays) == 9 + 10 + 4
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1.0
 
 
 # ------------------------------- the weighted norm's cached plans
