@@ -670,16 +670,17 @@ def _sub_bounds(u, plan, pi, pj, centre_err, slack):
 
 def _level_batches(plan, m):
     """(superblock pairs, block pairs, sub-block pairs) per batch of a
-    three-level search of m modes: each of the first two batches holds at
-    most 4 * _CHUNK floats, m differences and 3 more per child pair, and an
-    exact batch at most 2 * _CHUNK, m differences and 4 more per node pair.
-    None when the plan has one level, or a single pair would not fit."""
+    three-level search of m modes, each batch within a piece: per child
+    pair, the m differences of its centres and 2 or 3 more floats (its
+    bound and divisor, or the sub-blocks' boxes) in the first two, and per
+    node pair m differences and 4 more floats in an exact batch.  None when
+    the plan has one level, or a single pair would not fit."""
     lv = plan.levels
     if lv is None:
         return None
     ns = plan.w // _SUB
-    sup = min(_CHUNK, 4 * _CHUNK // (m + 3)) // (lv.s * lv.s)
-    blk = min(_CHUNK // (ns * ns), 4 * _CHUNK // (m * (2 * plan.w + ns * ns) + 3 * ns * ns))
+    sup = 2 * _CHUNK // ((m + 2) * lv.s * lv.s)
+    blk = 2 * _CHUNK // ((m + 3) * max(ns * ns, 2 * ns))
     if not (sup and blk):
         return None
     return sup, blk, _exact_geometry(_SUB, m + 4)
@@ -690,16 +691,23 @@ def _search(u, plan):
     m = u.shape[1]
     lo = np.minimum.reduceat(u, plan.starts)
     hi = np.maximum.reduceat(u, plan.starts)
+    # the top units' boxes; the empty units past the end give every unit a
+    # full window win[:, I, D] = top[:, I + D]
+    levels = _level_batches(plan, m)
+    lv = plan.levels
+    if levels is None:
+        top = _boxes(lo, hi, plan.b_top)
+    else:
+        box = _boxes(lo, hi, lv.b_blk)
+        top = _boxes(
+            np.minimum.reduceat(lo, lv.starts), np.maximum.reduceat(hi, lv.starts), lv.b_top)
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
     centre_err = 4 * _EPS * max(float(hi.max()), -float(lo.min())) * np.sqrt(m)
+    del lo, hi
     slack = 1.0 + 1e-12 + 4 * m * _EPS
-    # the top units' boxes; the empty units past the end give every unit a
-    # full window win[:, I, D] = top[:, I + D]
-    levels = _level_batches(plan, m)
     if levels is None:
-        top = _boxes(lo, hi, plan.b_top)
         n_top, n_off, a_top, c_min = plan.nb, plan.n_off, plan.a_top, plan.c_min
         units = _Units(plan.nodes, plan.ab, plan.bb, plan.table)
         # an exact batch: `batch` block pairs, `rows` nodes p of block I at
@@ -707,16 +715,11 @@ def _search(u, plan):
         rows, batch = _exact_geometry(plan.w, m)
         buf = np.empty(batch * rows * plan.w * m)
     else:
-        lv = plan.levels
-        box = _boxes(lo, hi, lv.b_blk)
-        top = _boxes(
-            np.minimum.reduceat(lo, lv.starts), np.maximum.reduceat(hi, lv.starts), lv.b_top)
         n_top, n_off, a_top, c_min = lv.n_sup, lv.n_off, lv.a_top, lv.c_min
         units = lv.subs
         batch, block_batch, (rows, sub_batch) = levels
         buf = np.empty(sub_batch * rows * _SUB * m)
         s, ns = lv.s, plan.w // _SUB
-    del lo, hi
     win = _windows(top, n_off)
     best = 0.0
     i0 = 0

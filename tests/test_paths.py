@@ -798,18 +798,19 @@ def test_property_levels_match_per_gap_pass(small_levels, n, m, seed, offset, ga
 
 
 def test_levels_give_way_to_one_level_for_many_modes(monkeypatch, clean_plans):
-    # a superblock pair's or a block pair's batch would outgrow its budget
-    # past about 2 * _CHUNK / (2w + (w/_SUB)^2) modes, so such a path is
-    # searched on the block level alone, rows of a block pair at a time
+    # a superblock pair's or a block pair's batch would outgrow its piece
+    # past about 2 * _CHUNK / max(_SUPER, w/_SUB)^2 modes (61 here), so such
+    # a path is searched on the block level alone, rows of a block pair at a
+    # time
     _patch_geometry(monkeypatch, _SMALL_LEVELS["4-2-2"])
     counts = _count_levels(monkeypatch)
     n = 97
     ones = np.ones(n)
     plan = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1)
-    assert paths._level_batches(plan, 40) is not None
-    assert paths._level_batches(plan, 50) is None
-    rng = np.random.default_rng(50)
-    vals = np.cumsum(rng.standard_normal((n, 50)), axis=0) * 1e-2
+    assert paths._level_batches(plan, 61) is not None
+    assert paths._level_batches(plan, 62) is None
+    rng = np.random.default_rng(62)
+    vals = np.cumsum(rng.standard_normal((n, 62)), axis=0) * 1e-2
     _assert_sups_exact(vals, 1.0 / (n - 1), 0.6, max_gaps=(np.inf, 0.3), rhos=(4.0,))
     assert counts == {"_block_bounds": 0, "_sub_bounds": 0}
 
