@@ -741,14 +741,12 @@ def test_every_level_runs_on_the_drivers_grid(monkeypatch):
         plan = paths._plan(ones, ones, np.arange(n) ** 0.65, n - 1)
         assert (plan.levels is not None) == deep, n
         assert (paths._level_batches(plan, 16) is not None) == deep, n
+    # (test_pair_search_exact_on_long_driver checks the values)
     counts = _count_levels(monkeypatch)
-    om = paths.sample_qfbm(op, 0.75, 4096, 1.0 / 4096, 3)
-    assert paths.holder_seminorm(om, 0.65) == _per_gap_pair_sup(om.values, om.dt, 0.65)
-    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
-    counts.update(_block_bounds=0, _sub_bounds=0)
-    om = paths.sample_qfbm(op, 0.75, 1024, 1.0 / 1024, 3)
-    assert paths.holder_seminorm(om, 0.65) == _per_gap_pair_sup(om.values, om.dt, 0.65)
+    paths.holder_seminorm(paths.sample_qfbm(op, 0.75, 1024, 1.0 / 1024, 3), 0.65)
     assert counts == {"_block_bounds": 0, "_sub_bounds": 0}
+    paths.holder_seminorm(paths.sample_qfbm(op, 0.75, 4096, 1.0 / 4096, 3), 0.65)
+    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
 
 
 def test_levels_exact_on_ramps_offsets_and_ragged_grids(small_levels, monkeypatch):
