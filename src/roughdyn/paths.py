@@ -252,9 +252,12 @@ def sample_qfbm(op, hurst: float, n_steps: int, dt: float, seed) -> SampledPath:
     vals = np.zeros((n_steps + 1, q.size))
     live = np.flatnonzero(q)
     if live.size:
-        seqs = [np.random.SeedSequence([int(seed), int(i)]) for i in live]
-        n_z = 2 * sqrt_eigs.size
-        z = np.stack([np.random.default_rng(ss).standard_normal(n_z) for ss in seqs])
+        # each mode's normals drawn in place into its row: no list of rows
+        # to stack into a second copy
+        z = np.empty((live.size, 2 * sqrt_eigs.size))
+        for row, i in zip(z, live):
+            ss = np.random.SeedSequence([int(seed), int(i)])
+            np.random.default_rng(ss).standard_normal(out=row)
         vals[:, live] = _fbm_from_normals(sqrt_eigs, z).T * np.sqrt(q[live])
     return SampledPath(t0=0.0, dt=dt, values=vals)
 
@@ -361,9 +364,9 @@ class _Units(NamedTuple):
 class _Levels(NamedTuple):
     """The outer and inner levels of a three-level search.  Superblocks: s
     blocks each, their count n_sup, the number n_off of superblock offsets E
-    whose smallest gap is at most max_gap, the first block starts[I] of
-    each, the maxima a_top and b_top of a and b on each (b's followed by
-    n_off - 1 zeros) and the smallest divisor c_min[E] of a superblock pair.
+    whose smallest gap is at most max_gap, the maxima a_top and b_top of a
+    and b on each (b's followed by n_off - 1 zeros) and the smallest
+    divisor c_min[E] of a superblock pair.
     Blocks: their maxima a_blk and b_blk zero-padded to n_sup * s blocks and
     the smallest divisor c_blk[E, p, q] of block p of superblock I and block
     q of superblock I + E.  Sub-blocks: their maxima a_sub[I, P] and
@@ -375,7 +378,6 @@ class _Levels(NamedTuple):
     s: int
     n_sup: int
     n_off: int
-    starts: np.ndarray
     a_top: np.ndarray
     b_top: np.ndarray
     c_min: np.ndarray
@@ -396,10 +398,9 @@ class _Plan(NamedTuple):
     b's followed by n_off - 1 zeros (empty blocks past the end, bound 0);
     the smallest divisor c_min[D] of a block pair at offset D; the divisor
     table table[D, p, q] = c[D*w + q - p] between node p of block I and node
-    q of block I + D, inf outside 1 <= gap <= max_gap; the first node
-    starts[I] (contiguous: reduceat copies a strided index on every call)
-    and all node indices nodes[I] of each block, a padded node past n - 1;
-    and the _Levels of a search past _LEVELS_FROM blocks, else None.  About
+    q of block I + D, inf outside 1 <= gap <= max_gap; the node indices
+    nodes[I] of each block, a padded node past n - 1; and the _Levels of a
+    search past _LEVELS_FROM blocks, else None.  About
     4 floats per node: ab, bb, the divisors behind table, and nodes; the
     levels add about 3 per sub-block: its largest a and b, and the smallest
     divisor of a sub-block offset."""
@@ -413,7 +414,6 @@ class _Plan(NamedTuple):
     b_top: np.ndarray
     c_min: np.ndarray
     table: np.ndarray
-    starts: np.ndarray
     nodes: np.ndarray
     levels: _Levels | None
 
@@ -422,6 +422,21 @@ def _pad(x, size):
     """x followed by zeros up to size entries."""
     out = np.zeros(size)
     out[: x.size] = x
+    return out
+
+
+def _block_reduce(extreme, x, w):
+    """extreme (np.minimum or np.maximum) of x over blocks of w rows, the
+    last possibly shorter: the full blocks from their w strided row offsets,
+    which is several times faster than reduceat, the last on its own."""
+    full = x.shape[0] // w
+    out = np.empty((-(-x.shape[0] // w),) + x.shape[1:])
+    body = out[:full]
+    body[...] = x[0 : full * w : w]
+    for j in range(1, w):
+        extreme(body, x[j : full * w : w], out=body)
+    if full < out.shape[0]:
+        out[full] = extreme.reduce(x[full * w :], axis=0)
     return out
 
 
@@ -442,14 +457,13 @@ def _levels(plan, cg):
     ns = w // v
     n_sup = -(-nb // s)
     e_off = min(n_sup, (n_off - 2) // s + 2)
-    starts = np.arange(0, nb, s)
     # the smallest gap of superblock offset E is that of block offset
     # E*s - (s - 1), and of sub-block offset D' >= 1 it is D'*v - (v - 1)
     c_sub = cg[w - 1 + np.maximum(np.arange(n_off * ns) * v - (v - 1), 1)]
     return _Levels(
-        s, n_sup, e_off, starts,
-        np.maximum.reduceat(plan.a_top, starts),
-        _pad(np.maximum.reduceat(plan.b_top[:nb], starts), n_sup + e_off - 1),
+        s, n_sup, e_off,
+        _block_reduce(np.maximum, plan.a_top, s),
+        _pad(_block_reduce(np.maximum, plan.b_top[:nb], s), n_sup + e_off - 1),
         plan.c_min[np.maximum(np.arange(e_off) * s - (s - 1), 0)],
         _pad(plan.a_top, n_sup * s),
         _pad(plan.b_top[:nb], n_sup * s),
@@ -490,7 +504,7 @@ def _plan(a, b, c, max_gap):
     nodes = np.arange(nb * w).reshape(nb, w)
     plan = _Plan(
         w, nb, n_off, ab, bb, ab.max(axis=1), b_top, c_min,
-        _offset_table(cg, w, n_off), nodes[:, 0].copy(), nodes, None,
+        _offset_table(cg, w, n_off), nodes, None,
     )
     if deep:
         plan = plan._replace(levels=_levels(plan, cg))
@@ -689,8 +703,8 @@ def _level_batches(plan, m):
 def _search(u, plan):
     """The pair sup of _pair_sup over a finite u (n, m) under plan."""
     m = u.shape[1]
-    lo = np.minimum.reduceat(u, plan.starts)
-    hi = np.maximum.reduceat(u, plan.starts)
+    lo = _block_reduce(np.minimum, u, plan.w)
+    hi = _block_reduce(np.maximum, u, plan.w)
     # the top units' boxes; the empty units past the end give every unit a
     # full window win[:, I, D] = top[:, I + D]
     levels = _level_batches(plan, m)
@@ -700,7 +714,7 @@ def _search(u, plan):
     else:
         box = _boxes(lo, hi, lv.b_blk)
         top = _boxes(
-            np.minimum.reduceat(lo, lv.starts), np.maximum.reduceat(hi, lv.starts), lv.b_top)
+            _block_reduce(np.minimum, lo, lv.s), _block_reduce(np.maximum, hi, lv.s), lv.b_top)
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset

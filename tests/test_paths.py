@@ -1,8 +1,10 @@
 import csv
+import fractions
 import functools
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -918,7 +920,7 @@ def test_deep_plan_is_read_only():
     decay, plan = paths._weighted_plan(n, 1 / 4096, 0.6, 1.0)
     assert plan.levels is not None
     arrays = [decay] + paths._plan_arrays(plan)
-    assert len(arrays) == 9 + 10 + 4
+    assert len(arrays) == 8 + 9 + 4
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 1.0
@@ -957,7 +959,7 @@ def test_cached_plans_match_the_per_gap_pass_cold_and_warm():
 def test_cached_plan_is_read_only():
     decay, plan = paths._weighted_plan(65, 1 / 64, 0.6, 1.0)
     arrays = [decay] + [x for x in plan if isinstance(x, np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 1.0
@@ -1118,20 +1120,119 @@ def _csv_writer_reference(u, config):
     return ref.getvalue()
 
 
-def test_write_series_matches_csv_writer_reference(tmp_path):
-    vals = np.array(
+def _special_values():
+    return paths.SampledPath(
+        0.1,
+        1.0 / 3.0,
         [
             [0.0, -0.0, 1.0],
             [np.nan, np.inf, -np.inf],
             [5e-324, 1e300, -1e-300],
             [1.0 / 3.0, -2.5, 123456789.123456789],
-        ]
+        ],
     )
-    u = paths.SampledPath(0.1, 1.0 / 3.0, vals)
+
+
+def _drivers_path():
+    # the drivers workload's path: 4097 nodes of 16 modes
+    return paths.sample_qfbm(laplacian_1d(16), 0.75, 4096, 1.0 / 4096, 3000)
+
+
+def _small_modes_path():
+    # modes down to 1e-22, as in a solve's higher modes: %g's exponent form
+    rng = np.random.default_rng(30)
+    scale = 10.0 ** -rng.integers(0, 23, (1025, 16))
+    return paths.SampledPath(0.0, 1.0 / 1024, rng.standard_normal((1025, 16)) * scale)
+
+
+@pytest.mark.parametrize("make", [_special_values, _drivers_path, _small_modes_path])
+def test_write_series_matches_csv_writer_reference(tmp_path, make):
+    u = make()
     config = {"seed": 3}
     rdio.write_series(str(tmp_path / "u.csv"), u, config)
     with open(tmp_path / "u.csv", newline="") as fh:
         assert fh.read() == _csv_writer_reference(u, config)
+
+
+def _percent_g_body(vals):
+    return "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in vals.tolist())
+
+
+def _series_body(path, vals):
+    # the data rows write_series writes for a path of these node values
+    u = paths.SampledPath(0.1, 1.0 / 3.0, vals)
+    rdio.write_series(str(path), u, {})
+    with open(path, newline="") as fh:
+        text = fh.read()
+    return text.split("\r\n", 1)[1], np.column_stack([u.times, u.values])
+
+
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.integers(1, 4), st.lists(st.floats(), min_size=8, max_size=64))
+def test_write_series_formats_every_float_as_percent_g(tmp_path, cols, floats):
+    # nan, infinities, signed zeros, subnormals and the extremes included
+    vals = np.array(floats[: len(floats) // cols * cols]).reshape(-1, cols)
+    body, table = _series_body(tmp_path / "u.csv", vals)
+    assert body == _percent_g_body(table)
+
+
+def _near_decades():
+    # +-40 ulps around every power of ten and every 9.99999999999999995e j:
+    # log10's floor is off by one on one side, and the 17 digits carry into
+    # the next decade on the other
+    j = np.arange(-320, 309)
+    base = np.concatenate([[float(f"1e{k}") for k in j], [float(f"9.99999999999999995e{k}") for k in j]])
+    base = base[np.isfinite(base) & (base > 0)]
+    bits = base.view(np.int64)[:, None] + np.arange(-40, 41)
+    vals = bits.ravel().view(np.float64)
+    vals = vals[np.isfinite(vals)]
+    return np.concatenate([vals, -vals])
+
+
+def _dyadic_ties():
+    # m / 2^j with m odd and m * 5^j of 18 digits: the 18th significant
+    # digit is an exact 5, a tie of the 17-digit rounding
+    rng = np.random.default_rng(31)
+    ties = []
+    for j in range(1, 60):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        for m in rng.integers(lo, hi, 100) if lo < hi else ():
+            m = int(m) | 1
+            if len(str(m * 5**j)) == 18 and m < 2**53:
+                ties.append(m / 2**j)
+    ties = np.array(ties)
+    return np.concatenate([ties, -ties])
+
+
+@pytest.mark.parametrize("make", [_near_decades, _dyadic_ties])
+def test_write_series_is_exact_at_decades_and_ties(tmp_path, make):
+    vals = make()
+    assert vals.size > 4000
+    vals = vals[: vals.size // 16 * 16].reshape(-1, 16)
+    body, table = _series_body(tmp_path / "u.csv", vals)
+    assert body == _percent_g_body(table)
+
+
+def test_decimal_digits_and_what_goes_to_python():
+    # the vector path's own digits and exponents: "%.16e"'s wherever it
+    # settles a value.  Near a decade it leaves only exact powers of ten
+    # (p = 1e16) and exact ties to Python, which it can only do by moving
+    # the exponent log10 gives; every exact 17-digit tie goes to Python
+    vals = _near_decades()
+    vals = vals[(np.abs(vals) >= 2.0**-900) & (np.abs(vals) <= 2.0**900)]
+    d, e, ok = rdio._decimal(vals)
+    ref = ["%.16e" % v for v in np.abs(vals)]
+    assert np.array_equal(d[ok], [int(r[0] + r[2:18]) for r, k in zip(ref, ok) if k])
+    assert np.array_equal(e[ok], [int(r[19:]) for r, k in zip(ref, ok) if k])
+    assert (~ok).sum() < 300
+    for v, r in zip(vals[~ok], np.array(ref)[~ok]):
+        p = fractions.Fraction(abs(float(v))) * fractions.Fraction(10) ** (16 - int(r[19:]))
+        p *= 10 if p < 10**16 else 1
+        assert p == 10**16 or p - math.floor(p) == fractions.Fraction(1, 2)
+    assert not rdio._decimal(_dyadic_ties())[2].any()
 
 
 def test_write_series_holds_less_than_its_path(tmp_path):
