@@ -128,25 +128,32 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     """Upper bound on the bytes a run holds: affine in N, and in n once a
     path outgrows one node block.  Per stage, in float64s, rounded up from
     tracemalloc peaks of every command (N <= 64, m_phys <= 256, n <= 1024)
-    and summed, with P = spectral._BLOCK_FLOATS the piece size: the fBm
-    sampler, 11 per mode and step; the diffusion's three node-block fields,
-    at most 3 max(m_phys, min((n+1) m_phys, P)); ten (n+1) x N paths (driver,
-    probes, images, temporaries) and one kept solution per start; and 10 P
-    whatever n and N, the larger of two working sets never held at once:
-    verify-all's battery (9.2 P, mostly its sampler check's 256 x 256
-    identity and FFT buffer) and the Hölder pair search (8 P; 5.2 P measured
-    at n <= 65537 and 1 or 16 modes); the CSV writer, which formats pieces
-    of at most 4096 values, holds under 5 P at any n below 4096 modes.  The
-    search's plans, 5 to 6 floats per node (5.0 at 1025 nodes; 6.1 at 4097
-    and 5.3 at 16385, where the three-level search keeps sub-block weights
-    and divisors), are cached for at most paths._PLANS = 8 (grid, beta,
-    rho) keys; a solve at rho = 1 keeps two per grid, which sit under the
-    path terms (solve at N = 1, one start, n = 2^14: 3.12 MB peak against a
-    4.59 MB budget)."""
+    and summed, with P = spectral._BLOCK_FLOATS the piece size: the
+    diffusion's three node-block fields, at most
+    3 max(m_phys, min((n+1) m_phys, P)); ten (n+1) x N paths (driver,
+    probes, images, apply_mild's result, scratch path and F and G values)
+    and one kept solution per start; and the largest of the working sets
+    never held at once.  Those are 10 P whatever n and N: verify-all's
+    battery (7.4 P, its Hölder pair search; its sampler check maps the
+    identity a piece at a time in 4.0 P) and the Hölder pair search (8 P;
+    5.2 P measured at n <= 65537 and 1 or 16 modes); the CSV writer, which
+    formats pieces of at most 4096 values, holds under 5 P at any n below
+    4096 modes; and the fBm sampler past its path, 11 (n+1) + 2 P: its 2n
+    circulant factors and one piece of modes, each with 4n normals, a 2n-point
+    complex FFT row and n+1 values (one mode a piece past n = 2048), and
+    the FFT's buffers (11.0 floats a step measured at n = 2^14 and 2^16,
+    14.1 at 2^12).  The search's plans, 5 to 6 floats per node (5.0 at
+    1025 nodes; 6.1 at 4097 and 5.3 at 16385, where the three-level search
+    keeps sub-block weights and divisors), are cached for at most
+    paths._PLANS = 8 (grid, beta, rho) keys; a solve at rho = 1 keeps two
+    per grid, which sit under the path terms and the sampler's 11 (n+1)
+    (solve at N = 1, one start: 3.05 MB peak against a 3.54 MB budget at
+    n = 2^14, 11.7 MB against 12.2 MB at n = 2^16)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
     P = spectral._BLOCK_FLOATS
     block = max(M, min((n + 1) * M, P))
-    return 8 * (11 * n * N + 3 * block + (n + 1) * (10 + n_starts) * N + 10 * P)
+    apart = max(10 * P, 11 * (n + 1) + 2 * P)
+    return 8 * (3 * block + (n + 1) * (10 + n_starts) * N + apart)
 
 
 def _parse_value(sec: str, key: str, raw: str):
@@ -329,10 +336,17 @@ def _verify_battery(cfg) -> dict:
     rngs = [paths.stream(seed, "battery", k) for k in range(7)]
 
     # exact sampling: the sampler's linear map from normals to the grid
-    # values, A, satisfies A A^T = grid covariance
+    # values, A, satisfies A A^T = grid covariance.  Its rows in A^T, the
+    # images of the 4n unit normals, are mapped a piece of the identity at
+    # a time
     n, dt, H = 64, 1.0 / 64, pp.hurst
     sqrt_eigs = paths._sqrt_eigs(H, n, dt)
-    A = paths._fbm_from_normals(sqrt_eigs, np.eye(4 * n))[:, 1:].T
+    At = np.empty((4 * n, n))
+    for rows in spectral._row_blocks(4 * n, 4 * n):
+        piece = At[rows]
+        units = np.eye(len(piece), 4 * n, rows.start)
+        piece[:] = paths._fbm_from_normals(sqrt_eigs, units)[:, 1:]
+    A = At.T
     tt = dt * np.arange(1, n + 1)
     cov = paths.fbm_covariance(tt[:, None], tt[None, :], H)
     err = float(np.max(np.abs(A @ A.T - cov)))

@@ -2,16 +2,17 @@
 
 Scalar and Hilbert-valued fBm are sampled exactly in law by circulant
 embedding of fractional Gaussian noise (Davies-Harte: one 2n-point FFT per
-mode, O(n log n) time and O(n) memory), shifted by the Wiener shift, and
-measured through the Hölder seminorm, the weighted (rho-damped) Hölder norm
-and the small-gap modulus used to detect membership in the little-Hölder
-class.  All three sups over node pairs are exact: a branch-and-bound search
-evaluates only the node pairs whose bound can beat the best term, with
-direct differences, and returns the all-pairs max bit for bit.  It bounds
-pairs of blocks of nodes; past 2048 nodes it bounds pairs of superblocks
-first, then the block pairs of the superblock pairs that survive, then the
-3-node sub-block pairs of the block pairs that survive, which at 4097 nodes
-is about a tenth of the block level's bounds and node pairs.
+mode, O(n log n) time; past the path, O(n) memory for one piece of modes),
+shifted by the Wiener shift, and measured through the Hölder seminorm, the
+weighted (rho-damped) Hölder norm and the small-gap modulus used to detect
+membership in the little-Hölder class.  All three sups over node pairs
+are exact: a branch-and-bound search evaluates only the node pairs whose
+bound can beat the best term, with direct differences, and returns the
+all-pairs max bit for bit.  It bounds pairs of blocks of nodes; past 2048
+nodes it bounds pairs of superblocks first, then the block pairs of the
+superblock pairs that survive, then the 3-node sub-block pairs of the block
+pairs that survive, which at 4097 nodes is about a tenth of the block
+level's bounds and node pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import _BLOCK_FLOATS
+from .spectral import _BLOCK_FLOATS, _row_blocks
 
 __all__ = [
     "HolderParams",
@@ -243,7 +244,11 @@ def sample_qfbm(op, hurst: float, n_steps: int, dt: float, seed) -> SampledPath:
     """Trace-class fBm: mode i carries an independent scalar fBm times sqrt(q_i).
 
     Mode i uses the sub-seed (seed, i) so adding modes never reshuffles the
-    earlier ones; the nonzero modes share one FFT along the last axis.
+    earlier ones.  The nonzero modes are drawn, transformed and scattered
+    into the path one piece at a time, spectral._row_blocks of their 4n
+    normals (one mode a piece past n = 2048), so the call holds the path,
+    the 2n circulant factors and one piece; a mode's FFT row has the same
+    bits in any piece.
     """
     q = np.asarray(op.trace_weights, dtype=float)
     if np.all(q == 0.0):
@@ -251,15 +256,24 @@ def sample_qfbm(op, hurst: float, n_steps: int, dt: float, seed) -> SampledPath:
     sqrt_eigs = _sqrt_eigs(hurst, n_steps, dt)
     vals = np.zeros((n_steps + 1, q.size))
     live = np.flatnonzero(q)
-    if live.size:
-        # each mode's normals drawn in place into its row: no list of rows
-        # to stack into a second copy
-        z = np.empty((live.size, 2 * sqrt_eigs.size))
-        for row, i in zip(z, live):
-            ss = np.random.SeedSequence([int(seed), int(i)])
-            np.random.default_rng(ss).standard_normal(out=row)
-        vals[:, live] = _fbm_from_normals(sqrt_eigs, z).T * np.sqrt(q[live])
+    m = sqrt_eigs.size
+    for rows in _row_blocks(live.size, 2 * m):
+        modes = live[rows]
+        vals[:, modes] = (
+            _fbm_from_normals(sqrt_eigs, _mode_normals(seed, modes, m)).T
+            * np.sqrt(q[modes])
+        )
     return SampledPath(t0=0.0, dt=dt, values=vals)
+
+
+def _mode_normals(seed, modes, m):
+    """The 2m standard normals of each mode i in modes, drawn in place into
+    its row from SeedSequence([seed, i])."""
+    z = np.empty((modes.size, 2 * m))
+    for row, i in zip(z, modes):
+        ss = np.random.SeedSequence([int(seed), int(i)])
+        np.random.default_rng(ss).standard_normal(out=row)
+    return z
 
 
 def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:

@@ -318,20 +318,31 @@ def apply_mild(
     np.subtract(omega.values[1:], omega.values[:-1], out=dw[1:-1])
     # one diffusion call on the n+1 nodes, each meeting the increments of
     # both its cells: gv[k] = (G(u_k)dw[k-1], G(u_k)dw[k]) on the padded dw.
-    # It runs before the drift: its temporaries are freed before fvals
-    # exists (drift first holds one more path at the solve's peak)
-    pairs = _windows(dw.T, 2).transpose(1, 2, 0)
-    gv = spec.diffusion(u.values[:, None, :], pairs)
+    # It runs before the drift, and dw goes once G has read it (a gv that
+    # views dw keeps it), so neither G's temporaries nor dw meet fvals
+    gv = spec.diffusion(u.values[:, None, :], _windows(dw.T, 2).transpose(1, 2, 0))
+    del dw
     g_lo, g_hi = gv[:-1, 1], gv[1:, 0]  # cell m: G(u_m)dw[m], G(u_{m+1})dw[m]
     fvals = spec.drift(u.values)
-    acc = np.zeros((n + 1, N))
-    acc[1:] = (
-        dt * (phi0 * fvals[:-1] + phi1 * fvals[1:]) + phi0 * g_lo + phi1 * g_hi
-    )
+    # the cell terms, the scan's products and the S(t)u0 rows each go
+    # through one scratch path in turn, in the order and with the operands
+    # of the plain expressions, so the bits are theirs
+    acc = np.empty((n + 1, N))
+    acc[0] = 0.0
+    scratch = np.empty((n + 1, N))
+    cells, tmp = acc[1:], scratch[1:]
+    np.multiply(phi0, fvals[:-1], out=cells)
+    np.multiply(phi1, fvals[1:], out=tmp)
+    cells += tmp
+    cells *= dt
+    for phi, g in ((phi0, g_lo), (phi1, g_hi)):
+        np.multiply(phi, g, out=tmp)
+        cells += tmp
     for i, decay in enumerate(ladder):
         s = 1 << i
-        acc[s + 1 :] += decay * acc[1 : n + 1 - s]
-    acc += semigroup_apply(spec.operator, dt * np.arange(n + 1), u0)
+        np.multiply(decay, acc[1 : n + 1 - s], out=tmp[: n - s])
+        acc[s + 1 :] += tmp[: n - s]
+    acc += semigroup_apply(spec.operator, dt * np.arange(n + 1), u0, out=scratch)
     return SampledPath(t0=u.t0, dt=dt, values=acc)
 
 

@@ -66,14 +66,18 @@ def laplacian_1d(n_modes: int) -> SpectralOperator:
     return SpectralOperator(eigenvalues=i**2, trace_weights=1.0 / i**2)
 
 
-def semigroup_apply(op: SpectralOperator, t, u: np.ndarray) -> np.ndarray:
+def semigroup_apply(op: SpectralOperator, t, u: np.ndarray, out=None) -> np.ndarray:
     """Coefficients of S(t)u: c_i -> exp(-lambda_i t) c_i.  An array of
-    times, e.g. the nodes of a grid, gives one row per time."""
+    times, e.g. the nodes of a grid, gives one row per time; out, if given,
+    receives the rows (shape t.shape + (N,)), with u broadcast to it."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("semigroup defined for t >= 0 only")
     u = np.asarray(u, dtype=float)
-    return np.exp(-np.multiply.outer(t, op.eigenvalues)) * u
+    rows = np.multiply(t[..., None], op.eigenvalues, out=out)
+    np.negative(rows, out=rows)
+    np.exp(rows, out=rows)
+    return np.multiply(rows, u, out=out)
 
 
 def frac_power_norm(op: SpectralOperator, delta: float, u: np.ndarray) -> float:

@@ -165,6 +165,54 @@ def test_stream_rejects_seeds_outside_64_bits(seed):
         paths.stream(seed, "starts")
 
 
+def _davies_harte_reference(hurst, n, dt, seed, q):
+    """sample_qfbm's path written out mode by mode, with no library code:
+    the circulant factors of the fGn autocovariance, each mode's normals
+    from SeedSequence([seed, i]), one FFT per mode, the real part, a
+    cumulative sum from 0 and sqrt(q_i)."""
+    gamma = _fgn_autocovariance(hurst, n, dt)
+    eigs = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    factors = np.sqrt(np.maximum(eigs, 0.0) / (2 * n))
+    vals = np.zeros((n + 1, q.size))
+    for i in np.flatnonzero(q):
+        z = np.random.default_rng(np.random.SeedSequence([seed, i])).standard_normal(4 * n)
+        fgn = np.fft.fft(factors * (z[: 2 * n] + 1j * z[2 * n :])).real[:n]
+        vals[1:, i] = np.cumsum(fgn) * np.sqrt(q[i])
+    return vals
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("n_modes", [1, 3, 16, 64])
+def test_qfbm_is_the_davies_harte_reference_bit_for_bit(n_modes, n):
+    # the modes are drawn and transformed a piece at a time (several modes
+    # a piece at n = 64 and 1024, one at 4096), and a zero trace weight
+    # between live modes leaves its column at 0 and shifts no piece's seeds
+    q = 1.0 / np.arange(1.0, n_modes + 1) ** 2
+    if n_modes > 1:
+        q[n_modes // 2] = 0.0
+    op = SpectralOperator(np.arange(1.0, n_modes + 1) ** 2, q)
+    got = paths.sample_qfbm(op, 0.7, n, 1.0 / n, 31).values
+    assert np.array_equal(got, _davies_harte_reference(0.7, n, 1.0 / n, 31, q))
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_qfbm_memory_is_the_path_and_one_piece(n):
+    # past the path, the 2n circulant factors and one piece: 4n normals,
+    # the 2n-point complex FFT row and n+1 path values, one mode a piece
+    # past n = 2048, so 11 floats a step, and up to 128 KiB of the FFT's
+    # own buffers (3n floats at n = 2^12, none at 2^14).  Drawing all 16
+    # modes at once held 10x the path (5.07 MiB at n = 2^12, 81 MiB at 2^16)
+    op = laplacian_1d(16)
+    paths.sample_qfbm(op, 0.75, n, 1.0 / n, 2)  # FFT plan caches
+    tracemalloc.start()
+    try:
+        path = paths.sample_qfbm(op, 0.75, n, 1.0 / n, 3).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.nbytes + 8 * 11 * (n + 1) + 8 * paths._BLOCK_FLOATS
+
+
 def test_qfbm_zero_trace_warns():
     op = SpectralOperator(np.array([1.0]), np.array([0.0]))
     with pytest.warns(UserWarning):

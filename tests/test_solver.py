@@ -1,4 +1,5 @@
 import decimal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,6 +137,58 @@ def test_apply_mild_additive_noise_riemann_stieltjes_oracle():
         dw = np.diff(fine.values[: 4 * k + 1, 0])
         ref = np.exp(-lam * t) + sigma * np.sum(0.5 * (ker[:-1] + ker[1:]) * dw)
         assert abs(out.values[k, 0] - ref) < 1e-4
+
+
+def _mild_spec(N):
+    return solver.ProblemSpec(
+        laplacian_1d(N), np.tanh, lambda u, v: 0.5 * u * v, PP
+    )
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (7, 3), (300, 16)])
+def test_apply_mild_is_its_whole_path_expressions_bit_for_bit(n, N):
+    # the scratch path runs the operations of these expressions in their
+    # order, so T(u) has their bits
+    spec = _mild_spec(N)
+    lam = spec.operator.eigenvalues
+    rng = np.random.default_rng(n + N)
+    om = paths.sample_qfbm(spec.operator, 0.75, n, 1.0 / n, 6)
+    cand = paths.SampledPath(0.0, om.dt, rng.standard_normal((n + 1, N)))
+    u0 = rng.standard_normal(N)
+    dt, uv = om.dt, cand.values
+    phi0, phi1 = solver._phi_weights(lam * dt)
+    dw = np.diff(om.values, axis=0)
+    f = np.tanh(uv)
+    g_lo, g_hi = 0.5 * uv[:-1] * dw, 0.5 * uv[1:] * dw
+    ref = np.zeros((n + 1, N))
+    ref[1:] = dt * (phi0 * f[:-1] + phi1 * f[1:]) + phi0 * g_lo + phi1 * g_hi
+    decay = np.exp(-lam * dt)
+    s = 1
+    while s < n:
+        ref[s + 1 :] += decay * ref[1 : n + 1 - s]
+        decay, s = decay * decay, 2 * s
+    ref += np.exp(-np.multiply.outer(dt * np.arange(n + 1), lam)) * u0
+    assert np.array_equal(solver.apply_mild(cand, om, u0, spec).values, ref)
+
+
+def test_apply_mild_memory_is_a_few_paths():
+    # beyond its inputs, one call holds G's two-path output (G's own
+    # temporary is gone by then), F's path, the result and one scratch path,
+    # plus ufunc buffers: 5.3 paths at (4097, 16).  Whole-path expressions
+    # for the cell terms, the scan and S(t)u0 held 7.25 paths
+    n, N = 4096, 16
+    spec = _mild_spec(N)
+    om = paths.sample_qfbm(spec.operator, 0.75, n, 1.0 / n, 3)
+    cand = paths.SampledPath(0.0, om.dt, np.random.default_rng(7).standard_normal((n + 1, N)))
+    u0 = np.ones(N)
+    solver.apply_mild(cand, om, u0, spec)  # the grid's cell moments
+    tracemalloc.start()
+    try:
+        solver.apply_mild(cand, om, u0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * cand.values.nbytes
 
 
 def test_apply_mild_rejects_grid_mismatch():
