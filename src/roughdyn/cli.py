@@ -136,19 +136,22 @@ def _memory_bytes(pb: dict, n_starts: int) -> int:
     never held at once.  Those are 10 P whatever n and N: verify-all's
     battery (7.4 P, its Hölder pair search; its sampler check maps the
     identity a piece at a time in 4.0 P) and the Hölder pair search (8 P;
-    5.2 P measured at n <= 65537 and 1 or 16 modes); the CSV writer, which
+    3.0 to 7.5 P measured at n <= 65537 and 1 or 16 modes, the boxes its
+    levels keep included, at most about a float a node past that, under
+    the sampler's 11 (n+1)); the CSV writer, which
     formats pieces of at most 4096 values, holds under 5 P at any n below
     4096 modes; and the fBm sampler past its path, 11 (n+1) + 2 P: its 2n
     circulant factors and one piece of modes, each with 4n normals, a 2n-point
     complex FFT row and n+1 values (one mode a piece past n = 2048), and
     the FFT's buffers (11.0 floats a step measured at n = 2^14 and 2^16,
-    14.1 at 2^12).  The search's plans, 5 to 6 floats per node (5.0 at
-    1025 nodes; 6.1 at 4097 and 5.3 at 16385, where the three-level search
-    keeps sub-block weights and divisors), are cached for at most
-    paths._PLANS = 8 (grid, beta, rho) keys; a solve at rho = 1 keeps two
-    per grid, which sit under the path terms and the sampler's 11 (n+1)
-    (solve at N = 1, one start: 3.05 MB peak against a 3.54 MB budget at
-    n = 2^14, 11.7 MB against 12.2 MB at n = 2^16)."""
+    14.1 at 2^12).  The search's plans, 4 to 5 floats per node (4.2 at 512
+    nodes on one level; 4.8 at 1025, 4.6 at 4097, 4.8 at 16385 and 4.4 at
+    65537, where the levels below the top keep their units' weight maxima
+    and divisors), are cached for at most paths._PLANS = 8 (grid, beta,
+    rho) keys; a solve at rho = 1 keeps two per grid, which sit under the
+    path terms and the sampler's 11 (n+1) (solve at N = 1, one start:
+    2.93 MB peak against a 3.54 MB budget at n = 2^14, 10.97 MB against
+    12.19 MB at n = 2^16)."""
     n, N, M = pb["n_steps"], pb["n_modes"], pb["m_phys"]
     P = spectral._BLOCK_FLOATS
     block = max(M, min((n + 1) * M, P))

@@ -8,11 +8,9 @@ weighted (rho-damped) Hölder norm and the small-gap modulus used to detect
 membership in the little-Hölder class.  All three sups over node pairs
 are exact: a branch-and-bound search evaluates only the node pairs whose
 bound can beat the best term, with direct differences, and returns the
-all-pairs max bit for bit.  It bounds pairs of blocks of nodes; past 2048
-nodes it bounds pairs of superblocks first, then the block pairs of the
-superblock pairs that survive, then the 3-node sub-block pairs of the block
-pairs that survive, which at 4097 nodes is about a tenth of the block
-level's bounds and node pairs.
+all-pairs max bit for bit.  It bounds pairs of blocks of nodes; past 512
+nodes it bounds pairs of coarser units first and refines the pairs that
+survive level by level, down to 4-node halves of the blocks.
 """
 
 from __future__ import annotations
@@ -289,24 +287,25 @@ def wiener_shift(omega: SampledPath, shift_steps: int) -> SampledPath:
     return SampledPath(t0=omega.t0, dt=omega.dt, values=vals)
 
 
-# Block branch and bound behind every pair sup: nodes are cut into equal
-# blocks of _MIN_BLOCK nodes (wider only where that would make more than
-# _MAX_BLOCKS blocks), the last block padded by repeating the last node with
-# weight 0.  A row chunk holds at most _CHUNK pair bounds and an exact batch
-# at most 2 * _CHUNK pair differences, one piece (a unit pair that alone
-# holds more is split by rows), so the working set is the plan (O(n), see
-# _Plan) plus a fixed number of pieces.  Past _LEVELS_FROM blocks the search
-# has three levels: the row chunks bound superblocks of _SUPER blocks, block
-# pairs are bounded only inside superblock pairs that can beat the best
-# term, and such a block pair is split into sub-blocks of _SUB nodes (the
-# block width rounded up to a multiple of _SUB) with their own boxes, of
-# which only the pairs that can beat it are evaluated.  The weighted norm
-# keeps the plans of its last _PLANS grids.
+# Block branch and bound behind every pair sup.  The nodes are cut into
+# units on one or more levels, each unit holding r units of the level below
+# it (see _widths): blocks of _MIN_BLOCK nodes alone while at most
+# _MAX_UNITS of them cover the path, else the blocks' halves as the leaves
+# and levels above the blocks with fan-outs 4, 8, 8, ... (_FAN) until the top
+# has at most _MAX_UNITS units.  The nodes are padded to whole top units with
+# weight 0 (a padded node reads the last node).  A row chunk holds at most
+# _CHUNK top-level pair bounds, and a batch of unit pairs refined into their
+# child pairs' bounds, or evaluated on the leaf level, at most 2 * _CHUNK
+# floats in any one array, one piece (a unit pair whose children or nodes
+# alone hold more is split by rows).  Below the top, a level's boxes are
+# built once per search where they fit in a piece or take at most a float a
+# node, and gathered from the path for each batch otherwise, so the working
+# set is the plan (O(n), see _Plan), the kept boxes (at most about a float a
+# node) and a fixed number of pieces.  The weighted norm keeps the plans of
+# its last _PLANS grids.
 _MIN_BLOCK = 8
-_MAX_BLOCKS = 512
-_LEVELS_FROM = 256
-_SUPER = 8
-_SUB = 3
+_MAX_UNITS = 64
+_FAN = 8
 _CHUNK = _BLOCK_FLOATS // 2
 _PLANS = 8
 _EPS = np.finfo(float).eps
@@ -364,72 +363,65 @@ def _offset_table(cg, w, n_off):
     return _windows(cg, w)[: n_off * w].reshape(n_off, w, w)[:, ::-1]
 
 
-class _Units(NamedTuple):
-    """Units of w nodes that a search evaluates exactly: the node indices
-    nodes[I] of each unit, the weights ab and bb on them, and the divisor
-    table table[D, p, q] of node p of unit I and node q of unit I + D."""
+def _smallest_divisors(c_min, r, n_off):
+    """c_min over the offsets D' = D*r + q - p of child q of a parent pair at
+    offset D and child p of its first parent, r children a parent, as
+    _offset_table's view: the smallest divisor at D' >= 0, c_min[D'], and
+    inf at D' < 0 and past c_min."""
+    ext = np.full(n_off * r + r - 1, np.inf)
+    ext[r - 1 : r - 1 + c_min.size] = c_min
+    return _offset_table(ext, r, n_off)
 
-    nodes: np.ndarray
-    ab: np.ndarray
-    bb: np.ndarray
-    table: np.ndarray
+
+def _widths(n):
+    """The unit widths of a search on n nodes, the top level's first: one
+    level of _MIN_BLOCK-node blocks while at most _MAX_UNITS of them cover
+    the nodes; else the blocks' halves as the leaves, and above the blocks
+    levels whose fan-out doubles from the leaves' 2 up to _FAN, until the
+    top level has at most _MAX_UNITS units."""
+    widths, fan = [_MIN_BLOCK], 2
+    if -(-n // _MIN_BLOCK) > _MAX_UNITS:
+        widths.append(_MIN_BLOCK // fan)
+    while -(-n // widths[0]) > _MAX_UNITS:
+        fan = min(2 * fan, _FAN)
+        widths.insert(0, widths[0] * fan)
+    return widths
 
 
-class _Levels(NamedTuple):
-    """The outer and inner levels of a three-level search.  Superblocks: s
-    blocks each, their count n_sup, the number n_off of superblock offsets E
-    whose smallest gap is at most max_gap, the maxima a_top and b_top of a
-    and b on each (b's followed by n_off - 1 zeros) and the smallest
-    divisor c_min[E] of a superblock pair.
-    Blocks: their maxima a_blk and b_blk zero-padded to n_sup * s blocks and
-    the smallest divisor c_blk[E, p, q] of block p of superblock I and block
-    q of superblock I + E.  Sub-blocks: their maxima a_sub[I, P] and
-    b_sub[I, P] of the weights on sub-block P of block I, the smallest
-    divisor c_sub[D, P, Q] of sub-block P of block I and sub-block Q of block
-    I + D, and the sub-blocks as _Units, views of the plan's blocks.  Every
-    smallest divisor is inf where the pair holds no gap in range."""
+class _Level(NamedTuple):
+    """Units of w nodes, r to a unit of the level above (1 on the top
+    level): the largest a and b on each unit, b's followed by n_off - 1
+    zeros on the top level (empty units past the end, bound 0), and the
+    smallest divisor c of a unit pair, inf where the pair holds no gap in
+    range: c[D] at unit offset D on the top level, c[E, p, q] of child p of
+    parent I and child q of parent I + E below it."""
 
-    s: int
-    n_sup: int
-    n_off: int
-    a_top: np.ndarray
-    b_top: np.ndarray
-    c_min: np.ndarray
-    a_blk: np.ndarray
-    b_blk: np.ndarray
-    c_blk: np.ndarray
-    a_sub: np.ndarray
-    b_sub: np.ndarray
-    c_sub: np.ndarray
-    subs: _Units
+    w: int
+    r: int
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
 class _Plan(NamedTuple):
     """Everything a pair search reads besides u, as read-only arrays: the
-    block width w, the block count nb and the number n_off of block offsets
-    D = J - I whose smallest gap is at most max_gap; the weights a and b
-    zero-padded to nb blocks of w nodes (ab, bb) and their block maxima,
-    b's followed by n_off - 1 zeros (empty blocks past the end, bound 0);
-    the smallest divisor c_min[D] of a block pair at offset D; the divisor
-    table table[D, p, q] = c[D*w + q - p] between node p of block I and node
-    q of block I + D, inf outside 1 <= gap <= max_gap; the node indices
-    nodes[I] of each block, a padded node past n - 1; and the _Levels of a
-    search past _LEVELS_FROM blocks, else None.  About
-    4 floats per node: ab, bb, the divisors behind table, and nodes; the
-    levels add about 3 per sub-block: its largest a and b, and the smallest
-    divisor of a sub-block offset."""
+    number n_off of top-level unit offsets D = J - I whose smallest gap is
+    at most max_gap; the _Level of every level, the top's first and the
+    leaf's last; the weights a and b zero-padded to whole top units, one
+    row of v nodes per leaf unit (ab, bb); and the divisor table
+    table[D, p, q] = c[D*v + q - p] between node p of leaf unit I and node
+    q of leaf unit I + D, inf outside 1 <= gap <= max_gap.  About 3 floats
+    per node (ab, bb and the divisors behind table) and 3 per unit of a
+    level below the top (its largest a and b, and the smallest divisor of
+    a unit offset), with the padding to whole top units: measured at 4.2
+    floats per node at 512 nodes (one level), 4.8 at 1025, 4.6 at 4097, 4.8
+    at 16385 and 4.4 at 65537."""
 
-    w: int
-    nb: int
     n_off: int
+    levels: tuple
     ab: np.ndarray
     bb: np.ndarray
-    a_top: np.ndarray
-    b_top: np.ndarray
-    c_min: np.ndarray
     table: np.ndarray
-    nodes: np.ndarray
-    levels: _Levels | None
 
 
 def _pad(x, size):
@@ -454,74 +446,33 @@ def _block_reduce(extreme, x, w):
     return out
 
 
-def _smallest_divisors(c_min, w, n_off):
-    """c_min over the offsets D' = D*w + q - p of unit q of a parent pair at
-    offset D and unit p of its first parent, as _offset_table's view: the
-    smallest divisor at D' >= 0, c_min[D'], and inf at D' < 0 and past
-    c_min."""
-    ext = np.full(n_off * w + w - 1, np.inf)
-    ext[w - 1 : w - 1 + c_min.size] = c_min
-    return _offset_table(ext, w, n_off)
-
-
-def _levels(plan, cg):
-    """The _Levels of a plan whose width w is a multiple of _SUB; cg holds
-    the divisors behind its table."""
-    w, nb, n_off, v, s = plan.w, plan.nb, plan.n_off, _SUB, _SUPER
-    ns = w // v
-    n_sup = -(-nb // s)
-    e_off = min(n_sup, (n_off - 2) // s + 2)
-    # the smallest gap of superblock offset E is that of block offset
-    # E*s - (s - 1), and of sub-block offset D' >= 1 it is D'*v - (v - 1)
-    c_sub = cg[w - 1 + np.maximum(np.arange(n_off * ns) * v - (v - 1), 1)]
-    return _Levels(
-        s, n_sup, e_off,
-        _block_reduce(np.maximum, plan.a_top, s),
-        _pad(_block_reduce(np.maximum, plan.b_top[:nb], s), n_sup + e_off - 1),
-        plan.c_min[np.maximum(np.arange(e_off) * s - (s - 1), 0)],
-        _pad(plan.a_top, n_sup * s),
-        _pad(plan.b_top[:nb], n_sup * s),
-        _smallest_divisors(plan.c_min, s, e_off),
-        plan.ab.reshape(nb, ns, v).max(axis=2),
-        plan.bb.reshape(nb, ns, v).max(axis=2),
-        _smallest_divisors(c_sub, ns, n_off),
-        _Units(
-            plan.nodes.reshape(-1, v),
-            plan.ab.reshape(-1, v),
-            plan.bb.reshape(-1, v),
-            _offset_table(cg[w - v :], v, n_off * ns),
-        ),
-    )
-
-
 def _plan(a, b, c, max_gap):
     """The _Plan of node weights a, b (n nodes) and gap divisors c for the
     pairs with gap at most max_gap, 1 <= max_gap <= n - 1."""
-    n = a.size
-    w = max(_MIN_BLOCK, -(-n // _MAX_BLOCKS))
-    deep = -(-n // w) > _LEVELS_FROM
-    if deep:
-        w = -(-w // _SUB) * _SUB
-    nb = -(-n // w)
-    pad = nb * w - n
-    ab = np.concatenate([a, np.zeros(pad)]).reshape(nb, w)
-    bb = np.concatenate([b, np.zeros(pad)]).reshape(nb, w)
-    n_off = min(nb, (max_gap - 1) // w + 2)
-    b_top = np.zeros(nb + n_off - 1)
-    b_top[:nb] = bb.max(axis=1)
-    c_min = c[np.maximum(np.arange(n_off) * w - (w - 1), 1)]
-    # cg[g + w - 1] = c[g] on 1 <= g <= max_gap, inf elsewhere, read as
-    # table[D, p, q] = cg[D*w + q - p + w - 1]
-    cg = np.full(n_off * w + w - 1, np.inf)
-    top = min(max_gap, n_off * w - 1)
-    cg[w : w + top] = c[1 : top + 1]
-    nodes = np.arange(nb * w).reshape(nb, w)
-    plan = _Plan(
-        w, nb, n_off, ab, bb, ab.max(axis=1), b_top, c_min,
-        _offset_table(cg, w, n_off), nodes, None,
-    )
-    if deep:
-        plan = plan._replace(levels=_levels(plan, cg))
+    widths = _widths(a.size)
+    w, v = widths[0], widths[-1]
+    n_top = -(-a.size // w)
+    a, b = _pad(a, n_top * w), _pad(b, n_top * w)
+    n_off = min(n_top, (max_gap - 1) // w + 2)
+    # cg[g + v - 1] = c[g] on 1 <= g <= max_gap, inf elsewhere, over the
+    # gaps of the n_off top-level offsets, read as
+    # table[D, p, q] = cg[D*v + q - p + v - 1]
+    span = n_off * w
+    cg = np.full(span + v - 1, np.inf)
+    top = min(max_gap, span - 1)
+    cg[v : v + top] = c[1 : top + 1]
+    levels = []
+    for k, wk in enumerate(widths):
+        # the smallest gap of unit offset D >= 1 is D*wk - (wk - 1)
+        c_min = cg[v - 1 + np.maximum(np.arange(span // wk) * wk - (wk - 1), 1)]
+        a_k = a.reshape(-1, wk).max(axis=1)
+        b_k = b.reshape(-1, wk).max(axis=1)
+        if k:
+            r = widths[k - 1] // wk
+            levels.append(_Level(wk, r, a_k, b_k, _smallest_divisors(c_min, r, span // widths[k - 1])))
+        else:
+            levels.append(_Level(wk, 1, a_k, _pad(b_k, n_top + n_off - 1), c_min))
+    plan = _Plan(n_off, tuple(levels), a.reshape(-1, v), b.reshape(-1, v), _offset_table(cg, v, span // v))
     for x in _plan_arrays(plan) + [cg]:
         x.flags.writeable = False
     return plan
@@ -530,10 +481,7 @@ def _plan(a, b, c, max_gap):
 def _plan_arrays(plan):
     """Every array of a plan, its levels' included."""
     out = [x for x in plan if isinstance(x, np.ndarray)]
-    if plan.levels is not None:
-        out += [x for x in plan.levels[:-1] if isinstance(x, np.ndarray)]
-        out += list(plan.levels.subs)
-    return out
+    return out + [x for lv in plan.levels for x in lv if isinstance(x, np.ndarray)]
 
 
 def _pair_sup(u, a, b, c, max_gap):
@@ -542,33 +490,31 @@ def _pair_sup(u, a, b, c, max_gap):
     when no pair qualifies, NaN when a node value is not finite.
 
     a, b >= 0 are node weights and c[g] > 0 (g >= 1) is nondecreasing in
-    the gap g.  Each unit of consecutive nodes (a superblock, block or
-    sub-block) gets a bounding box (centre and half-diagonal), which bounds
-    every pair term of a unit pair by the centre distance plus both radii,
-    the largest a and b of the two units and the smallest gap between them.
-    The top-level bounds are built one row chunk of unit pairs (I, I + D) at
-    a time; a chunk's pairs are refined, a batch of the largest bounds at a
-    time, until no bound left in it exceeds the best exact term, and so on
-    down every level.  Up to _LEVELS_FROM blocks (2048 nodes) the top units
-    are blocks, evaluated exactly: about (n/w)^2 / 2 bounds and 1-2% of the
-    w^2 node pairs of a block pair.  Past it they are superblocks of _SUPER
-    blocks; a superblock pair that can beat the best term is refined into
-    the bounds of its block pairs, and such a block pair into the bounds of
-    its _SUB-node sub-block pairs, whose survivors are evaluated exactly.  At
-    4097 nodes that is 1653 superblock bounds, about 10^4 block and 8 * 10^3
-    sub-block bounds and 4-6 * 10^3 node pairs, where the block level alone
-    made 10^5 bounds and 9 * 10^4 node pairs; at 16385 nodes, about 10^4
-    block and 1.4 * 10^5 sub-block bounds and 10^4 node pairs.  Every bound
-    is inflated by a relative slack for its own rounding and by an absolute
-    term for the rounding of the box centres, so a pruned pair never holds a
-    larger term.  The divisor of a node pair is read from one table over the
-    unit offset D, which holds c[k-j] for 1 <= k-j <= max_gap and inf
-    elsewhere, so the pairs of a unit pair outside that range, and those of
-    the padding, are exactly 0.  Every term is the expression a per-gap pass
-    over direct differences u[k]-u[j] computes, so the max is that pass's
-    bit for bit.  A u with max|u| > _BIG, or nonzero with max|u| < _TINY, is
-    searched scaled by a power of two and the max scaled back, so its
-    squares can neither overflow nor underflow.
+    the gap g.  Each unit of consecutive nodes (see _widths) gets a bounding
+    box (centre and half-diagonal), which bounds every pair term of a unit
+    pair by the centre distance plus both radii, the largest a and b of the
+    two units and the smallest gap between them.  The top-level bounds are
+    built one row chunk of unit pairs (I, I + D) at a time; a chunk's pairs
+    are refined, a batch of the largest bounds at a time, into the bounds of
+    their child pairs, and those into theirs, level by level, until no bound
+    left exceeds the best exact term, and the leaf pairs that can beat it
+    are evaluated exactly.  Up to _MIN_BLOCK * _MAX_UNITS nodes (512) the
+    one level is 8-node blocks: at 257 nodes and 16 modes 561 bounds and
+    4992 node pairs.  Past it the leaves are 4-node halves of the blocks
+    under levels of 32, 256, 2048, ... nodes: at 4097 nodes and 16 modes
+    153 top bounds, 2752, 5376 and 3620 child bounds and 9328 node pairs;
+    at 65537 nodes 561, about 1.4 * 10^5 and 2.7 to 5.0 * 10^4 at 16 and 1
+    modes.
+    Every bound is inflated by a relative slack for its own rounding and by
+    an absolute term for the rounding of the box centres, so a pruned pair
+    never holds a larger term.  The divisor of a node pair is read from one
+    table over the unit offset D, which holds c[k-j] for 1 <= k-j <= max_gap
+    and inf elsewhere, so the pairs of a unit pair outside that range, and
+    those of the padding, are exactly 0.  Every term is the expression a
+    per-gap pass over direct differences u[k]-u[j] computes, so the max is
+    that pass's bit for bit.  A u with max|u| > _BIG, or nonzero with
+    max|u| < _TINY, is searched scaled by a power of two and the max scaled
+    back, so its squares can neither overflow nor underflow.
 
     The plan is built for this call; weighted_holder_norm reuses its plans
     through the same search.
@@ -582,16 +528,14 @@ def _pair_sup(u, a, b, c, max_gap):
     return _scale_up(_search(u, _plan(a, b, c, max_gap)), e)
 
 
-def _boxes(lo, hi, b_top):
-    """Per unit of nodes with coordinate minima lo and maxima hi (units, m):
-    box centre (rows :m), radius (row m) and b_top (row m + 1), whose zeros
-    past the units give every unit a full window of partners."""
-    m = lo.shape[1]
-    box = np.zeros((m + 2, b_top.size))
-    box[:m, : len(lo)] = (0.5 * (lo + hi)).T
-    box[m, : len(lo)] = _row_norms(0.5 * (hi - lo))
-    box[m + 1] = b_top
-    return box
+def _boxes(lo, hi):
+    """(centre, radius): the box centres, in lo's place, and radii of the
+    units with coordinate minima lo and maxima hi (k, m); hi is
+    overwritten."""
+    hi -= lo
+    hi *= 0.5
+    lo += hi
+    return lo, _row_norms(hi)
 
 
 def _batches(flat, best, batch):
@@ -610,147 +554,146 @@ def _batches(flat, best, batch):
             return
 
 
-def _exact(best, u, units, ui, uj, rows, buf):
-    """The larger of best and every term of the unit pairs (ui, uj), rows
-    nodes of unit ui at a time, their differences in buf."""
-    w, m = units.nodes.shape[1], u.shape[1]
+def _geometry(levels, m):
+    """Per level, the top's first, (rows, batch, floats) of a batch of its
+    unit pairs of m modes: `batch` pairs, `rows` rows of the first unit at a
+    time, and the floats of the batch's largest array, at most 2 * _CHUNK
+    unless one row of one pair alone holds more.  A level above the leaf
+    refines a pair into its r x r child pairs and holds both units' r
+    children's centres; a leaf pair holds its w x w node pairs.  A child or
+    node pair is counted as its m differences, and as at least 4 floats (a
+    distance, weight, divisor and bound or term), so that one-mode batches
+    are no larger than a few-mode ones."""
+    f = max(m, 4)
+    out = []
+    for r, row, pair in [(lv.r, lv.r * f, 2 * lv.r * m) for lv in levels[1:]] + [
+        (levels[-1].w, levels[-1].w * f, 0)
+    ]:
+        rows = min(r, max(1, 2 * _CHUNK // row))
+        batch = max(1, 2 * _CHUNK // max(rows * row, pair))
+        out.append((rows, batch, batch * max(rows * row, pair)))
+    return out
+
+
+def _exact(best, u, plan, ui, uj, rows, buf, nodes):
+    """The larger of best and every term of the leaf unit pairs (ui, uj),
+    rows nodes of unit ui at a time, their differences in buf; nodes[I] are
+    the node indices of leaf unit I."""
+    w, m = nodes.shape[1], u.shape[1]
     off = uj - ui
     # a padded node reads u[n - 1]
-    u_k = u.take(units.nodes[uj], 0, mode="clip")[:, None]
-    b_k = units.bb[uj][:, None, :]
+    u_k = u.take(nodes[uj], 0, mode="clip")[:, None]
+    b_k = plan.bb[uj][:, None, :]
     for p in range(0, w, rows):
         # diff[:, r, q] = u[k] - u[j] for node j = p + r of unit ui and node
         # k = q of unit uj
-        u_j = u.take(units.nodes[ui, p : p + rows], 0, mode="clip")
+        u_j = u.take(nodes[ui, p : p + rows], 0, mode="clip")
         diff = buf[: u_j.size * w].reshape(u_j.shape[:2] + (w, m))
         np.subtract(u_k, u_j[:, :, None], out=diff)
         dn = _row_norms(diff.reshape(-1, m)).reshape(diff.shape[:3])
-        terms = units.ab[ui, p : p + rows, None] * b_k
+        terms = plan.ab[ui, p : p + rows, None] * b_k
         terms *= dn
-        terms /= units.table[off, p : p + rows]
+        terms /= plan.table[off, p : p + rows]
         best = max(best, float(terms.max()))
     return best
 
 
-def _exact_geometry(w, m):
-    """(rows, batch) of an exact batch of unit pairs of w nodes: `batch`
-    pairs, `rows` nodes of the first unit at a time, at most 2 * _CHUNK
-    differences, or one row of a unit pair where that alone holds more."""
-    rows = min(w, max(1, 2 * _CHUNK // (w * m)))
-    return rows, max(1, 2 * _CHUNK // (rows * w * m))
+def _child_boxes(u, lv, boxes, units):
+    """The box centres units.shape + (m,) and radii units.shape of the units
+    of level lv: read from its boxes, or where those are None gathered from
+    u, as many units at a time as a piece holds the nodes of (one at
+    least), node j of every unit in row j of the gathered nodes."""
+    if boxes is not None:
+        # a unit past the last kept one reads it; its weights are 0
+        return boxes[0].take(units, 0, mode="clip"), boxes[1].take(units, mode="clip")
+    m, w = u.shape[1], lv.w
+    flat = units.ravel()
+    centre, radius = np.empty((flat.size, m)), np.empty(flat.size)
+    nodes = np.arange(w)[:, None]
+    step = max(1, 2 * _CHUNK // (w * m))
+    for i in range(0, flat.size, step):
+        part = flat[i : i + step]
+        # a padded node reads u[n - 1]
+        x = u.take((part * w + nodes).ravel(), 0, mode="clip").reshape(w, -1)
+        lo, hi = (_block_reduce(f, x, w).reshape(part.size, m) for f in (np.minimum, np.maximum))
+        centre[i : i + step], radius[i : i + step] = _boxes(lo, hi)
+    return centre.reshape(units.shape + (m,)), radius.reshape(units.shape)
 
 
-def _child_bounds(dist, r_i, r_k, a_i, b_k, c, centre_err, slack):
-    """The bounds, in place of the centre distances dist (K, r, r), of the r
-    x r child pairs (p, q) of K unit pairs, from the children's radii r_i,
-    r_k (K, r) and largest weights a_i, b_k and their smallest divisors c."""
-    dist += r_k[:, None, :]
+def _child_bounds(u, lv, boxes, ui, uj, centre_err, slack, rows):
+    """(kids, bounds): the units kids[0, k] of level lv in unit ui[k] and
+    kids[1, k] in unit uj[k] of the level above, and the bounds (K, r, r) of
+    their pairs, from their boxes, their largest weights and their smallest
+    divisors, the centre distances rows units of kids[0, k] at a time."""
+    kids = np.concatenate((ui, uj)).reshape(2, -1, 1) * lv.r + np.arange(lv.r)
+    (c_i, c_j), (r_i, r_j) = _child_boxes(u, lv, boxes, kids)
+    dist = np.empty(ui.shape + (lv.r, lv.r))
+    for p in range(0, lv.r, rows):
+        d = c_j[:, None] - c_i[:, p : p + rows, None]
+        dist[:, p : p + rows] = np.sqrt(np.einsum("kpqi,kpqi->kpq", d, d))
+    dist += r_j[:, None, :]
     dist += r_i[:, :, None] + centre_err
-    dist *= b_k[:, None, :]
-    dist *= a_i[:, :, None] * slack
-    dist /= c
-    return dist
+    dist *= lv.b[kids[1]][:, None, :]
+    dist *= lv.a[kids[0]][:, :, None] * slack
+    dist /= lv.c[uj - ui]
+    return kids, dist
 
 
-def _block_bounds(box, lv, ti, off, centre_err, slack):
-    """(bi, bj, bounds): the blocks bi[k, p] of superblock ti[k], bj[k, q]
-    of superblock ti[k] + off[k], and the bounds (K, s, s) of their block
-    pairs, from the block boxes."""
-    m = box.shape[0] - 2
-    bi = ti[:, None] * lv.s + np.arange(lv.s)
-    bj = bi + off[:, None] * lv.s
-    c_i, c_j = box[:, bi], box[:, bj]
-    d = c_j[:m, :, None, :] - c_i[:m, :, :, None]
-    dist = np.sqrt(np.einsum("ikpq,ikpq->kpq", d, d))
-    del d
-    bounds = _child_bounds(
-        dist, c_i[m], c_j[m], lv.a_blk[bi], c_j[m + 1], lv.c_blk[off], centre_err, slack)
-    return bi, bj, bounds
-
-
-def _sub_bounds(u, plan, pi, pj, centre_err, slack):
-    """The bounds (K, ns, ns) of the sub-block pairs of block pairs (pi, pj),
-    from the sub-blocks' boxes, built node r of every sub-block at a time
-    (a sub-block being short)."""
-    lv, m, ns = plan.levels, u.shape[1], plan.w // _SUB
-    first = plan.nodes[np.concatenate([pi, pj]), ::_SUB]
-    # a padded node reads u[n - 1]
-    lo = u.take(first, 0, mode="clip").reshape(2, pi.size, ns, m)
-    hi = lo.copy()
-    x = np.empty_like(lo)
-    for _ in range(1, _SUB):
-        first += 1
-        u.take(first, 0, out=x.reshape(first.shape + (m,)), mode="clip")
-        np.minimum(lo, x, out=lo)
-        np.maximum(hi, x, out=hi)
-    del x, first
-    rad = 0.5 * (hi - lo)
-    rad = np.sqrt(np.einsum("xkpi,xkpi->xkp", rad, rad))
-    lo += hi
-    lo *= 0.5
-    del hi
-    d = lo[1, :, None, :, :] - lo[0, :, :, None, :]
-    dist = np.sqrt(np.einsum("kpqi,kpqi->kpq", d, d))
-    del d, lo
-    return _child_bounds(
-        dist, rad[0], rad[1], lv.a_sub[pi], lv.b_sub[pj], lv.c_sub[pj - pi], centre_err, slack)
-
-
-def _level_batches(plan, m):
-    """(superblock pairs, block pairs, sub-block pairs) per batch of a
-    three-level search of m modes, each batch within a piece: per child
-    pair, the m differences of its centres and 2 or 3 more floats (its
-    bound and divisor, or the sub-blocks' boxes) in the first two, and per
-    node pair m differences and 4 more floats in an exact batch.  None when
-    the plan has one level, or a single pair would not fit."""
-    lv = plan.levels
-    if lv is None:
-        return None
-    ns = plan.w // _SUB
-    sup = 2 * _CHUNK // ((m + 2) * lv.s * lv.s)
-    blk = 2 * _CHUNK // ((m + 3) * max(ns * ns, 2 * ns))
-    if not (sup and blk):
-        return None
-    return sup, blk, _exact_geometry(_SUB, m + 4)
+def _refine(best, u, plan, run, k, ui, uj):
+    """The larger of best and every term of the unit pairs (ui, uj) of level
+    k, under the per-search boxes, geometry, centre_err, slack, exact buffer
+    and leaf node indices run: the bounds of their child pairs, and of those
+    that can beat best the child pairs in turn, down to the leaf pairs,
+    which are evaluated."""
+    boxes, geometry, centre_err, slack, buf, nodes = run
+    if k == len(plan.levels) - 1:
+        return _exact(best, u, plan, ui, uj, geometry[k][0], buf, nodes)
+    lv = plan.levels[k + 1]
+    kids, bound = _child_bounds(u, lv, boxes[k + 1], ui, uj, centre_err, slack, geometry[k][0])
+    for live in _batches(bound.ravel(), lambda: best, geometry[k + 1][1]):
+        i, pq = np.divmod(live, lv.r * lv.r)
+        best = _refine(best, u, plan, run, k + 1, kids[0, i, pq // lv.r], kids[1, i, pq % lv.r])
+    return best
 
 
 def _search(u, plan):
     """The pair sup of _pair_sup over a finite u (n, m) under plan."""
     m = u.shape[1]
-    lo = _block_reduce(np.minimum, u, plan.w)
-    hi = _block_reduce(np.maximum, u, plan.w)
-    # the top units' boxes; the empty units past the end give every unit a
-    # full window win[:, I, D] = top[:, I + D]
-    levels = _level_batches(plan, m)
-    lv = plan.levels
-    if levels is None:
-        top = _boxes(lo, hi, plan.b_top)
-    else:
-        box = _boxes(lo, hi, lv.b_blk)
-        top = _boxes(
-            _block_reduce(np.minimum, lo, lv.s), _block_reduce(np.maximum, hi, lv.s), lv.b_top)
+    levels, n_off = plan.levels, plan.n_off
+    top, leaf = levels[0], levels[-1]
+    # the levels below the top keep their units' boxes where those fit in a
+    # piece or take at most a float a node, the coarsest levels first
+    kept = 1 + sum(lv.a.size * (m + 1) <= max(2 * _CHUNK, u.shape[0]) for lv in levels[1:])
+    geometry = _geometry(levels, m)
+    # the coordinate extremes of the units of the finest kept level, and
+    # from them those of every level above it
+    lo = _block_reduce(np.minimum, u, levels[kept - 1].w)
+    hi = _block_reduce(np.maximum, u, levels[kept - 1].w)
+    boxes = [None] * len(levels)
+    for k in range(kept - 1, 0, -1):
+        up = _block_reduce(np.minimum, lo, levels[k].r), _block_reduce(np.maximum, hi, levels[k].r)
+        boxes[k] = _boxes(lo, hi)
+        lo, hi = up
     # the relative slack covers the rounding of the bound and of the exact
     # terms; centre_err covers that of the box centres, which is relative
     # to |u| and so not to the increments when u carries a large offset
     centre_err = 4 * _EPS * max(float(hi.max()), -float(lo.min())) * np.sqrt(m)
-    del lo, hi
     slack = 1.0 + 1e-12 + 4 * m * _EPS
-    if levels is None:
-        n_top, n_off, a_top, c_min = plan.nb, plan.n_off, plan.a_top, plan.c_min
-        units = _Units(plan.nodes, plan.ab, plan.bb, plan.table)
-        # an exact batch: `batch` block pairs, `rows` nodes p of block I at
-        # a time
-        rows, batch = _exact_geometry(plan.w, m)
-        buf = np.empty(batch * rows * plan.w * m)
-    else:
-        n_top, n_off, a_top, c_min = lv.n_sup, lv.n_off, lv.a_top, lv.c_min
-        units = lv.subs
-        batch, block_batch, (rows, sub_batch) = levels
-        buf = np.empty(sub_batch * rows * _SUB * m)
-        s, ns = lv.s, plan.w // _SUB
-    win = _windows(top, n_off)
+    # the top units' box centres (rows :m), radii (row m) and largest b
+    # (row m + 1); the empty units past the end give every unit a full
+    # window win[:, I, D] = box[:, I + D]
+    centre, radius = _boxes(lo, hi)
+    box = np.zeros((m + 2, top.b.size))
+    box[:m, : len(lo)] = centre.T
+    box[m, : len(lo)] = radius
+    box[m + 1] = top.b
+    win = _windows(box, n_off)
+    del lo, hi, centre
+    rows, batch, _ = geometry[-1]
+    nodes = np.arange(plan.ab.size).reshape(plan.ab.shape)
+    run = (boxes, geometry, centre_err, slack, np.empty(batch * rows * leaf.w * m), nodes)
     best = 0.0
-    i0 = 0
+    i0, n_top = 0, top.a.size
     while i0 < n_top:
         cols = min(n_off, n_top - i0)
         i1 = min(n_top, i0 + max(1, _CHUNK // cols))
@@ -762,30 +705,19 @@ def _search(u, plan):
         for k in range(0, m, g):
             dk = d[: min(g, m - k)]
             np.copyto(dk, wc[k : k + len(dk)])
-            dk -= top[k : k + len(dk), i0:i1, None]
+            dk -= box[k : k + len(dk), i0:i1, None]
             bound += np.einsum("kij,kij->ij", dk, dk)
         del d, dk
         np.sqrt(bound, out=bound)
         bound += wc[m]
-        bound += top[m, i0:i1, None] + centre_err
+        bound += box[m, i0:i1, None] + centre_err
         bound *= wc[m + 1]
-        bound *= a_top[i0:i1, None] * slack
-        bound /= c_min[:cols]
-        for live in _batches(bound.ravel(), lambda: best, batch):
+        bound *= top.a[i0:i1, None] * slack
+        bound /= top.c[:cols]
+        for live in _batches(bound.ravel(), lambda: best, geometry[0][1]):
             ti, off = np.divmod(live, cols)
             ti += i0
-            if levels is None:
-                best = _exact(best, u, units, ti, ti + off, rows, buf)
-                continue
-            bi, bj, blk = _block_bounds(box, lv, ti, off, centre_err, slack)
-            for pick in _batches(blk.ravel(), lambda: best, block_batch):
-                k, pq = np.divmod(pick, s * s)
-                pi, pj = bi[k, pq // s], bj[k, pq % s]
-                sub = _sub_bounds(u, plan, pi, pj, centre_err, slack)
-                for hit in _batches(sub.ravel(), lambda: best, sub_batch):
-                    k, pq = np.divmod(hit, ns * ns)
-                    ui, uj = pi[k] * ns + pq // ns, pj[k] * ns + pq % ns
-                    best = _exact(best, u, units, ui, uj, rows, buf)
+            best = _refine(best, u, plan, run, 0, ti, ti + off)
         i0 = i1
     return best
 

@@ -388,6 +388,9 @@ def test_peak_memory_within_budget(tmp_path, command):
         # working set is most of the run (1.82 MB against a 0.23 MB budget
         # while the budget did not count it)
         ("solve", "[problem]\nn_modes = 1\nm_phys = 1\n[solver]\nn_starts = 1\n", 10),
+        # the same past 2^10 nodes, where the pair search's two cached plans
+        # per grid outweigh the path terms and the budget has the least room
+        ("solve", "[problem]\nn_modes = 1\nm_phys = 1\n[solver]\nn_starts = 1\n", 14),
         # the CLI's default N = 16: kummer_decay's whole (5121, 64) table
         # took verify-all to 2.99 MB against 1.44 MB
         ("verify-all", "", 8),
@@ -395,7 +398,7 @@ def test_peak_memory_within_budget(tmp_path, command):
         # at one mode to 1.20 MB against 1.11 MB while the budget left it out
         ("verify-all", "[problem]\nn_modes = 1\nm_phys = 1\n", 8),
     ],
-    ids=["solve-one-mode", "verify-all-default-modes", "verify-all-one-mode"],
+    ids=["solve-one-mode", "solve-one-mode-2^14", "verify-all-default-modes", "verify-all-one-mode"],
 )
 def test_peak_memory_within_budget_at_few_modes(tmp_path, command, config, grid_pow):
     peak, budget = _peak_and_budget(tmp_path, command, config, grid_pow)

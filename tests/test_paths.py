@@ -541,11 +541,11 @@ def test_pair_search_exact_on_heat_residual():
 @pytest.mark.parametrize("seed", [3, 103])
 def test_pair_search_exact_on_long_driver(seed):
     # n = 4097 nodes, the drivers workload's grid at its default and held-out
-    # seeds: 456 blocks of 9 nodes, the last one padded, in 57 superblocks
-    # of 8 blocks whose bounds fill one row chunk; the block pairs of the
-    # surviving superblock pairs are bounded and those that survive are
-    # split into 3-node sub-blocks, so most pairs are pruned at every
-    # level; the modulus windows end mid-block
+    # seeds: 17 top units of 256 nodes, the last one padded, whose bounds
+    # fill one row chunk, over units of 32 and 8 nodes and 4-node leaves;
+    # the child pairs of the surviving pairs are bounded on every level, so
+    # most pairs are pruned at every level; the modulus windows end
+    # mid-block
     n = 4096
     op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
     om = paths.sample_qfbm(op, 0.75, n, 1.0 / n, seed)
@@ -586,9 +586,22 @@ def test_pair_search_exact_under_large_offset(offset):
     _assert_sups_exact(vals + offset, dt, 0.65, max_gaps=(np.inf, 64.5 * dt))
 
 
+@pytest.fixture
+def one_level(monkeypatch):
+    # one level of _MIN_BLOCK-node blocks at any n, as the default rule has
+    # up to 512 nodes: the tight fixtures below need more blocks than one
+    # row chunk holds the pairs of.  Plans are cached by grid and exponents
+    # alone, so those built under the default rule are dropped before and
+    # after
+    paths._weighted_plan.cache_clear()
+    monkeypatch.setattr(paths, "_widths", lambda n: [paths._MIN_BLOCK])
+    yield
+    paths._weighted_plan.cache_clear()
+
+
 def _first_chunk_nodes(n):
     # nodes of the block rows in the first row chunk of block-pair bounds,
-    # for n a multiple of the block size and the full gap range
+    # for n a multiple of the block size, the full gap range and one level
     n_blocks = n // paths._MIN_BLOCK
     return paths._MIN_BLOCK * (paths._CHUNK // n_blocks)
 
@@ -622,7 +635,7 @@ def _tight_box_path(offset, n=2048, beta=0.6, step=0.1):
     return u[:, None], dt, beta, top
 
 
-def test_pair_search_exact_on_tight_box_bounds():
+def test_pair_search_exact_on_tight_box_bounds(one_level):
     # dropping either radius, the gap of adjacent blocks or the absolute
     # term for the rounding of the box centres prunes the max here
     for k in range(6):
@@ -655,7 +668,7 @@ def _tight_weighted_path(n=2048, m=16, beta=0.6, rho=16.0):
     return u, dt, beta, rho
 
 
-def test_weighted_pair_search_exact_on_tight_bounds():
+def test_weighted_pair_search_exact_on_tight_bounds(one_level):
     # bounding a block's weights by their smallest values instead of their
     # largest, on either side, or dropping the radius prunes the max here
     vals, dt, beta, rho = _tight_weighted_path()
@@ -680,19 +693,18 @@ def test_property_pair_search_matches_per_gap_pass(n, m, seed, offset, gap_frac)
 
 @pytest.mark.parametrize("n, m", [(4097, 16), (4609, 3), (5001, 1)])
 def test_pair_search_exact_above_the_block_cap(n, m):
-    # past _MIN_BLOCK * _MAX_BLOCKS nodes the blocks widen (9, 12 and 12
-    # nodes here: n / _MAX_BLOCKS rounded up to a multiple of _SUB, as these
-    # searches have three levels) and the last one is ragged; the modulus
-    # windows end mid-block
+    # past _MIN_BLOCK * _MAX_UNITS nodes the search has several levels
+    # (units of 256, 32, 8 and 4 nodes here) and the last top unit is
+    # ragged; the modulus windows end mid-unit on every level
     ones = np.ones(n)
-    w = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1).w
-    assert n > paths._MIN_BLOCK * paths._MAX_BLOCKS and w > paths._MIN_BLOCK
-    assert n % w != 0
+    widths = [lv.w for lv in paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1).levels]
+    assert n > paths._MIN_BLOCK * paths._MAX_UNITS and widths == [256, 32, 8, 4]
+    assert n % widths[0] != 0
     rng = np.random.default_rng(n)
     vals = np.cumsum(rng.standard_normal((n, m)), axis=0) * 1e-2 + 3.0
     dt = 1.0 / (n - 1)
-    gaps = (2 * w + 3.5, 7 * w + 1.5)
-    assert all(int(g) % w != 0 for g in gaps)
+    gaps = (2 * 8 + 3.5, 7 * 8 + 1.5)
+    assert all(int(g) % w != 0 for g in gaps for w in widths)
     _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf,) + tuple(g * dt for g in gaps), rhos=(4.0,))
 
 
@@ -710,14 +722,15 @@ def test_pair_search_exact_in_split_block_pairs(monkeypatch, m, chunk):
     _assert_sups_exact(vals, 1.0 / 300, 0.6, max_gaps=(np.inf, (2 * w + 3.5) / 300), rhos=(0.0, 64.0))
 
 
-@pytest.mark.parametrize("n, m", [(4097, 1), (16385, 1), (16385, 16)])
+@pytest.mark.parametrize("n, m", [(4097, 1), (16385, 1), (16385, 16), (65537, 16)])
 def test_pair_search_memory_is_affine_in_grid_size(n, m):
-    # past the padded weights and the divisor table (3 floats per node) the
-    # search holds a fixed number of chunks, whatever n and m: its
-    # block-pair arrays grew as (n/16)^2 / 2 before the bounds were
-    # streamed (2.7 MB at 4097 nodes, 6.1 MB at 16385), and one block pair
-    # of 33 x 33 nodes at 16 modes went into a batch whole before it was
-    # split by rows (2.9 MB)
+    # past the plan (about 5 floats per node) and the boxes its levels keep
+    # (at most about a float a node) the search holds a fixed number of
+    # pieces, whatever n and m: its block-pair arrays grew as (n/16)^2 / 2
+    # before the bounds were streamed (2.7 MB at 4097 nodes, 6.1 MB at
+    # 16385), one block pair of 33 x 33 nodes at 16 modes went into a batch
+    # whole before it was split by rows (2.9 MB), and a level whose boxes
+    # would take more than a float a node gathers them for each batch
     rng = np.random.default_rng(5)
     u = np.cumsum(rng.standard_normal((n, m)), axis=0)
     dt = 1.0 / (n - 1)
@@ -736,23 +749,24 @@ def test_pair_search_memory_is_affine_in_grid_size(n, m):
 
 # ------------------------------- the multilevel search
 
-# level geometries under which paths of a few hundred nodes take every level
-# of the search: blocks of 4 nodes with 2-node sub-blocks and superblocks of
-# 2 blocks, or blocks of 5 nodes rounded up to 6 with 3-node sub-blocks and
-# superblocks of 3 blocks, the superblock bounds in row chunks of one to a
-# few superblock rows
+# unit widths under which paths of a few hundred nodes take every level of
+# the search, named by their fan-outs and leaf width: units of 16 nodes in
+# 4 units of 4 in 2 leaves of 2, or of 45 in 5 units of 9 in 3 leaves of 3,
+# the top-level bounds in row chunks of one to a few top rows.  With so
+# small a piece some levels gather their boxes for each batch and others
+# keep them (_count_levels)
 _SMALL_LEVELS = {
-    "4-2-2": dict(_MIN_BLOCK=4, _SUB=2, _SUPER=2, _LEVELS_FROM=3, _CHUNK=128),
-    "5-3-3": dict(_MIN_BLOCK=5, _SUB=3, _SUPER=3, _LEVELS_FROM=4, _CHUNK=192),
+    "4-2-2": ([16, 4, 2], 128),
+    "5-3-3": ([45, 9, 3], 192),
 }
 
 
-def _patch_geometry(monkeypatch, geometry):
+def _patch_geometry(monkeypatch, widths, chunk):
     # plans are cached by grid and exponents alone, so those built under
     # another geometry are dropped; the caller clears the cache again after
     paths._weighted_plan.cache_clear()
-    for name, value in geometry.items():
-        monkeypatch.setattr(paths, name, value)
+    monkeypatch.setattr(paths, "_widths", lambda n: list(widths))
+    monkeypatch.setattr(paths, "_CHUNK", chunk)
 
 
 @pytest.fixture
@@ -763,40 +777,76 @@ def clean_plans():
 
 @pytest.fixture(params=list(_SMALL_LEVELS))
 def small_levels(request, monkeypatch, clean_plans):
-    _patch_geometry(monkeypatch, _SMALL_LEVELS[request.param])
+    _patch_geometry(monkeypatch, *_SMALL_LEVELS[request.param])
     return request.param
 
 
 def _count_levels(monkeypatch):
-    # calls of the block-pair and sub-block-pair bounds, which run only on
-    # the inner levels of a search
-    counts = {"_block_bounds": 0, "_sub_bounds": 0}
-    for name in counts:
+    # child-pair bounds per width of the level refined into, which run only
+    # below the top, and the batches whose child boxes a level kept or
+    # gathered
+    counts = {}
+    bounds, boxes = paths._child_bounds, paths._child_boxes
 
-        def counted(*args, real=getattr(paths, name), name=name):
-            counts[name] += 1
-            return real(*args)
+    def counted_bounds(u, lv, *args):
+        counts[lv.w] = counts.get(lv.w, 0) + 1
+        return bounds(u, lv, *args)
 
-        monkeypatch.setattr(paths, name, counted)
+    def counted_boxes(u, lv, kept, *args):
+        key = "gathered" if kept is None else "kept"
+        counts[key] = counts.get(key, 0) + 1
+        return boxes(u, lv, kept, *args)
+
+    monkeypatch.setattr(paths, "_child_bounds", counted_bounds)
+    monkeypatch.setattr(paths, "_child_boxes", counted_boxes)
     return counts
 
 
+def _assert_every_level_ran(counts, widths):
+    assert all(counts.get(w, 0) > 0 for w in widths[1:]), counts
+    assert counts.get("kept", 0) > 0 and counts.get("gathered", 0) > 0, counts
+
+
 def test_every_level_runs_on_the_drivers_grid(monkeypatch):
-    # the default geometry: a search on more than _LEVELS_FROM blocks (past
-    # 2048 nodes) takes every level, one on at most 1025 nodes, as every
-    # solve and dynamics search, keeps the single block level
-    op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
-    for n, deep in ((257, False), (1025, False), (2048, False), (2049, True), (4097, True)):
+    # the default rule: at most 512 nodes (64 blocks) keep one level of
+    # 8-node blocks, as every dynamics search; past that the blocks' halves
+    # are the leaves under levels of 32, 256, 2048, ... nodes, until the top
+    # has at most 64 units, and a search takes every level (the drivers
+    # workload's 4097 nodes at 16 modes keep the boxes of 32- and 8-node
+    # units and gather the leaves')
+    for n, widths in (
+        (65, [8]), (193, [8]), (512, [8]), (513, [32, 8, 4]), (1025, [32, 8, 4]),
+        (4097, [256, 32, 8, 4]), (16385, [2048, 256, 32, 8, 4]), (131073, [16384, 2048, 256, 32, 8, 4]),
+    ):
         ones = np.ones(n)
         plan = paths._plan(ones, ones, np.arange(n) ** 0.65, n - 1)
-        assert (plan.levels is not None) == deep, n
-        assert (paths._level_batches(plan, 16) is not None) == deep, n
+        assert [lv.w for lv in plan.levels] == widths, n
+        assert [lv.r for lv in plan.levels] == [1] + [a // b for a, b in zip(widths, widths[1:])]
+        assert plan.levels[0].a.size <= paths._MAX_UNITS
     # (test_pair_search_exact_on_long_driver checks the values)
+    op = heat.build_heat_problem(params=paths.HolderParams(), n_modes=16).operator
     counts = _count_levels(monkeypatch)
-    paths.holder_seminorm(paths.sample_qfbm(op, 0.75, 1024, 1.0 / 1024, 3), 0.65)
-    assert counts == {"_block_bounds": 0, "_sub_bounds": 0}
+    paths.holder_seminorm(paths.sample_qfbm(op, 0.75, 192, 1.0 / 192, 3), 0.65)
+    assert counts == {}
     paths.holder_seminorm(paths.sample_qfbm(op, 0.75, 4096, 1.0 / 4096, 3), 0.65)
-    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+    _assert_every_level_ran(counts, [256, 32, 8, 4])
+
+
+def test_levels_hold_at_every_mode_count():
+    # the plan of 65537 nodes reads no mode count, so every level stays at
+    # every m, and each level's batch holds at most a piece in any one array:
+    # no level gives way to another past a mode count (checked on the batch
+    # geometry alone, with no search)
+    n = 65537
+    ones = np.ones(n)
+    plan = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1)
+    assert [lv.w for lv in plan.levels] == [2048, 256, 32, 8, 4]
+    for m in (1, 6, 16, 64):
+        geometry = paths._geometry(plan.levels, m)
+        assert len(geometry) == len(plan.levels)
+        for k, (rows, batch, floats) in enumerate(geometry):
+            assert rows >= 1 and batch >= 1, (m, k)
+            assert floats <= 2 * paths._CHUNK, (m, k)
 
 
 def test_levels_exact_on_ramps_offsets_and_ragged_grids(small_levels, monkeypatch):
@@ -812,14 +862,14 @@ def test_levels_exact_on_ramps_offsets_and_ragged_grids(small_levels, monkeypatc
         vals = np.cumsum(rng.standard_normal((n, 3)), axis=0) - 7.0
         dt = 1.0 / (n - 1)
         _assert_sups_exact(vals, dt, 0.55, max_gaps=(np.inf, 1.5 * dt, 16.5 * dt, 0.4))
-    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+    _assert_every_level_ran(counts, _SMALL_LEVELS[small_levels][0])
 
 
 def test_levels_exact_on_heat_residual(small_levels, monkeypatch):
     counts = _count_levels(monkeypatch)
     res, dt = _heat_residual()
     _assert_sups_exact(res, dt, 0.55, max_gaps=(np.inf, 100.5 * dt))
-    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+    assert all(counts.get(w, 0) > 0 for w in _SMALL_LEVELS[small_levels][0][1:]), counts
 
 
 @settings(
@@ -845,66 +895,50 @@ def test_property_levels_match_per_gap_pass(small_levels, n, m, seed, offset, ga
     _assert_sups_exact(vals, dt, 0.6, max_gaps=(np.inf, gap_frac), rhos=(0.0, 64.0))
 
 
-def test_levels_give_way_to_one_level_for_many_modes(monkeypatch, clean_plans):
-    # a superblock pair's or a block pair's batch would outgrow its piece
-    # past about 2 * _CHUNK / max(_SUPER, w/_SUB)^2 modes (61 here), so such
-    # a path is searched on the block level alone, rows of a block pair at a
-    # time
-    _patch_geometry(monkeypatch, _SMALL_LEVELS["4-2-2"])
-    counts = _count_levels(monkeypatch)
-    n = 97
-    ones = np.ones(n)
-    plan = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1)
-    assert paths._level_batches(plan, 61) is not None
-    assert paths._level_batches(plan, 62) is None
-    rng = np.random.default_rng(62)
-    vals = np.cumsum(rng.standard_normal((n, 62)), axis=0) * 1e-2
-    _assert_sups_exact(vals, 1.0 / (n - 1), 0.6, max_gaps=(np.inf, 0.3), rhos=(4.0,))
-    assert counts == {"_block_bounds": 0, "_sub_bounds": 0}
-
-
-# a geometry for the tight fixtures below: blocks of 6 nodes, 3-node
-# sub-blocks and superblocks of 18 nodes; 720 nodes make 40 superblocks,
-# whose bounds stream in row chunks of 4 superblock rows (72 nodes)
-_TIGHT_LEVELS = dict(_MIN_BLOCK=6, _SUB=3, _SUPER=3, _LEVELS_FROM=4, _CHUNK=160)
+# a geometry for the tight fixtures below: units of 16 nodes in 4 units of 4
+# in 2 leaves of 2; 720 nodes make 45 top units, whose bounds stream in row
+# chunks of 4 top rows (64 nodes).  At one mode every level keeps its boxes;
+# at 16 the two levels below the top gather theirs
+_TIGHT_LEVELS = ([16, 4, 2], 180)
 
 
 def _assert_tight_geometry(n):
     ones = np.ones(n)
     plan = paths._plan(ones, ones, np.arange(n) ** 0.6, n - 1)
-    assert (plan.w, plan.levels.s, plan.levels.n_sup) == (6, 3, 40)
-    assert paths._CHUNK // plan.levels.n_off == 4
+    assert [lv.w for lv in plan.levels] == [16, 4, 2] and plan.levels[0].a.size == 45
+    assert paths._CHUNK // plan.n_off == 4
 
 
 def _tight_levels_path(offset, n=720, beta=0.6, step=0.1):
-    # _tight_box_path for three levels: the box bound of the superblock
-    # pair, of the block pair and of the sub-block pair that hold the max is
-    # tight at each level, and a near tie lies in the first row chunk.
-    # - Superblock 19 (nodes 342-359) is flat at the offset; node 360, the
-    #   first of superblock 20, steps up by `step`, and the block from it
-    #   comes back down in sixths; the rest of superblock 20 is flat.  At
-    #   every level the unit on the right runs from its top, offset + step,
-    #   down to at least the offset and the unit on the left is the point
-    #   at the offset, so centre distance plus radii is the step up to the
+    # _tight_box_path on three levels: the box bound of the top-unit pair, of
+    # the 4-node unit pair and of the leaf pair that hold the max is tight at
+    # each level, and a near tie lies in the first row chunk.
+    # - Top unit 21 (nodes 336-351) is flat at the offset; node 352, the
+    #   first of top unit 22, steps up by about `step`, and the 4-node unit
+    #   from it comes back down in even numbers of ulps; the rest of top unit
+    #   22 is flat.  At every level the unit on the right runs from its top
+    #   down to at least the offset and the unit on the left is the point at
+    #   the offset, so centre distance plus radii is the step up to the
     #   rounding of the centres, and the smallest gap is 1.
     # - Nodes 0-12 are the 12-gap ramp of _tight_box_path, the near tie, and
-    #   the last 13 nodes mirror it; n is a multiple of 18, so the reversed
+    #   the last 13 nodes mirror it; n is a multiple of 16, so the reversed
     #   path has the same levels with the flat unit on the right.
-    # - The box centres must round at every level, or dropping the absolute
-    #   term would change nothing: lo + hi is inexact exactly when lo and hi
-    #   lie an odd number of ulps apart, so the step is an odd number of
-    #   ulps above the offset and the lowest node of its sub-block an even
-    #   number (the assert checks every level).
+    # - The box centres lo + (hi - lo) / 2 must round at every level, or
+    #   dropping the absolute term would change nothing: they are inexact
+    #   exactly when hi - lo is an odd number of ulps, so the step is an odd
+    #   number of ulps above the offset and the lowest node of each unit on
+    #   the right an even number (the assert checks every level).
     dt = 1.0 / (n - 1)
     c = (dt * np.arange(n)) ** beta
     u = np.full(n, offset)
-    s = 360
+    s = 352
     ulp = np.spacing(offset)
-    u[s : s + 6] = offset + step * np.arange(6, 0, -1) / 6
-    u[s + 2] = offset + 2 * np.round(step * 4 / 12 / ulp) * ulp
-    for k in (s + 18, s + 6, s + 3):  # the superblock, block and sub-block
-        lo, hi = u[s:k].min(), u[s:k].max()
-        assert (lo + hi) - lo != hi
+    k = 2 * int(step / ulp / 2) + 1
+    u[s : s + 4] = offset + np.array([k, 2 * (3 * k // 8), 2 * (k // 4), 2 * (k // 8)]) * ulp
+    for end in (s + 16, s + 4, s + 2):  # the top unit, the 4-node unit and the leaf
+        lo, hi = u[s:end].min(), u[s:end].max()
+        half = (hi - lo) * 0.5
+        assert (lo + half) - lo != half
     top = (u[s] - u[s - 1]) / c[1]
     rise = np.floor(top * c[12] / ulp) * ulp
     while (offset + rise) - offset != rise or rise / c[12] >= top:
@@ -918,7 +952,7 @@ def test_levels_exact_on_tight_box_bounds(monkeypatch, clean_plans):
     # dropping a radius, the absolute term for the rounding of the box
     # centres, or taking the largest gap of a unit pair for its smallest, on
     # any level, prunes the max here
-    _patch_geometry(monkeypatch, _TIGHT_LEVELS)
+    _patch_geometry(monkeypatch, *_TIGHT_LEVELS)
     _assert_tight_geometry(720)
     counts = _count_levels(monkeypatch)
     for k in range(6):
@@ -926,27 +960,27 @@ def test_levels_exact_on_tight_box_bounds(monkeypatch, clean_plans):
         for v in (vals, vals[::-1]):
             assert _per_gap_pair_sup(v, dt, beta) == top
             assert paths._holder_pair_sup(v, dt, beta, np.inf) == top
-    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+    assert counts.get(4, 0) > 0 and counts.get(2, 0) > 0 and counts.get("kept", 0) > 0
 
 
 def _tight_weighted_levels_path(n=720, m=16, beta=0.6, rho=16.0):
-    # _tight_weighted_path for three levels: a unit step at node 360, the
-    # first of superblock 20, after the flat superblock 19, coming back down
-    # in sixths.  The largest (j dt)^beta of every unit that ends at node
-    # 359 and the largest e^{-rho k dt} of every unit that starts at node 360
-    # sit at the two nodes of the step, so the bound of the unit pair is its
-    # term at every level; the smallest weights of the two sub-blocks are
-    # 0.33% and 4.4% lower.  A step at node 30, in the first row chunk,
-    # whose term is 0.999 of the max is the near tie.
+    # _tight_weighted_path on three levels: a unit step at node 352, the
+    # first of top unit 22, after the flat top unit 21, coming back down in
+    # quarters.  The largest (j dt)^beta of every unit that ends at node 351
+    # and the largest e^{-rho k dt} of every unit that starts at node 352 sit
+    # at the two nodes of the step, so the bound of the unit pair is its term
+    # at every level; the smallest weights of the two leaves are 0.17% and
+    # 2.2% lower.  A step at node 30, in the first row chunk, whose term is
+    # 0.999 of the max is the near tie.
     dt = 1.0 / (n - 1)
     a = (dt * np.arange(n)) ** beta
     b = np.exp(-rho * dt * np.arange(n))
     u = np.zeros((n, m))
-    s = 360
-    u[s : s + 6, 0] = np.arange(6, 0, -1) / 6
+    s = 352
+    u[s : s + 4, 0] = np.arange(4, 0, -1) / 4
     tie = 0.999 * a[s - 1] * b[s] / (a[29] * b[30])
     u[30:36, 0] = tie
-    u[36:68, 0] = tie * np.linspace(1.0, 0.0, 32)
+    u[36:60, 0] = tie * np.linspace(1.0, 0.0, 24)
     return u, dt, beta, rho
 
 
@@ -954,21 +988,21 @@ def test_levels_weighted_exact_on_tight_bounds(monkeypatch, clean_plans):
     # bounding a unit's weights by their smallest values instead of their
     # largest, on either side and on any level, or dropping the radius of
     # the step's unit prunes the max here
-    _patch_geometry(monkeypatch, _TIGHT_LEVELS)
+    _patch_geometry(monkeypatch, *_TIGHT_LEVELS)
     _assert_tight_geometry(720)
     counts = _count_levels(monkeypatch)
     vals, dt, beta, rho = _tight_weighted_levels_path()
     got = _weighted_norm(vals, dt, beta, rho)
     assert got == _per_gap_weighted_sup(vals, dt, beta, rho)
-    assert counts["_block_bounds"] > 0 and counts["_sub_bounds"] > 0
+    assert counts.get(4, 0) > 0 and counts.get(2, 0) > 0 and counts.get("gathered", 0) > 0
 
 
 def test_deep_plan_is_read_only():
     n = 4097
     decay, plan = paths._weighted_plan(n, 1 / 4096, 0.6, 1.0)
-    assert plan.levels is not None
+    assert len(plan.levels) == 4
     arrays = [decay] + paths._plan_arrays(plan)
-    assert len(arrays) == 8 + 9 + 4
+    assert len(arrays) == 1 + 3 + 3 * 4
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 1.0
@@ -1006,8 +1040,8 @@ def test_cached_plans_match_the_per_gap_pass_cold_and_warm():
 
 def test_cached_plan_is_read_only():
     decay, plan = paths._weighted_plan(65, 1 / 64, 0.6, 1.0)
-    arrays = [decay] + [x for x in plan if isinstance(x, np.ndarray)]
-    assert len(arrays) == 8
+    arrays = [decay] + paths._plan_arrays(plan)
+    assert len(plan.levels) == 1 and len(arrays) == 1 + 3 + 3
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = 1.0
